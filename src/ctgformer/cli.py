@@ -21,6 +21,7 @@ from .errors import CliError, CtgformerError
 from .hpo import PRESETS, SearchSpace, best_trial, run_search, write_leaderboard
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .train import (
+    TRAIN_KEYS,
     TrainConfig,
     finetune,
     fit,
@@ -29,7 +30,6 @@ from .train import (
 )
 
 MODEL_KEYS = set(ModelConfig.__dataclass_fields__)
-TRAIN_KEYS = {"learning_rate", "batch_size", "max_epochs", "patience"}
 
 
 def _resolve_out_dir(arg, subcommand: str) -> Path:
@@ -57,7 +57,7 @@ def _load_config_file(path) -> dict:
         raise CliError(f"config file {p} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise CliError(f"config file {p} must hold a JSON object")
-    unknown = set(payload) - MODEL_KEYS - TRAIN_KEYS - {"seed"}
+    unknown = set(payload).difference(MODEL_KEYS, TRAIN_KEYS, {"seed"})
     if unknown:
         raise CliError(f"config file {p} has unknown keys: {sorted(unknown)}")
     return payload
@@ -90,7 +90,7 @@ def _collect_settings(args) -> dict:
 def _split_settings(settings: dict) -> tuple:
     model_kwargs = {k: v for k, v in settings.items() if k in MODEL_KEYS}
     train_kwargs = {k: v for k, v in settings.items() if k in TRAIN_KEYS}
-    unknown = set(settings) - MODEL_KEYS - TRAIN_KEYS - {"seed"}
+    unknown = set(settings).difference(MODEL_KEYS, TRAIN_KEYS, {"seed"})
     if unknown:
         raise CliError(f"unknown configuration keys: {sorted(unknown)}")
     return model_kwargs, train_kwargs

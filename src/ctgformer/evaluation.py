@@ -87,9 +87,13 @@ class RocAnalysis:
     thresholds: dict = field(default_factory=dict)  # name -> ThresholdReport
 
 
+def _arrays(preds: Sequence[Prediction]):
+    scores = np.array([p.score for p in preds], dtype=float)
+    return scores, np.array([p.label for p in preds], dtype=int)
+
+
 def _split_classes(preds: Sequence[Prediction]):
-    scores = np.array([p.score for p in preds])
-    labels = np.array([p.label for p in preds])
+    scores, labels = _arrays(preds)
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -102,37 +106,31 @@ def auc(preds: Sequence[Prediction]) -> float:
     midranks so ties get exactly half credit."""
     scores, labels, n_pos, n_neg = _split_classes(preds)
     order = np.argsort(scores, kind="mergesort")
+    starts = np.flatnonzero(np.diff(scores[order], prepend=np.nan))   # tie-group starts
+    ends = np.append(starts[1:], len(scores))
     ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average of ranks i+1..j+1
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)   # midranks
     rank_sum_pos = float(ranks[labels == 1].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
 
-def roc_points(preds: Sequence[Prediction]) -> list:
-    """ROC polygon with one vertex per distinct score cut, from (0,0) to (1,1)."""
+def _cut_table(preds: Sequence[Prediction]):
+    """Descending distinct score cuts with the cumulative true- and
+    false-positive counts of predicting positive at score >= cut."""
     scores, labels, n_pos, n_neg = _split_classes(preds)
     order = np.argsort(-scores, kind="mergesort")
     s, l = scores[order], labels[order]
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[j + 1] == s[i]:
-            j += 1
-        tp += int(l[i:j + 1].sum())
-        fp += (j - i + 1) - int(l[i:j + 1].sum())
-        points.append((fp / n_neg, tp / n_pos))
-        i = j + 1
-    return points
+    group_ends = np.append(np.flatnonzero(np.diff(s)) + 1, len(s))   # tie-group ends
+    tp = np.cumsum(l)[group_ends - 1]
+    fp = group_ends - tp
+    return s[group_ends - 1], tp, fp, n_pos, n_neg
+
+
+def roc_points(preds: Sequence[Prediction]) -> list:
+    """ROC polygon with one vertex per distinct score cut, from (0,0) to (1,1)."""
+    _, tp, fp, n_pos, n_neg = _cut_table(preds)
+    return [(0.0, 0.0)] + list(zip((fp / n_neg).tolist(), (tp / n_pos).tolist()))
 
 
 def trapezoid_auc(points: Sequence) -> float:
@@ -145,14 +143,10 @@ def trapezoid_auc(points: Sequence) -> float:
 def confusion_at(preds: Sequence[Prediction], threshold: float) -> Confusion:
     if not 0.0 <= threshold <= 1.0:
         raise EvalError(f"threshold must lie in [0, 1], got {threshold}")
-    tp = fp = tn = fn = 0
-    for p in preds:
-        predicted = p.score >= threshold
-        if p.label == 1:
-            tp, fn = tp + predicted, fn + (not predicted)
-        else:
-            fp, tn = fp + predicted, tn + (not predicted)
-    return Confusion(tp=tp, fp=fp, tn=tn, fn=fn)
+    scores, labels = _arrays(preds)
+    predicted, positive = scores >= threshold, labels == 1
+    return Confusion(tp=int(np.sum(predicted & positive)), fp=int(np.sum(predicted & ~positive)),
+                     tn=int(np.sum(~predicted & ~positive)), fn=int(np.sum(~predicted & positive)))
 
 
 def _ratio(num: int, den: int) -> float:
@@ -172,27 +166,17 @@ def metrics(c: Confusion) -> Metrics:
     return Metrics(sensitivity=sens, specificity=spec, ppv=ppv, npv=npv, f1=f1, accuracy=acc)
 
 
-def _cut_table(preds: Sequence[Prediction]):
+def _sens_spec_table(preds: Sequence[Prediction]):
     """Ascending distinct score cuts with the sensitivity and specificity of
     predicting positive at score >= cut."""
-    scores, labels, n_pos, n_neg = _split_classes(preds)
-    order = np.argsort(-scores, kind="mergesort")
-    s, l = scores[order], labels[order]
-    boundaries = np.flatnonzero(np.diff(s)) + 1          # tie-group ends
-    group_ends = np.append(boundaries, len(s))
-    tp = np.cumsum(l)[group_ends - 1]
-    taken = group_ends
-    fp = taken - tp
-    cuts = s[group_ends - 1]                             # descending distinct scores
-    sens = tp / n_pos
-    spec = (n_neg - fp) / n_neg
-    return cuts[::-1], sens[::-1], spec[::-1]
+    cuts, tp, fp, n_pos, n_neg = _cut_table(preds)
+    return cuts[::-1], (tp / n_pos)[::-1], ((n_neg - fp) / n_neg)[::-1]
 
 
 def youden_threshold(preds: Sequence[Prediction]) -> float:
     """Cut maximising J = sensitivity + specificity - 1; ties go to the
     smaller threshold."""
-    cuts, sens, spec = _cut_table(preds)
+    cuts, sens, spec = _sens_spec_table(preds)
     j = sens + spec - 1.0
     return float(cuts[int(np.argmax(j))])    # argmax takes the first (smallest cut)
 
@@ -207,7 +191,7 @@ def target_threshold(preds: Sequence[Prediction], kind: str,
     allowing the everything-negative cut just above the top score. Returns
     None when no cut attains the target.
     """
-    cuts, sens, spec = _cut_table(preds)
+    cuts, sens, spec = _sens_spec_table(preds)
     if kind == "high_sensitivity":
         feasible = np.flatnonzero(sens >= target)
         return float(cuts[feasible[-1]]) if feasible.size else None

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CtgformerError, HpoError
 from .model import ModelConfig
-from .train import TrainConfig, TrainLog, fit
+from .train import TRAIN_KEYS, TrainConfig, TrainLog, fit
 
 # Winning configuration of the published 100-trial search; kernel_size is
 # carried for fidelity but unused by the architecture.
@@ -40,15 +40,12 @@ PAPER_BEST = {
 
 PRESETS = {"paper-best": PAPER_BEST}
 
-TRAIN_KEYS = ("learning_rate", "batch_size")
-
-
 def preset_configs(name: str) -> tuple:
     """(ModelConfig kwargs, TrainConfig kwargs) for a named preset."""
     if name not in PRESETS:
         raise HpoError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
     preset = dict(PRESETS[name])
-    train_kwargs = {k: preset.pop(k) for k in TRAIN_KEYS}
+    train_kwargs = {k: preset.pop(k) for k in TRAIN_KEYS if k in preset}
     return preset, train_kwargs
 
 

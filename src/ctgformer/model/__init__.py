@@ -11,20 +11,17 @@ from .params import (
     named_tensors,
 )
 from .net import (
-    PatchSet,
     attention,
     classify,
     embed_patches,
     encode_channel,
     encoder_layer,
     ffn,
-    forward,
     forward_batch,
     instance_normalize,
     make_patches,
     patch_count,
     pool_channel,
-    predict,
     predict_scores,
     run_encoder,
 )
@@ -37,7 +34,6 @@ __all__ = [
     "LayerParams",
     "ModelConfig",
     "ModelParams",
-    "PatchSet",
     "attention",
     "classify",
     "clone_param_data",
@@ -45,7 +41,6 @@ __all__ = [
     "encode_channel",
     "encoder_layer",
     "ffn",
-    "forward",
     "forward_batch",
     "init_params",
     "instance_normalize",
@@ -55,7 +50,6 @@ __all__ = [
     "named_tensors",
     "patch_count",
     "pool_channel",
-    "predict",
     "predict_scores",
     "run_encoder",
     "save_checkpoint",

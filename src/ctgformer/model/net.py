@@ -6,14 +6,12 @@ learned positional table, a stack of post-norm encoder layers whose attention
 ignores mostly-missing patches, masked global average pooling, and finally a
 sigmoid head over the two concatenated channel summaries.
 
-All stages run batched over a leading batch axis; the public single-trace
-operations wrap batches of one.
+Every operation takes a leading batch axis; one trace is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,7 +30,6 @@ from ..numcore import (
     softmax,
     transpose,
 )
-from ..signal import Trace
 from .config import ModelConfig
 from .params import Backbone, LayerParams, ModelParams
 
@@ -40,23 +37,12 @@ INSTANCE_NORM_EPS = 1e-8
 LAYER_NORM_EPS = 1e-5
 
 
-@dataclass
-class PatchSet:
-    patches: np.ndarray      # (N, P) patch values
-    patch_mask: np.ndarray   # (N,) True where the patch is attended
-
-
 def instance_normalize(values: np.ndarray, mask: np.ndarray,
                        eps: float = INSTANCE_NORM_EPS):
-    """Standardise observed samples to zero mean, unit variance; masked
-    positions stay 0. Statistics are recomputed per call, so inference uses
-    each sequence's own mean and variance. Returns (normalized, mu, sigma)."""
-    normalized, mu, sigma = _instance_normalize_batch(values[None, :], mask[None, :], eps)
-    return normalized[0], float(mu[0]), float(sigma[0])
-
-
-def _instance_normalize_batch(values: np.ndarray, mask: np.ndarray,
-                              eps: float = INSTANCE_NORM_EPS):
+    """Standardise each row's observed samples to zero mean, unit variance;
+    masked positions stay 0. Statistics are recomputed per call, so inference
+    uses each sequence's own mean and variance. Returns (normalized, mu, sigma)
+    with shapes (B, L), (B,), (B,)."""
     counts = mask.sum(axis=1)
     if np.any(counts < 2):
         raise ModelError("instance normalization needs at least 2 observed samples per channel")
@@ -68,14 +54,6 @@ def _instance_normalize_batch(values: np.ndarray, mask: np.ndarray,
     return centered / sigma[:, None], mu, sigma
 
 
-def make_patches(channel: np.ndarray, mask: np.ndarray, patch_len: int, stride: int) -> PatchSet:
-    """Cut one channel into patches of ``patch_len`` every ``stride`` samples.
-    A patch is attended unless more than half of its samples are masked out."""
-    patches, patch_mask = _make_patches_batch(channel[None, :], mask[None, :],
-                                              patch_len, stride)
-    return PatchSet(patches=patches[0], patch_mask=patch_mask[0])
-
-
 def _patch_indices(seq_len: int, patch_len: int, stride: int) -> np.ndarray:
     if patch_len > seq_len:
         raise ModelError(f"patch_len {patch_len} exceeds sequence length {seq_len}")
@@ -83,7 +61,10 @@ def _patch_indices(seq_len: int, patch_len: int, stride: int) -> np.ndarray:
     return np.arange(n)[:, None] * stride + np.arange(patch_len)[None, :]
 
 
-def _make_patches_batch(values: np.ndarray, mask: np.ndarray, patch_len: int, stride: int):
+def make_patches(values: np.ndarray, mask: np.ndarray, patch_len: int, stride: int):
+    """Cut (B, L) channels into patches of ``patch_len`` every ``stride``
+    samples. Returns (patches (B, N, P), patch_mask (B, N)); a patch is
+    attended unless more than half of its samples are masked out."""
     idx = _patch_indices(values.shape[1], patch_len, stride)
     patches = values[:, idx]                       # (B, N, P)
     missing = (~mask)[:, idx].sum(axis=2)          # (B, N)
@@ -95,13 +76,14 @@ def patch_count(seq_len: int, patch_len: int, stride: int) -> int:
     return _patch_indices(seq_len, patch_len, stride).shape[0]
 
 
-def embed_patches(ps: PatchSet, w_patch: Tensor, w_pos: Tensor) -> Tensor:
-    """Project patches into the latent width and add positional rows. Masked
-    patches are embedded too; masking is enforced inside attention."""
-    n = ps.patches.shape[-2]
+def embed_patches(patches: np.ndarray, w_patch: Tensor, w_pos: Tensor) -> Tensor:
+    """Project (B, N, P) patches into the latent width and add positional
+    rows. Masked patches are embedded too; masking is enforced inside
+    attention."""
+    n = patches.shape[-2]
     if w_pos.shape[0] != n:
         raise ModelError(f"positional table has {w_pos.shape[0]} rows, need {n}")
-    return matmul(Tensor(ps.patches), w_patch) + w_pos
+    return matmul(Tensor(patches), w_patch) + w_pos
 
 
 def attention(e: Tensor, layer: LayerParams, patch_mask: np.ndarray, n_heads: int,
@@ -111,12 +93,8 @@ def attention(e: Tensor, layer: LayerParams, patch_mask: np.ndarray, n_heads: in
 
     Masked patches receive -inf logits in every row, so their weight is
     exactly zero and unmasked rows match what physical deletion of the
-    masked keys/values would give.
+    masked keys/values would give. ``e`` is (B, N, d), ``patch_mask`` (B, N).
     """
-    squeeze = e.ndim == 2
-    if squeeze:
-        e = reshape(e, (1,) + e.shape)
-        patch_mask = np.asarray(patch_mask, dtype=bool)[None, :]
     b, n, d = e.shape
     if d % n_heads != 0:
         raise ModelError(f"width {d} not divisible by {n_heads} heads")
@@ -133,8 +111,7 @@ def attention(e: Tensor, layer: LayerParams, patch_mask: np.ndarray, n_heads: in
     weights = softmax(masked_fill(scores, key_gone, -np.inf), axis=-1)
     weights = dropout(weights, attn_dropout, training=training, rng=rng)
     ctx = reshape(transpose(matmul(weights, v), (0, 2, 1, 3)), (b, n, d))
-    out = matmul(ctx, layer.w_o)
-    return reshape(out, (n, d)) if squeeze else out
+    return matmul(ctx, layer.w_o)
 
 
 def ffn(h: Tensor, layer: LayerParams, kind: str) -> Tensor:
@@ -160,49 +137,34 @@ def run_encoder(e: Tensor, backbone: Backbone, patch_mask: np.ndarray, cfg: Mode
     return e
 
 
-def _encode_channel_batch(values: np.ndarray, mask: np.ndarray, cfg: ModelConfig,
-                          backbone: Backbone, training: bool = False,
-                          rng: Optional[np.random.Generator] = None):
-    normalized, _, _ = _instance_normalize_batch(values, mask)
-    patches, patch_mask = _make_patches_batch(normalized, mask, cfg.patch_len, cfg.stride)
-    e = matmul(Tensor(patches), backbone.w_patch) + backbone.w_pos
+def encode_channel(values: np.ndarray, mask: np.ndarray, cfg: ModelConfig,
+                   backbone: Backbone, training: bool = False,
+                   rng: Optional[np.random.Generator] = None):
+    """Encode (B, L) channels to their (B, N, d) patch representations.
+    Returns (encoded, patch_mask)."""
+    normalized, _, _ = instance_normalize(values, mask)
+    patches, patch_mask = make_patches(normalized, mask, cfg.patch_len, cfg.stride)
+    e = embed_patches(patches, backbone.w_patch, backbone.w_pos)
     return run_encoder(e, backbone, patch_mask, cfg, training, rng), patch_mask
 
 
-def encode_channel(values: np.ndarray, mask: np.ndarray, cfg: ModelConfig,
-                   params: ModelParams, channel: int = 0, training: bool = False,
-                   rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Encode one channel of one trace to its (N, d) patch representations."""
-    e, _ = _encode_channel_batch(np.asarray(values)[None, :], np.asarray(mask, dtype=bool)[None, :],
-                                 cfg, params.backbone_for(channel), training, rng)
-    return reshape(e, e.shape[1:])
-
-
 def pool_channel(e: Tensor, patch_mask: np.ndarray) -> Tensor:
-    """Mean of the attended patch representations."""
-    squeeze = e.ndim == 2
-    if squeeze:
-        e = reshape(e, (1,) + e.shape)
-        patch_mask = np.asarray(patch_mask, dtype=bool)[None, :]
+    """Mean of the attended patch representations: (B, N, d) -> (B, d)."""
     counts = patch_mask.sum(axis=1)
     if np.any(counts == 0):
         raise ModelError("cannot pool a sequence with every patch masked")
     weights = Tensor((patch_mask / counts[:, None])[:, None, :])   # (B, 1, N)
-    pooled = reshape(matmul(weights, e), (e.shape[0], e.shape[2]))
-    return reshape(pooled, (pooled.shape[1],)) if squeeze else pooled
+    return reshape(matmul(weights, e), (e.shape[0], e.shape[2]))
 
 
 def classify(g_fhr: Tensor, g_toco: Tensor, w_head: Tensor, b_head: Tensor,
              fc_dropout: float = 0.0, training: bool = False,
              rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Sigmoid probability from the concatenated channel summaries."""
-    squeeze = g_fhr.ndim == 1
-    if squeeze:
-        g_fhr, g_toco = reshape(g_fhr, (1, -1)), reshape(g_toco, (1, -1))
+    """(B,) sigmoid probabilities from the concatenated (B, d) channel
+    summaries."""
     fused = dropout(concat([g_fhr, g_toco], axis=-1), fc_dropout, training=training, rng=rng)
     prob = sigmoid(matmul(fused, w_head) + b_head)
-    out = reshape(prob, (prob.shape[0],))
-    return reshape(out, ()) if squeeze else out
+    return reshape(prob, (prob.shape[0],))
 
 
 def forward_batch(batch: dict, cfg: ModelConfig, params: ModelParams,
@@ -210,8 +172,8 @@ def forward_batch(batch: dict, cfg: ModelConfig, params: ModelParams,
     """Probabilities for a stacked batch (see ``data.stack_traces``)."""
     pooled = []
     for c, (vals, mask) in enumerate((("fhr", "fhr_mask"), ("toco", "toco_mask"))):
-        e, patch_mask = _encode_channel_batch(batch[vals], batch[mask], cfg,
-                                              params.backbone_for(c), training, rng)
+        e, patch_mask = encode_channel(batch[vals], batch[mask], cfg,
+                                       params.backbone_for(c), training, rng)
         pooled.append(pool_channel(e, patch_mask))
     return classify(pooled[0], pooled[1], params.w_head, params.b_head,
                     cfg.fc_dropout, training, rng)
@@ -232,28 +194,14 @@ def max_forward_chunk(cfg: ModelConfig, budget_bytes: int = 384 << 20) -> int:
     return max(1, budget_bytes // per_trace)
 
 
-def forward(trace: Trace, cfg: ModelConfig, params: ModelParams,
-            training: bool = False, rng: Optional[np.random.Generator] = None) -> float:
-    batch = {"fhr": trace.fhr[None, :], "fhr_mask": trace.fhr_mask[None, :],
-             "toco": trace.toco[None, :], "toco_mask": trace.toco_mask[None, :]}
-    return float(forward_batch(batch, cfg, params, training, rng).data[0])
-
-
-def predict(trace: Trace, cfg: ModelConfig, params: ModelParams,
-            threshold: float = 0.5) -> tuple:
-    """(probability, hard label) at the given decision threshold."""
-    prob = forward(trace, cfg, params, training=False)
-    return prob, int(prob >= threshold)
-
-
 def predict_scores(traces, cfg: ModelConfig, params: ModelParams,
                    batch_size: int = 256) -> np.ndarray:
     """Inference probabilities for a list of traces, batched, no tape."""
     from ..data import stack_traces
 
     step = min(batch_size, max_forward_chunk(cfg))
-    scores = []
+    scores = np.empty(len(traces))
     for lo in range(0, len(traces), step):
         chunk = stack_traces(traces[lo:lo + step])
-        scores.append(forward_batch(chunk, cfg, params, training=False).data)
-    return np.concatenate(scores)
+        scores[lo:lo + step] = forward_batch(chunk, cfg, params, training=False).data
+    return scores

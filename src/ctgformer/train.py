@@ -58,6 +58,10 @@ class TrainConfig:
             raise TrainError(f"max_epochs must be non-negative, got {self.max_epochs}")
 
 
+# TrainConfig fields a preset, a config file or a command-line flag may set.
+TRAIN_KEYS = ("learning_rate", "batch_size", "max_epochs", "patience")
+
+
 @dataclass
 class EpochRecord:
     epoch: int
@@ -145,19 +149,21 @@ def _slice_batch(stacked: dict, idx: np.ndarray) -> dict:
 
 
 def train_epoch(params: ModelParams, cfg: ModelConfig, train_cfg: TrainConfig,
-                stacked: dict, rng: np.random.Generator, optimizer: Adam) -> float:
+                stacked: dict, rng: np.random.Generator, optimizer: Adam,
+                epoch: int = 1) -> float:
     """One shuffled pass over the training set; returns the mean batch loss.
 
     A logical batch larger than the attention memory budget is split into
     forward chunks whose gradients accumulate before the single optimizer
-    step, so the update still averages the whole batch."""
+    step, so the update still averages the whole batch. A non-finite chunk
+    loss raises ``TrainError`` naming ``epoch`` and the batch index."""
     n = len(stacked["labels"])
     if n == 0:
         raise TrainError("training set is empty")
     chunk = min(train_cfg.batch_size, max_forward_chunk(cfg))
     order = rng.permutation(n)
     losses = []
-    for lo in range(0, n, train_cfg.batch_size):
+    for b, lo in enumerate(range(0, n, train_cfg.batch_size)):
         batch_idx = order[lo:lo + train_cfg.batch_size]
         batch_loss = 0.0
         for co in range(0, len(batch_idx), chunk):
@@ -166,8 +172,11 @@ def train_epoch(params: ModelParams, cfg: ModelConfig, train_cfg: TrainConfig,
             with Graph() as g:
                 probs = forward_batch(piece, cfg, params, training=True, rng=rng)
                 loss = weight * bce_loss_batch(probs, piece["labels"])
+            chunk_loss = loss.item()
+            if not math.isfinite(chunk_loss):
+                raise TrainError(f"non-finite loss {chunk_loss!r} at epoch {epoch}, batch {b}")
             backward(loss, g, retain_intermediate_grads=False)
-            batch_loss += loss.item()
+            batch_loss += chunk_loss
         optimizer.step()
         losses.append(batch_loss)
     return float(np.mean(losses))
@@ -210,7 +219,7 @@ def fit(cfg: ModelConfig, train_cfg: TrainConfig, train_traces: Sequence,
     best_snapshot = None
     for epoch in range(1, train_cfg.max_epochs + 1):
         tic = time.perf_counter()
-        mean_loss = train_epoch(params, cfg, train_cfg, stacked, rng, optimizer)
+        mean_loss = train_epoch(params, cfg, train_cfg, stacked, rng, optimizer, epoch)
         val_auc = _val_auc(params, cfg, val_traces)
         log.epochs.append(EpochRecord(epoch, mean_loss, val_auc,
                                       time.perf_counter() - tic))

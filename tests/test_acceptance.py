@@ -102,8 +102,8 @@ def test_criterion_03_instance_norm_invariants():
         mask = rng.random(960) >= rng.uniform(0.0, 0.3)
         mask[:2] = True
         vals = np.where(mask, vals, 0.0)
-        out, _, _ = instance_normalize(vals, mask)
-        obs = out[mask]
+        out, _, _ = instance_normalize(vals[None], mask[None])
+        obs = out[0][mask]
         worst_mu = max(worst_mu, abs(float(obs.mean())))
         worst_sigma = max(worst_sigma, abs(float(obs.std()) - 1.0))
     assert worst_mu < 1e-10
@@ -142,11 +142,10 @@ def test_criterion_04_masking_equivalence():
         keep = rng.random(n) >= 0.4
         if not keep.any():
             keep[0] = True
-        masked = pool_channel(run_encoder(Tensor(e_full), backbone, keep, cfg), keep)
-        kept_n = int(keep.sum())
-        deleted = pool_channel(
-            run_encoder(Tensor(e_full[keep]), backbone, np.ones(kept_n, dtype=bool), cfg),
-            np.ones(kept_n, dtype=bool))
+        masked = pool_channel(run_encoder(Tensor(e_full[None]), backbone, keep[None], cfg),
+                              keep[None])
+        kept = np.ones((1, int(keep.sum())), dtype=bool)
+        deleted = pool_channel(run_encoder(Tensor(e_full[keep][None]), backbone, kept, cfg), kept)
         worst = max(worst, float(np.max(np.abs(masked.data - deleted.data))))
     assert worst < 1e-10
     report(4, f"100 random configurations, masked-vs-deleted diff < {worst:.1e}")

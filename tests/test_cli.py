@@ -224,6 +224,21 @@ class TestEvalCli:
         assert "auc=" in stdout
 
 
+    def test_eval_empty_cohort_reports_error(self, tmp_path, capsys):
+        from ctgformer.data import Cohort
+        from ctgformer.model import ModelConfig, init_params, save_checkpoint
+
+        cfg = ModelConfig(patch_len=32, stride=32, n_layers=1, n_heads=2, d_model=16, d_ff=16)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(cfg, 0), cfg, ckpt)
+        empty = tmp_path / "empty.csv"
+        write_cohort(Cohort(traces=[]), empty)
+        code, _, stderr = run(["eval", "--ckpt", str(ckpt), "--data", str(empty),
+                               "--out-dir", str(tmp_path / "e")], capsys)
+        assert code == 1
+        assert "error[eval]" in stderr
+
+
 class TestHpoCli:
     def test_leaderboard_written(self, tmp_path, cohort_file, capsys):
         out_dir = tmp_path / "hpo"

@@ -11,7 +11,6 @@ from ctgformer.model import (
     encode_channel,
     encoder_layer,
     ffn,
-    forward,
     forward_batch,
     init_params,
     instance_normalize,
@@ -20,11 +19,9 @@ from ctgformer.model import (
     named_tensors,
     patch_count,
     pool_channel,
-    predict,
     predict_scores,
     save_checkpoint,
 )
-from ctgformer.model.net import _encode_channel_batch
 from ctgformer.model.params import clone_param_data, load_param_data
 from ctgformer.data import GenSpec, generate_cohort
 
@@ -44,6 +41,14 @@ def batch_dict(rng, b=2, seq_len=32, missing=0.1):
     fhr, fhr_mask = random_batch(rng, b, seq_len, missing)
     toco, toco_mask = random_batch(rng, b, seq_len, missing)
     return {"fhr": fhr, "fhr_mask": fhr_mask, "toco": toco, "toco_mask": toco_mask}
+
+
+def test_model_exports_are_batch_only():
+    import ctgformer.model as model
+
+    for name in model.__all__:
+        assert getattr(model, name) is not None, name
+    assert not {"forward", "predict", "PatchSet"} & set(model.__all__)
 
 
 class TestConfig:
@@ -68,13 +73,13 @@ class TestInstanceNormalize:
         rng = np.random.default_rng(1)
         x = rng.normal(size=960)
         x = (x - x.mean()) / x.std()
-        out, mu, sigma = instance_normalize(x, np.ones(960, dtype=bool))
-        assert np.allclose(out, x, atol=1e-6)
+        out, mu, sigma = instance_normalize(x[None], np.ones((1, 960), dtype=bool))
+        assert np.allclose(out[0], x, atol=1e-6)
 
     def test_constant_signal_zeroed(self):
-        out, mu, sigma = instance_normalize(np.full(960, 0.5), np.ones(960, dtype=bool))
+        out, mu, sigma = instance_normalize(np.full((1, 960), 0.5), np.ones((1, 960), dtype=bool))
         assert np.all(out == 0.0)
-        assert sigma == pytest.approx(1e-8)
+        assert sigma[0] == pytest.approx(1e-8)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(2)
@@ -85,8 +90,8 @@ class TestInstanceNormalize:
             x = np.where(mask, x, 0.0)
             a, b = rng.uniform(0.1, 3.0), rng.uniform(-1, 1)
             y = np.where(mask, a * x + b, 0.0)
-            out_x, _, _ = instance_normalize(x, mask)
-            out_y, _, _ = instance_normalize(y, mask)
+            out_x, _, _ = instance_normalize(x[None], mask[None])
+            out_y, _, _ = instance_normalize(y[None], mask[None])
             assert np.allclose(out_x, out_y, atol=1e-9)
 
     def test_observed_stats(self):
@@ -94,7 +99,8 @@ class TestInstanceNormalize:
         x = rng.uniform(0, 1, 960)
         mask = rng.random(960) >= 0.3
         x = np.where(mask, x, 0.0)
-        out, _, _ = instance_normalize(x, mask)
+        out, _, _ = instance_normalize(x[None], mask[None])
+        out = out[0]
         obs = out[mask]
         assert abs(obs.mean()) < 1e-10
         assert abs(obs.std() - 1.0) < 1e-6
@@ -104,7 +110,7 @@ class TestInstanceNormalize:
         mask = np.zeros(960, dtype=bool)
         mask[0] = True
         with pytest.raises(ModelError, match="2 observed"):
-            instance_normalize(np.zeros(960), mask)
+            instance_normalize(np.zeros((1, 960)), mask[None])
 
 
 class TestMakePatches:
@@ -115,14 +121,14 @@ class TestMakePatches:
         assert patch_count(960, 16, 8) == 119
 
     def test_single_whole_patch(self):
-        ps = make_patches(np.arange(32.0), np.ones(32, dtype=bool), 32, 32)
-        assert ps.patches.shape == (1, 32)
-        assert np.array_equal(ps.patches[0], np.arange(32.0))
+        patches, _ = make_patches(np.arange(32.0)[None], np.ones((1, 32), dtype=bool), 32, 32)
+        assert patches.shape == (1, 1, 32)
+        assert np.array_equal(patches[0, 0], np.arange(32.0))
 
     def test_patch_content_indices(self):
-        ps = make_patches(np.arange(32.0), np.ones(32, dtype=bool), 8, 4)
-        for j in range(ps.patches.shape[0]):
-            assert np.array_equal(ps.patches[j], np.arange(j * 4, j * 4 + 8, dtype=float))
+        patches, _ = make_patches(np.arange(32.0)[None], np.ones((1, 32), dtype=bool), 8, 4)
+        for j in range(patches.shape[1]):
+            assert np.array_equal(patches[0, j], np.arange(j * 4, j * 4 + 8, dtype=float))
 
     def test_count_matches_enumeration_oracle(self):
         rng = np.random.default_rng(5)
@@ -144,41 +150,41 @@ class TestMakePatches:
         mask = np.ones(32, dtype=bool)
         mask[0:5] = False   # patch 0 has 5/8 missing -> masked
         mask[8:12] = False  # patch 1 has exactly 4/8 missing -> kept
-        ps = make_patches(np.where(mask, 0.5, 0.0), mask, 8, 8)
-        assert not ps.patch_mask[0]
-        assert ps.patch_mask[1]
-        assert ps.patch_mask[2:].all()
+        _, patch_mask = make_patches(np.where(mask, 0.5, 0.0)[None], mask[None], 8, 8)
+        assert not patch_mask[0, 0]
+        assert patch_mask[0, 1]
+        assert patch_mask[0, 2:].all()
 
     def test_patch_longer_than_sequence(self):
         with pytest.raises(ModelError):
-            make_patches(np.zeros(8), np.ones(8, dtype=bool), 16, 8)
+            make_patches(np.zeros((1, 8)), np.ones((1, 8), dtype=bool), 16, 8)
 
 
 class TestEmbed:
     def test_zero_weights_zero_embeddings(self):
-        ps = make_patches(np.arange(32.0) / 32, np.ones(32, dtype=bool), 8, 8)
-        e = embed_patches(ps, Tensor(np.zeros((8, 4))), Tensor(np.zeros((4, 4))))
+        patches, _ = make_patches(np.arange(32.0)[None] / 32, np.ones((1, 32), dtype=bool), 8, 8)
+        e = embed_patches(patches, Tensor(np.zeros((8, 4))), Tensor(np.zeros((4, 4))))
         assert np.all(e.data == 0.0)
 
     def test_zero_patches_give_positional_rows(self):
-        ps = make_patches(np.zeros(32), np.ones(32, dtype=bool), 8, 8)
+        patches, _ = make_patches(np.zeros((1, 32)), np.ones((1, 32), dtype=bool), 8, 8)
         w_pos = Tensor(np.random.default_rng(0).normal(size=(4, 6)))
-        e = embed_patches(ps, Tensor(np.random.default_rng(1).normal(size=(8, 6))), w_pos)
-        assert np.allclose(e.data, w_pos.data)
+        e = embed_patches(patches, Tensor(np.random.default_rng(1).normal(size=(8, 6))), w_pos)
+        assert np.allclose(e.data[0], w_pos.data)
 
     def test_matches_dense_matmul_oracle(self):
         rng = np.random.default_rng(2)
-        ps = make_patches(rng.uniform(0, 1, 32), np.ones(32, dtype=bool), 8, 4)
+        patches, _ = make_patches(rng.uniform(0, 1, (1, 32)), np.ones((1, 32), dtype=bool), 8, 4)
         w_p = rng.normal(size=(8, 6))
-        w_pos = rng.normal(size=(ps.patches.shape[0], 6))
-        e = embed_patches(ps, Tensor(w_p), Tensor(w_pos))
-        oracle = np.array([ps.patches[j] @ w_p + w_pos[j] for j in range(len(w_pos))])
-        assert np.allclose(e.data, oracle, atol=1e-12)
+        w_pos = rng.normal(size=(patches.shape[1], 6))
+        e = embed_patches(patches, Tensor(w_p), Tensor(w_pos))
+        oracle = np.array([patches[0, j] @ w_p + w_pos[j] for j in range(len(w_pos))])
+        assert np.allclose(e.data[0], oracle, atol=1e-12)
 
     def test_positional_row_mismatch(self):
-        ps = make_patches(np.zeros(32), np.ones(32, dtype=bool), 8, 8)
+        patches, _ = make_patches(np.zeros((1, 32)), np.ones((1, 32), dtype=bool), 8, 8)
         with pytest.raises(ModelError, match="rows"):
-            embed_patches(ps, Tensor(np.zeros((8, 6))), Tensor(np.zeros((5, 6))))
+            embed_patches(patches, Tensor(np.zeros((8, 6))), Tensor(np.zeros((5, 6))))
 
 
 class TestAttention:
@@ -190,36 +196,36 @@ class TestAttention:
     def test_single_patch_passthrough(self):
         rng = np.random.default_rng(1)
         layer = self.layer(8)
-        e = Tensor(rng.normal(size=(1, 8)))
-        out = attention(e, layer, np.array([True]), n_heads=2)
+        e = Tensor(rng.normal(size=(1, 1, 8)))
+        out = attention(e, layer, np.array([[True]]), n_heads=2)
         # softmax over one key is 1, so output is V projected by W_O
-        v = e.data @ layer.w_v.data
-        assert np.allclose(out.data, v @ layer.w_o.data, atol=1e-12)
+        v = e.data[0] @ layer.w_v.data
+        assert np.allclose(out.data[0], v @ layer.w_o.data, atol=1e-12)
 
     def test_identical_keys_average_values(self):
         rng = np.random.default_rng(2)
         layer = self.layer(8, seed=3)
         # identical embeddings give identical keys: attention averages values
         row = rng.normal(size=8)
-        e = Tensor(np.tile(row, (5, 1)))
-        out = attention(e, layer, np.ones(5, dtype=bool), n_heads=2)
-        v_mean = (e.data @ layer.w_v.data).mean(axis=0)
-        assert np.allclose(out.data, np.tile(v_mean @ layer.w_o.data, (5, 1)), atol=1e-12)
+        e = Tensor(np.tile(row, (1, 5, 1)))
+        out = attention(e, layer, np.ones((1, 5), dtype=bool), n_heads=2)
+        v_mean = (e.data[0] @ layer.w_v.data).mean(axis=0)
+        assert np.allclose(out.data[0], np.tile(v_mean @ layer.w_o.data, (5, 1)), atol=1e-12)
 
     def test_masked_equals_deleted(self):
         rng = np.random.default_rng(4)
         layer = self.layer(8, seed=5)
         e_full = rng.normal(size=(6, 8))
         keep = np.array([True, True, False, True, False, True])
-        masked_out = attention(Tensor(e_full), layer, keep, n_heads=2)
-        deleted_out = attention(Tensor(e_full[keep]), layer,
-                                np.ones(int(keep.sum()), dtype=bool), n_heads=2)
-        assert np.allclose(masked_out.data[keep], deleted_out.data, atol=1e-10)
+        masked_out = attention(Tensor(e_full[None]), layer, keep[None], n_heads=2)
+        deleted_out = attention(Tensor(e_full[keep][None]), layer,
+                                np.ones((1, int(keep.sum())), dtype=bool), n_heads=2)
+        assert np.allclose(masked_out.data[0, keep], deleted_out.data[0], atol=1e-10)
 
     def test_all_masked_rejected(self):
         layer = self.layer(8)
         with pytest.raises(ModelError, match="masked"):
-            attention(Tensor(np.zeros((3, 8))), layer, np.zeros(3, dtype=bool), n_heads=2)
+            attention(Tensor(np.zeros((1, 3, 8))), layer, np.zeros((1, 3), dtype=bool), n_heads=2)
 
 
 class TestFfn:
@@ -229,7 +235,7 @@ class TestFfn:
         layer = params.backbones[0].layers[0]
         for t in (layer.w_ffn1, layer.b_ffn1, layer.w_ffn2, layer.b_ffn2):
             t.data = np.zeros_like(t.data)
-        out = ffn(Tensor(rng.normal(size=(4, 8))), layer, "relu")
+        out = ffn(Tensor(rng.normal(size=(1, 4, 8))), layer, "relu")
         assert np.all(out.data == 0.0)
 
     def test_identity_relu_passthrough(self):
@@ -240,7 +246,7 @@ class TestFfn:
         layer.w_ffn2.data = np.eye(8)
         layer.b_ffn1.data = np.zeros(8)
         layer.b_ffn2.data = np.zeros(8)
-        x = np.abs(np.random.default_rng(2).normal(size=(4, 8)))
+        x = np.abs(np.random.default_rng(2).normal(size=(1, 4, 8)))
         out = ffn(Tensor(x), layer, "relu")
         assert np.allclose(out.data, x, atol=1e-12)
 
@@ -248,7 +254,7 @@ class TestFfn:
         rng = np.random.default_rng(3)
         params = init_params(TINY, 7)
         layer = params.backbones[0].layers[0]
-        x = rng.normal(size=(5, 8))
+        x = rng.normal(size=(1, 5, 8))
         out = ffn(Tensor(x), layer, "gelu")
         from scipy.special import erf
 
@@ -267,8 +273,8 @@ class TestEncoderLayer:
         for t in (layer.w_q, layer.w_k, layer.w_v, layer.w_o,
                   layer.w_ffn1, layer.b_ffn1, layer.w_ffn2, layer.b_ffn2):
             t.data = np.zeros_like(t.data)
-        e = Tensor(np.random.default_rng(1).normal(size=(4, 8)))
-        out = encoder_layer(e, layer, np.ones(4, dtype=bool), TINY)
+        e = Tensor(np.random.default_rng(1).normal(size=(1, 4, 8)))
+        out = encoder_layer(e, layer, np.ones((1, 4), dtype=bool), TINY)
         ln = layer_norm(layer_norm(e, layer.ln1_gain, layer.ln1_bias, eps=1e-5),
                         layer.ln2_gain, layer.ln2_bias, eps=1e-5)
         assert np.allclose(out.data, ln.data, atol=1e-12)
@@ -276,20 +282,20 @@ class TestEncoderLayer:
     def test_deterministic_without_dropout(self):
         params = init_params(TINY, 2)
         layer = params.backbones[0].layers[0]
-        e = np.random.default_rng(3).normal(size=(4, 8))
-        a = encoder_layer(Tensor(e), layer, np.ones(4, dtype=bool), TINY)
-        b = encoder_layer(Tensor(e), layer, np.ones(4, dtype=bool), TINY)
+        e = np.random.default_rng(3).normal(size=(1, 4, 8))
+        a = encoder_layer(Tensor(e), layer, np.ones((1, 4), dtype=bool), TINY)
+        b = encoder_layer(Tensor(e), layer, np.ones((1, 4), dtype=bool), TINY)
         assert np.array_equal(a.data, b.data)
 
     def test_gradient_matches_finite_differences(self):
         params = init_params(TINY, 4)
         layer = params.backbones[0].layers[0]
-        e = Tensor(np.random.default_rng(5).normal(size=(3, 8)))
-        mix = Tensor(np.random.default_rng(6).normal(size=(3, 8)))
+        e = Tensor(np.random.default_rng(5).normal(size=(1, 3, 8)))
+        mix = Tensor(np.random.default_rng(6).normal(size=(1, 3, 8)))
         tensors = [layer.w_q, layer.w_o, layer.w_ffn1, layer.ln1_gain, layer.ln2_bias]
 
         def f():
-            out = encoder_layer(e, layer, np.array([True, True, False]), TINY)
+            out = encoder_layer(e, layer, np.array([[True, True, False]]), TINY)
             return tsum(out * mix)
 
         report = grad_check(f, tensors, eps=1e-5, tol=1e-4, max_coords_per_param=20)
@@ -301,11 +307,9 @@ class TestEncodeChannel:
         rng = np.random.default_rng(7)
         params = init_params(TINY, 8)
         batch = batch_dict(rng, b=3)
-        e1, _ = _encode_channel_batch(batch["fhr"], batch["fhr_mask"], TINY,
-                                      params.backbone_for(0))
+        e1, _ = encode_channel(batch["fhr"], batch["fhr_mask"], TINY, params.backbone_for(0))
         batch["toco"] = np.where(batch["toco_mask"], rng.uniform(0, 1, batch["toco"].shape), 0.0)
-        e2, _ = _encode_channel_batch(batch["fhr"], batch["fhr_mask"], TINY,
-                                      params.backbone_for(0))
+        e2, _ = encode_channel(batch["fhr"], batch["fhr_mask"], TINY, params.backbone_for(0))
         assert np.array_equal(e1.data, e2.data)
 
     def test_shared_backbone_uses_same_tensors(self):
@@ -321,31 +325,32 @@ class TestEncodeChannel:
         params = init_params(cfg, 1)
         rng = np.random.default_rng(2)
         vals = rng.uniform(0, 1, 960)
-        out = encode_channel(vals, np.ones(960, dtype=bool), cfg, params)
-        assert out.shape == (60, 512)
+        out, _ = encode_channel(vals[None], np.ones((1, 960), dtype=bool), cfg,
+                                params.backbone_for(0))
+        assert out.shape == (1, 60, 512)
 
 
 class TestPool:
     def test_identical_vectors(self):
-        v = np.tile(np.arange(4.0), (5, 1))
-        out = pool_channel(Tensor(v), np.ones(5, dtype=bool))
-        assert np.allclose(out.data, np.arange(4.0))
+        v = np.tile(np.arange(4.0), (1, 5, 1))
+        out = pool_channel(Tensor(v), np.ones((1, 5), dtype=bool))
+        assert np.allclose(out.data[0], np.arange(4.0))
 
     def test_two_vector_mean(self):
-        e = Tensor(np.stack([np.zeros(3), np.full(3, 2.0)]))
-        out = pool_channel(e, np.ones(2, dtype=bool))
+        e = Tensor(np.stack([np.zeros(3), np.full(3, 2.0)])[None])
+        out = pool_channel(e, np.ones((1, 2), dtype=bool))
         assert np.allclose(out.data, 1.0)
 
     def test_masked_patch_excluded(self):
         rng = np.random.default_rng(1)
         e = rng.normal(size=(6, 4))
         mask = np.array([True, False, True, True, False, True])
-        out = pool_channel(Tensor(e), mask)
-        assert np.allclose(out.data, e[mask].mean(axis=0), atol=1e-12)
+        out = pool_channel(Tensor(e[None]), mask[None])
+        assert np.allclose(out.data[0], e[mask].mean(axis=0), atol=1e-12)
 
     def test_all_masked_rejected(self):
         with pytest.raises(ModelError):
-            pool_channel(Tensor(np.zeros((3, 4))), np.zeros(3, dtype=bool))
+            pool_channel(Tensor(np.zeros((1, 3, 4))), np.zeros((1, 3), dtype=bool))
 
 
 class TestClassify:
@@ -354,18 +359,19 @@ class TestClassify:
 
     def test_zero_head_gives_half(self):
         w, b = self.head()
-        out = classify(Tensor(np.ones(4)), Tensor(np.ones(4)), w, b)
-        assert out.data == pytest.approx(0.5)
+        out = classify(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 4))), w, b)
+        assert out.shape == (1,)
+        assert out.data[0] == pytest.approx(0.5)
 
     def test_saturated_bias(self):
         w, b = self.head(b=20.0)
-        out = classify(Tensor(np.ones(4)), Tensor(np.ones(4)), w, b)
-        assert out.data > 0.999999
+        out = classify(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 4))), w, b)
+        assert out.data[0] > 0.999999
 
     def test_log_three_gives_three_quarters(self):
         w, b = self.head(b=float(np.log(3.0)))
-        out = classify(Tensor(np.zeros(4)), Tensor(np.zeros(4)), w, b)
-        assert out.data == pytest.approx(0.75, abs=1e-12)
+        out = classify(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))), w, b)
+        assert out.data[0] == pytest.approx(0.75, abs=1e-12)
 
 
 class TestForward:
@@ -425,22 +431,17 @@ class TestForward:
             differs += bool(abs(float(p1[0] - p0[0])) > 1e-6)
         assert differs >= 18
 
-    def test_trace_level_forward_and_predict(self):
-        cohort = generate_cohort(GenSpec(n_per_class=2, seed=1))
-        cfg = ModelConfig(d_model=16, n_heads=2, n_layers=1, d_ff=16)
-        params = init_params(cfg, 1)
-        prob = forward(cohort.traces[0], cfg, params)
-        assert 0.0 < prob < 1.0
-        p, label = predict(cohort.traces[0], cfg, params, threshold=0.5)
-        assert label == int(p >= 0.5)
-
     def test_predict_scores_matches_forward(self):
         cohort = generate_cohort(GenSpec(n_per_class=3, seed=2))
         cfg = ModelConfig(d_model=16, n_heads=2, n_layers=1, d_ff=16)
         params = init_params(cfg, 3)
         scores = predict_scores(cohort.traces, cfg, params, batch_size=4)
-        singles = np.array([forward(t, cfg, params) for t in cohort.traces])
+        singles = np.concatenate([predict_scores([t], cfg, params) for t in cohort.traces])
         assert np.allclose(scores, singles, atol=1e-12)
+
+    def test_predict_scores_empty_list(self):
+        scores = predict_scores([], TINY, init_params(TINY, 3))
+        assert scores.shape == (0,)
 
     def test_full_model_gradients_finite(self):
         params = init_params(TINY, 15)

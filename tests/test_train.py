@@ -107,6 +107,14 @@ class TestAdamAndEpoch:
         with pytest.raises(TrainError):
             fit(SMALL_CFG, tc, [], val_traces)
 
+    def test_non_finite_loss_names_epoch_and_batch(self, small_sets):
+        train_traces, val_traces = small_sets
+        params = init_params(SMALL_CFG, 3)
+        params.b_head.data = np.full_like(params.b_head.data, np.nan)
+        tc = TrainConfig(batch_size=8, max_epochs=2, seed=0)
+        with pytest.raises(TrainError, match="non-finite loss nan at epoch 1, batch 0"):
+            fit(SMALL_CFG, tc, train_traces, val_traces, init=params)
+
 
 class TestFit:
     def test_improving_auc_runs_to_max_epochs(self, small_sets):
