@@ -20,6 +20,7 @@ from . import evaluation as evalmod
 from .errors import CliError, CtgformerError
 from .hpo import PRESETS, SearchSpace, best_trial, run_search, write_leaderboard
 from .model import ModelConfig, load_checkpoint, save_checkpoint
+from .signal import WINDOW_LEN, preprocess
 from .train import (
     TRAIN_KEYS,
     TrainConfig,
@@ -29,7 +30,7 @@ from .train import (
     write_train_log,
 )
 
-MODEL_KEYS = set(ModelConfig.__dataclass_fields__)
+MODEL_KEYS = tuple(ModelConfig.__dataclass_fields__)
 
 
 def _resolve_out_dir(arg, subcommand: str) -> Path:
@@ -72,15 +73,8 @@ def _collect_settings(args) -> dict:
         settings.update(PRESETS[args.preset])
     if getattr(args, "config", None):
         settings.update(_load_config_file(args.config))
-    overrides = {
-        "n_layers": args.n_layers, "n_heads": args.n_heads,
-        "d_model": args.d_model, "d_ff": args.d_ff,
-        "dropout": args.dropout, "fc_dropout": args.fc_dropout,
-        "attn_dropout": args.attn_dropout, "patch_len": args.patch_len,
-        "stride": args.stride, "activation": args.activation,
-        "learning_rate": args.learning_rate, "batch_size": args.batch_size,
-        "max_epochs": args.max_epochs, "patience": args.patience,
-    }
+    # a model or train key without a flag reads None and leaves settings alone
+    overrides = {k: getattr(args, k, None) for k in MODEL_KEYS + TRAIN_KEYS}
     if getattr(args, "separate_backbones", False):
         overrides["share_backbone"] = False
     settings.update({k: v for k, v in overrides.items() if v is not None})
@@ -208,11 +202,9 @@ def cmd_preprocess(args) -> int:
     raws = datamod.read_raw_traces(_require_file(args.raw, "raw trace file"))
     traces = []
     dropped = 0
-    from .signal import preprocess
-
     for raw in raws:
         windows = preprocess(raw)
-        n_candidates = -(-len(raw.fhr) // 960)
+        n_candidates = -(-len(raw.fhr) // WINDOW_LEN)
         dropped += n_candidates - len(windows)
         traces.extend(windows)
     out = Path(args.out)

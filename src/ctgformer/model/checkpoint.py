@@ -14,8 +14,9 @@ import struct
 import numpy as np
 
 from ..errors import CheckpointError
+from ..numcore import Tensor
 from .config import ModelConfig
-from .params import ModelParams, init_params, named_tensors
+from .params import ModelParams, build_params, named_tensors
 
 MAGIC = b"CTGF"
 FORMAT_VERSION = 1
@@ -59,7 +60,8 @@ def load_checkpoint(path) -> tuple:
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
 
-    params = init_params(cfg, seed=0)
+    # every value is overwritten below, so the weights need no random draws
+    params = build_params(cfg, lambda shape: Tensor(np.empty(shape), requires_grad=True))
     named = named_tensors(params)
     if [m["name"] for m in manifest] != list(named.keys()):
         raise CheckpointError(f"{path}: tensor manifest does not match the stored config")

@@ -4,7 +4,8 @@ Each channel is processed independently: per-sequence standardisation over
 observed samples, segmentation into patches, linear patch embedding plus a
 learned positional table, a stack of post-norm encoder layers whose attention
 ignores mostly-missing patches, masked global average pooling, and finally a
-sigmoid head over the two concatenated channel summaries.
+linear head that emits one logit from the two concatenated channel summaries;
+only ``predict_scores`` applies the sigmoid.
 
 Every operation takes a leading batch axis; one trace is a batch of one.
 """
@@ -160,16 +161,15 @@ def pool_channel(e: Tensor, patch_mask: np.ndarray) -> Tensor:
 def classify(g_fhr: Tensor, g_toco: Tensor, w_head: Tensor, b_head: Tensor,
              fc_dropout: float = 0.0, training: bool = False,
              rng: Optional[np.random.Generator] = None) -> Tensor:
-    """(B,) sigmoid probabilities from the concatenated (B, d) channel
-    summaries."""
+    """(B,) logits, no sigmoid, from the concatenated (B, d) channel summaries."""
     fused = dropout(concat([g_fhr, g_toco], axis=-1), fc_dropout, training=training, rng=rng)
-    prob = sigmoid(matmul(fused, w_head) + b_head)
-    return reshape(prob, (prob.shape[0],))
+    logit = matmul(fused, w_head) + b_head
+    return reshape(logit, (logit.shape[0],))
 
 
 def forward_batch(batch: dict, cfg: ModelConfig, params: ModelParams,
                   training: bool = False, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Probabilities for a stacked batch (see ``data.stack_traces``)."""
+    """(B,) logits for a stacked batch (see ``data.stack_traces``)."""
     pooled = []
     for c, (vals, mask) in enumerate((("fhr", "fhr_mask"), ("toco", "toco_mask"))):
         e, patch_mask = encode_channel(batch[vals], batch[mask], cfg,
@@ -196,12 +196,13 @@ def max_forward_chunk(cfg: ModelConfig, budget_bytes: int = 384 << 20) -> int:
 
 def predict_scores(traces, cfg: ModelConfig, params: ModelParams,
                    batch_size: int = 256) -> np.ndarray:
-    """Inference probabilities for a list of traces, batched, no tape."""
+    """Inference probabilities (sigmoid of the logits) for a list of traces,
+    batched, no tape."""
     from ..data import stack_traces
 
     step = min(batch_size, max_forward_chunk(cfg))
     scores = np.empty(len(traces))
     for lo in range(0, len(traces), step):
         chunk = stack_traces(traces[lo:lo + step])
-        scores[lo:lo + step] = forward_batch(chunk, cfg, params, training=False).data
+        scores[lo:lo + step] = sigmoid(forward_batch(chunk, cfg, params, training=False)).data
     return scores

@@ -48,10 +48,12 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
     """Fan-scaled uniform init for weight matrices; zeros for biases and the
     positional table; ones for layer-norm gains. Deterministic per seed."""
     counter = iter(np.random.SeedSequence(seed).generate_state(1 + 4096).tolist())
+    return build_params(cfg, lambda shape: param_init(shape, "uniform_fan", seed=next(counter)))
 
-    def uni(shape):
-        return param_init(shape, "uniform_fan", seed=next(counter))
 
+def build_params(cfg: ModelConfig, uni) -> ModelParams:
+    """Every tensor ``cfg`` implies, with the weight matrices made by
+    ``uni(shape)`` in a fixed order and the constant fills of ``init_params``."""
     d, dff = cfg.d_model, cfg.d_ff
 
     def make_backbone():

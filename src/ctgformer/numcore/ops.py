@@ -278,13 +278,19 @@ def activation(a, kind: str) -> Tensor:
     raise NumcoreError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, split by sign so no ``exp`` overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    out = np.empty_like(a.data)
-    pos = a.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ez = np.exp(a.data[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    out = _sigmoid(a.data)
 
     def bw(g):
         return (g * out * (1.0 - out),)
@@ -292,25 +298,23 @@ def sigmoid(a) -> Tensor:
     return _record((a,), out, bw, "sigmoid")
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.log(a.data)
+def bce_with_logits(z, labels) -> Tensor:
+    """Mean binary cross-entropy of logits ``z`` against 0/1 ``labels``.
+
+    Computed as mean(max(z, 0) - y*z + log1p(exp(-|z|))), which is finite for
+    every finite logit; the adjoint (sigmoid(z) - y) / n stays non-zero on a
+    confident mistake. Labels are constants and get no gradient.
+    """
+    z = as_tensor(z)
+    y = np.asarray(labels, dtype=np.float64)
+    if y.shape != z.shape:
+        raise ShapeError(f"bce_with_logits: labels {y.shape} do not match logits {z.shape}")
+    out = np.mean(np.maximum(z.data, 0.0) - y * z.data + np.log1p(np.exp(-np.abs(z.data))))
 
     def bw(g):
-        return (g / a.data,)
+        return (g * (_sigmoid(z.data) - y) / z.size,)
 
-    return _record((a,), out, bw, "log")
-
-
-def clamp(a, lo: float, hi: float) -> Tensor:
-    """Clip to [lo, hi]; gradient passes only where the input was not clipped."""
-    a = as_tensor(a)
-    out = np.clip(a.data, lo, hi)
-
-    def bw(g):
-        return (g * ((a.data >= lo) & (a.data <= hi)),)
-
-    return _record((a,), out, bw, "clamp")
+    return _record((z,), out, bw, "bce_with_logits")
 
 
 def masked_fill(a, mask, value: float) -> Tensor:
@@ -333,10 +337,7 @@ def dropout(x, rate: float, training: bool = True,
     if not 0.0 <= rate < 1.0:
         raise NumcoreError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        def bw_id(g):
-            return (g,)
-
-        return _record((x,), x.data.copy(), bw_id, "dropout")
+        return x
     if rng is None:
         rng = np.random.default_rng(seed)
     keep = rng.random(x.shape) >= rate

@@ -32,7 +32,7 @@ from .model import (
     predict_scores,
 )
 from .model.net import max_forward_chunk
-from .numcore import Graph, Tensor, backward, clamp, log, tmean
+from .numcore import Graph, Tensor, backward, bce_with_logits
 
 PROB_CLAMP = 1e-12
 IMPROVE_DELTA = 1e-6   # val AUC must beat the best by this to reset patience
@@ -100,12 +100,9 @@ def bce_loss(y_hat: float, y: int) -> float:
     return -(y * math.log(p) + (1 - y) * math.log(1.0 - p))
 
 
-def bce_loss_batch(probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean BCE over a batch, differentiable through ``probs``."""
-    y = Tensor(labels)
-    p = clamp(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    one_minus = clamp(1.0 - probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return -tmean(y * log(p) + (1.0 - y) * log(one_minus))
+def bce_loss_batch(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean BCE over a batch of logits, differentiable through ``logits``."""
+    return bce_with_logits(logits, labels)
 
 
 class Adam:
@@ -140,7 +137,7 @@ class Adam:
 def predictions_for(traces: Sequence, cfg: ModelConfig, params: ModelParams,
                     batch_size: int = 256) -> list:
     scores = predict_scores(list(traces), cfg, params, batch_size=batch_size)
-    return [Prediction(t.trace_id, float(np.clip(s, 0.0, 1.0)), t.label, t.days_to_delivery)
+    return [Prediction(t.trace_id, float(s), t.label, t.days_to_delivery)
             for t, s in zip(traces, scores)]
 
 
@@ -170,8 +167,8 @@ def train_epoch(params: ModelParams, cfg: ModelConfig, train_cfg: TrainConfig,
             piece = _slice_batch(stacked, batch_idx[co:co + chunk])
             weight = len(piece["labels"]) / len(batch_idx)
             with Graph() as g:
-                probs = forward_batch(piece, cfg, params, training=True, rng=rng)
-                loss = weight * bce_loss_batch(probs, piece["labels"])
+                logits = forward_batch(piece, cfg, params, training=True, rng=rng)
+                loss = weight * bce_loss_batch(logits, piece["labels"])
             chunk_loss = loss.item()
             if not math.isfinite(chunk_loss):
                 raise TrainError(f"non-finite loss {chunk_loss!r} at epoch {epoch}, batch {b}")

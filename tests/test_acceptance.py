@@ -27,7 +27,7 @@ from ctgformer.model import (
     run_encoder,
     save_checkpoint,
 )
-from ctgformer.numcore import Graph, Tensor, backward, grad_check
+from ctgformer.numcore import Graph, Tensor, backward, grad_check, sigmoid
 from ctgformer.train import Adam, TrainConfig, bce_loss_batch, finetune, fit, predictions_for
 
 TINY = ModelConfig(seq_len=32, patch_len=8, stride=8, n_layers=1, n_heads=2,
@@ -277,12 +277,12 @@ def test_criterion_07_optimisation_sanity():
         order = train_rng.permutation(n)
         piece = {k: batch[k][order] for k in batch}
         with Graph() as g:
-            probs = forward_batch(piece, TINY, params, training=True, rng=train_rng)
-            loss = bce_loss_batch(probs, piece["labels"])
+            logits = forward_batch(piece, TINY, params, training=True, rng=train_rng)
+            loss = bce_loss_batch(logits, piece["labels"])
         backward(loss, g, retain_intermediate_grads=False)
         opt.step()
-        scores = forward_batch(batch, TINY, params).data
-        preds = [Prediction(str(i), float(np.clip(s, 0, 1)), int(l))
+        scores = sigmoid(forward_batch(batch, TINY, params)).data
+        preds = [Prediction(str(i), float(s), int(l))
                  for i, (s, l) in enumerate(zip(scores, labels))]
         train_auc, epochs_used = auc(preds), epoch
         if train_auc >= 0.99:

@@ -357,21 +357,21 @@ class TestClassify:
     def head(self, d=4, w=0.0, b=0.0):
         return Tensor(np.full((2 * d, 1), w)), Tensor(np.array([b]))
 
-    def test_zero_head_gives_half(self):
+    def test_zero_head_gives_half(self):   # logit 0 is probability 1/2
         w, b = self.head()
         out = classify(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 4))), w, b)
         assert out.shape == (1,)
-        assert out.data[0] == pytest.approx(0.5)
+        assert out.data[0] == pytest.approx(0.0)
 
-    def test_saturated_bias(self):
+    def test_saturated_bias(self):   # the logit stays 20; only a sigmoid would saturate
         w, b = self.head(b=20.0)
         out = classify(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 4))), w, b)
-        assert out.data[0] > 0.999999
+        assert out.data[0] == pytest.approx(20.0, abs=1e-12)
 
-    def test_log_three_gives_three_quarters(self):
+    def test_log_three_gives_three_quarters(self):   # logit log 3 is probability 3/4
         w, b = self.head(b=float(np.log(3.0)))
         out = classify(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))), w, b)
-        assert out.data[0] == pytest.approx(0.75, abs=1e-12)
+        assert out.data[0] == pytest.approx(np.log(3.0), abs=1e-12)
 
 
 class TestForward:
@@ -438,6 +438,7 @@ class TestForward:
         scores = predict_scores(cohort.traces, cfg, params, batch_size=4)
         singles = np.concatenate([predict_scores([t], cfg, params) for t in cohort.traces])
         assert np.allclose(scores, singles, atol=1e-12)
+        assert np.all((scores >= 0.0) & (scores <= 1.0))
 
     def test_predict_scores_empty_list(self):
         scores = predict_scores([], TINY, init_params(TINY, 3))

@@ -308,12 +308,16 @@ class TestGradCheck:
 
 @pytest.mark.parametrize("op_name", ["add", "sub", "mul", "softmax", "sigmoid",
                                      "reshape", "transpose", "concat", "mean",
-                                     "clamp", "masked_fill"])
+                                     "bce_with_logits", "masked_fill"])
 def test_every_op_matches_finite_differences(op_name):
     rng = np.random.default_rng(hash(op_name) % 2**32)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 4)))  # fixed mixing so the loss is not symmetric
+    logit_scale = 50.0 / np.abs(a.data).max()   # logits reach |z| = 50
+    # beyond |z| = 8 every label is a confident mistake: a saturated correct
+    # logit has a gradient too small for a central difference to resolve
+    labels = np.where(np.abs(a.data) * logit_scale > 8.0, a.data < 0, rng.random((3, 4)) < 0.5)
 
     builders = {
         "add": lambda: nc.add(a, b),
@@ -325,7 +329,7 @@ def test_every_op_matches_finite_differences(op_name):
         "transpose": lambda: nc.transpose(a, (1, 0)),
         "concat": lambda: nc.concat([a, b], axis=1),
         "mean": lambda: nc.tmean(a, axis=1, keepdims=True),
-        "clamp": lambda: nc.clamp(a, -0.5, 0.5),
+        "bce_with_logits": lambda: nc.bce_with_logits(nc.mul(a, logit_scale), labels),
         "masked_fill": lambda: nc.masked_fill(a, a.data > 0.5, -1.0),
     }
 

@@ -57,17 +57,25 @@ class TestBceLoss:
         rng = np.random.default_rng(1)
         probs = rng.uniform(0.01, 0.99, 16)
         labels = rng.integers(0, 2, 16).astype(float)
-        batch = bce_loss_batch(Tensor(probs), labels).item()
+        batch = bce_loss_batch(Tensor(np.log(probs / (1.0 - probs))), labels).item()
         scalar = np.mean([bce_loss(p, int(y)) for p, y in zip(probs, labels)])
         assert batch == pytest.approx(scalar, abs=1e-12)
 
     def test_batch_gradient_sign(self):
-        probs = Tensor(np.array([0.3, 0.8]), requires_grad=True)
+        logits = Tensor(np.log([3.0 / 7.0, 4.0]), requires_grad=True)  # p = 0.3, 0.8
         with Graph() as g:
-            loss = bce_loss_batch(probs, np.array([1.0, 0.0]))
+            loss = bce_loss_batch(logits, np.array([1.0, 0.0]))
         backward(loss, g)
-        assert probs.grad[0] < 0  # raising p toward label 1 lowers loss
-        assert probs.grad[1] > 0
+        assert logits.grad[0] < 0  # raising the logit toward label 1 lowers loss
+        assert logits.grad[1] > 0
+
+    def test_confident_mistake_keeps_its_gradient(self):
+        logits = Tensor(np.array([40.0, -40.0]), requires_grad=True)
+        with Graph() as g:
+            loss = bce_loss_batch(logits, np.array([0.0, 1.0]))
+        backward(loss, g)
+        assert loss.item() == pytest.approx(40.0, abs=1e-12)
+        assert np.allclose(logits.grad, [0.5, -0.5], atol=1e-12)
 
 
 class TestAdamAndEpoch:
