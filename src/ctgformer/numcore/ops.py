@@ -117,12 +117,27 @@ def matmul(a, b) -> Tensor:
 
     Adjoints: grad_a = g @ b^T, grad_b = a^T @ g (transposes on the last two
     axes, summed back over broadcast leading axes).
+
+    When ``b`` is 2-D (a weight matrix), ``a`` is viewed as one
+    ``(rows, d_in)`` matrix, so the forward product and both adjoints are one
+    BLAS GEMM each, and grad_b is summed over all rows inside that GEMM.
+    Otherwise (attention scores, weighted values, pooling) the product runs
+    stacked over the leading axes.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
+    if b.ndim == 2:
+        rows, (d_in, d_out) = math.prod(a.shape[:-1]), b.shape
+        out = (a.data.reshape(rows, d_in) @ b.data).reshape(a.shape[:-1] + (d_out,))
+
+        def bw(g):
+            g2 = g.reshape(rows, d_out)
+            return (g2 @ b.data.T).reshape(a.shape), a.data.reshape(rows, d_in).T @ g2
+
+        return _record((a, b), out, bw, "matmul")
     try:
         out = np.matmul(a.data, b.data)
     except ValueError as exc:
@@ -216,16 +231,20 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     if d < 1:
         raise ShapeError("layer_norm needs a non-empty feature axis")
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xhat = x.data - mu              # centred here, scaled in place below
+    var = np.mean(xhat * xhat, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = xhat * gain.data + bias.data
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def bw(g):
-        gxhat = g * gain.data
-        gx = inv * (gxhat
-                    - gxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+        gx = g * gain.data
+        m1 = gx.mean(axis=-1, keepdims=True)
+        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        gx -= m1
+        gx -= xhat * m2
+        gx *= inv
         lead = tuple(range(g.ndim - gain.data.ndim))
         ggain = (g * xhat).sum(axis=lead) if lead else g * xhat
         gbias = g.sum(axis=lead) if lead else g.copy()

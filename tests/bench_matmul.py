@@ -1,0 +1,42 @@
+"""GEMM micro-benchmark: ``matmul`` forward plus backward at the model's
+weight-product shapes.
+
+Not part of the test suite (the file name does not match ``test_*.py``).
+Run it by naming the file:
+
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest tests/bench_matmul.py
+"""
+
+import numpy as np
+import pytest
+
+from ctgformer import numcore as nc
+from ctgformer.numcore import Graph, Tensor, backward
+
+SHAPES = {
+    # paper-best (d_model 512, d_ff 128), 16-trace forward chunk, 60 patches
+    "wide-qkvo": ((16, 60, 512), (512, 512)),
+    "wide-ffn1": ((16, 60, 512), (512, 128)),
+    # acceptance config (d_model 128), 48-trace chunk
+    "small-qkvo": ((48, 60, 128), (128, 128)),
+}
+
+
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_matmul_forward_backward(benchmark, name):
+    a_shape, b_shape = SHAPES[name]
+    rng = np.random.default_rng(0)
+    a = Tensor(rng.normal(size=a_shape), requires_grad=True)
+    b = Tensor(rng.normal(size=b_shape), requires_grad=True)
+    g_out = Tensor(rng.normal(size=a_shape[:-1] + b_shape[-1:]))
+
+    def step():
+        a.zero_grad()
+        b.zero_grad()
+        with Graph() as g:
+            loss = nc.tsum(nc.mul(nc.matmul(a, b), g_out))
+        backward(loss, g)
+        return b.grad
+
+    grad_b = benchmark(step)
+    assert grad_b.shape == b_shape
