@@ -5,6 +5,11 @@ Subcommands: generate, preprocess, train, finetune, eval, hpo. Shared flags:
 defaults < preset < config file < command-line flags, and the resolved
 configuration is echoed into the output directory as effective_config.json.
 The CTG_RESULTS_DIR environment variable sets the default output root.
+
+The model runs its two channels on two threads, and both make BLAS calls, so
+each BLAS call gets half the usable cores (at least one) unless the thread
+variables are already set. BLAS reads them when numpy loads, so this default
+is set at import, before numpy is imported.
 """
 
 from __future__ import annotations
@@ -15,6 +20,21 @@ import os
 import sys
 from pathlib import Path
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+if "numpy" not in sys.modules:
+    for _var in THREAD_VARS:
+        os.environ.setdefault(_var, str(max(1, _usable_cpus() // 2)))
+
+# the package imports load numpy, so they follow the thread default
 from . import data as datamod
 from . import evaluation as evalmod
 from .errors import CliError, CtgformerError
@@ -88,6 +108,11 @@ def _split_settings(settings: dict) -> tuple:
     if unknown:
         raise CliError(f"unknown configuration keys: {sorted(unknown)}")
     return model_kwargs, train_kwargs
+
+
+def _thread_settings() -> dict:
+    """The BLAS thread variables as this process saw them, and the usable CPU count."""
+    return {**{var: os.environ.get(var) for var in THREAD_VARS}, "usable_cpus": _usable_cpus()}
 
 
 def _echo_config(out_dir: Path, payload: dict) -> None:
@@ -234,7 +259,8 @@ def cmd_train(args) -> int:
     _echo_config(out_dir, {"command": "train", "data": args.data, "seed": args.seed,
                            "split_fraction": args.split_fraction,
                            "dtd_band": args.dtd_band,
-                           "model": cfg.as_dict(), "train": vars(train_cfg)})
+                           "model": cfg.as_dict(), "train": vars(train_cfg),
+                           "threads": _thread_settings()})
     params, log = fit(cfg, train_cfg, train_traces, val_traces, verbose=True)
     save_checkpoint(params, cfg, out_dir / "best.ckpt")
     write_train_log(log, out_dir / "train_log.csv")
@@ -254,7 +280,8 @@ def cmd_finetune(args) -> int:
     train_traces, val_traces = _prepare_sets(args)
     _echo_config(out_dir, {"command": "finetune", "data": args.data, "seed": args.seed,
                            "from": str(ckpt), "split_fraction": args.split_fraction,
-                           "dtd_band": args.dtd_band, "train": vars(train_cfg)})
+                           "dtd_band": args.dtd_band, "train": vars(train_cfg),
+                           "threads": _thread_settings()})
     params, log, cfg = finetune(ckpt, train_traces, val_traces, train_cfg,
                                 expect_config=expect, verbose=True)
     save_checkpoint(params, cfg, out_dir / "best.ckpt")
@@ -315,7 +342,7 @@ def cmd_hpo(args) -> int:
     _echo_config(out_dir, {"command": "hpo", "data": args.data, "seed": args.seed,
                            "trials": args.trials, "max_epochs": args.max_epochs,
                            "patience": args.patience, "prune": args.prune,
-                           "space": vars(space)})
+                           "space": vars(space), "threads": _thread_settings()})
     trials = run_search(space, train_cohort.traces, val_cohort.traces,
                         n_trials=args.trials, max_epochs=args.max_epochs,
                         patience=args.patience, seed=args.seed, prune=args.prune,

@@ -5,7 +5,8 @@ observed samples, segmentation into patches, linear patch embedding plus a
 learned positional table, a stack of post-norm encoder layers whose attention
 ignores mostly-missing patches, masked global average pooling, and finally a
 linear head that emits one logit from the two concatenated channel summaries;
-only ``predict_scores`` applies the sigmoid.
+only ``predict_scores`` applies the sigmoid. The two channels share no
+activation before the head, so ``forward_batch`` runs them on two threads.
 
 Every operation takes a leading batch axis; one trace is a batch of one.
 """
@@ -13,6 +14,7 @@ Every operation takes a leading batch axis; one trace is a batch of one.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -21,11 +23,11 @@ from ..errors import ModelError
 from ..numcore import (
     Tensor,
     activation,
-    concat,
     dropout,
     layer_norm,
     masked_fill,
     matmul,
+    parallel_concat,
     reshape,
     sigmoid,
     softmax,
@@ -158,25 +160,37 @@ def pool_channel(e: Tensor, patch_mask: np.ndarray) -> Tensor:
     return reshape(matmul(weights, e), (e.shape[0], e.shape[2]))
 
 
-def classify(g_fhr: Tensor, g_toco: Tensor, w_head: Tensor, b_head: Tensor,
+def classify(fused: Tensor, w_head: Tensor, b_head: Tensor,
              fc_dropout: float = 0.0, training: bool = False,
              rng: Optional[np.random.Generator] = None) -> Tensor:
-    """(B,) logits, no sigmoid, from the concatenated (B, d) channel summaries."""
-    fused = dropout(concat([g_fhr, g_toco], axis=-1), fc_dropout, training=training, rng=rng)
+    """(B,) logits, no sigmoid, from the fused (B, 2d) channel summaries
+    (FHR then TOCO)."""
+    fused = dropout(fused, fc_dropout, training=training, rng=rng)
     logit = matmul(fused, w_head) + b_head
     return reshape(logit, (logit.shape[0],))
 
 
 def forward_batch(batch: dict, cfg: ModelConfig, params: ModelParams,
                   training: bool = False, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """(B,) logits for a stacked batch (see ``data.stack_traces``)."""
-    pooled = []
-    for c, (vals, mask) in enumerate((("fhr", "fhr_mask"), ("toco", "toco_mask"))):
+    """(B,) logits for a stacked batch (see ``data.stack_traces``).
+
+    FHR and TOCO are encoded and pooled on two threads by
+    ``parallel_concat``. When training with encoder dropout each channel
+    draws its masks from its own generator, seeded from two draws on ``rng``
+    (no draw without encoder dropout); the head's dropout draws from ``rng``.
+    """
+    rngs = (None, None)
+    if training and rng is not None and (cfg.dropout > 0 or cfg.attn_dropout > 0):
+        rngs = [np.random.default_rng(s) for s in rng.integers(2 ** 63, size=2)]
+
+    def channel(c: int, vals: str, mask: str) -> Tensor:
         e, patch_mask = encode_channel(batch[vals], batch[mask], cfg,
-                                       params.backbone_for(c), training, rng)
-        pooled.append(pool_channel(e, patch_mask))
-    return classify(pooled[0], pooled[1], params.w_head, params.b_head,
-                    cfg.fc_dropout, training, rng)
+                                       params.backbone_for(c), training, rngs[c])
+        return pool_channel(e, patch_mask)
+
+    fused = parallel_concat([partial(channel, 0, "fhr", "fhr_mask"),
+                             partial(channel, 1, "toco", "toco_mask")], axis=-1)
+    return classify(fused, params.w_head, params.b_head, cfg.fc_dropout, training, rng)
 
 
 def max_forward_chunk(cfg: ModelConfig, budget_bytes: int = 384 << 20) -> int:

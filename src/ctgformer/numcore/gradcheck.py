@@ -76,26 +76,27 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1
     max_err = 0.0
     checked = 0
     for pi, p in enumerate(params):
-        flat = p.data.reshape(-1)
-        n = flat.size
+        n = p.data.size
         if n <= max_coords_per_param:
             coords = np.arange(n)
         else:
             coords = rng.choice(n, size=max_coords_per_param, replace=False)
         for c in coords:
-            orig = flat[c]
-            flat[c] = orig + eps
+            # index p.data itself: a reshape of a non-contiguous array is a copy
+            idx = np.unravel_index(c, p.shape)
+            orig = p.data[idx]
+            p.data[idx] = orig + eps
             f_plus = f().item()
-            flat[c] = orig - eps
+            p.data[idx] = orig - eps
             f_minus = f().item()
-            flat[c] = orig
+            p.data[idx] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
-            a = float(analytic[pi].reshape(-1)[c])
+            a = float(analytic[pi][idx])
             err = _rel_err(a, numeric, denom_floor)
             checked += 1
             if err > max_err:
                 max_err = err
-            worst.append(CoordinateError(pi, np.unravel_index(c, p.shape), a, numeric, err))
+            worst.append(CoordinateError(pi, idx, a, numeric, err))
 
     worst.sort(key=lambda ce: -ce.rel_err)
     return GradCheckReport(max_rel_err=max_err, tol=tol, checked=checked,

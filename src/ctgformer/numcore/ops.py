@@ -9,13 +9,14 @@ adjoints are summed back over broadcast axes.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf
 
 from ..errors import NumcoreError, ShapeError
-from .tensor import Node, Tensor, as_tensor, _active_graph
+from .tensor import BranchNode, Graph, Node, Tensor, as_tensor, fork_join, _active_graph
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -98,7 +99,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def bw(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _record((a, b), out, bw, "mul")
 
@@ -122,7 +124,8 @@ def matmul(a, b) -> Tensor:
     ``(rows, d_in)`` matrix, so the forward product and both adjoints are one
     BLAS GEMM each, and grad_b is summed over all rows inside that GEMM.
     Otherwise (attention scores, weighted values, pooling) the product runs
-    stacked over the leading axes.
+    stacked over the leading axes. Either way an operand that does not
+    require gradients gets no adjoint computed.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -135,7 +138,8 @@ def matmul(a, b) -> Tensor:
 
         def bw(g):
             g2 = g.reshape(rows, d_out)
-            return (g2 @ b.data.T).reshape(a.shape), a.data.reshape(rows, d_in).T @ g2
+            return ((g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None,
+                    a.data.reshape(rows, d_in).T @ g2 if b.requires_grad else None)
 
         return _record((a, b), out, bw, "matmul")
     try:
@@ -144,9 +148,10 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul broadcast failure: {a.shape} @ {b.shape}") from exc
 
     def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad else None
+        return (None if ga is None else _unbroadcast(ga, a.shape),
+                None if gb is None else _unbroadcast(gb, b.shape))
 
     return _record((a, b), out, bw, "matmul")
 
@@ -173,16 +178,58 @@ def transpose(a, axes) -> Tensor:
     return _record((a,), out, bw, "transpose")
 
 
-def concat(tensors: Sequence, axis: int = -1) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
-    splits = np.cumsum(sizes)[:-1]
+def _split_adjoint(parts: Sequence[Tensor], axis: int):
+    """Adjoint of concatenating ``parts``: one slice of ``g`` per part."""
+    splits = np.cumsum([t.shape[axis] for t in parts])[:-1]
 
     def bw(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _record(tuple(ts), out, bw, "concat")
+    return bw
+
+
+def concat(tensors: Sequence, axis: int = -1) -> Tensor:
+    ts = [as_tensor(t) for t in tensors]
+    out = np.concatenate([t.data for t in ts], axis=axis)
+    return _record(tuple(ts), out, _split_adjoint(ts, axis), "concat")
+
+
+def _on_tape(fn: Callable[[], Tensor]) -> tuple:
+    with Graph() as tape:
+        head = as_tensor(fn())
+    return tape, head
+
+
+def parallel_concat(branches: Sequence[Callable[[], Tensor]], axis: int = -1) -> Tensor:
+    """``concat`` of the outputs of two zero-argument callables, run on two
+    threads by ``fork_join``: branch 0 on the calling thread, branch 1 on
+    numcore's worker thread.
+
+    Inside a graph each branch records on its own sub-tape and the op records
+    one ``BranchNode``. Its backward splits the adjoint, walks the two
+    sub-tapes on two threads again and sums the adjoints of the tensors the
+    branches read (shared weights) in branch order, so a tensor that each
+    branch reads once gets the same bits as from ``concat`` of the branches
+    run in sequence. Outside a graph the branches only run concurrently.
+    Branches must not read each other's outputs.
+    """
+    if len(branches) != 2:
+        raise NumcoreError(f"parallel_concat takes two branches, got {len(branches)}")
+    graph = _active_graph()
+    if graph is None:
+        heads = [as_tensor(h) for h in fork_join(*branches)]
+        return Tensor(np.concatenate([h.data for h in heads], axis=axis))
+    tapes, heads = zip(*fork_join(*(partial(_on_tape, fn) for fn in branches)))
+    out = Tensor(np.concatenate([h.data for h in heads], axis=axis))
+    reads = {}
+    for tape, head in zip(tapes, heads):
+        for t in (*tape.reads(), head):
+            if t.requires_grad and not tape.produced(t):
+                reads.setdefault(id(t), t)
+    if reads:
+        out.requires_grad = True
+        graph.record(BranchNode(reads.values(), out, _split_adjoint(heads, axis), tapes, heads))
+    return out
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:

@@ -6,12 +6,19 @@ operation whose inputs require gradients is recorded on the tape, and
 ``backward`` replays the adjoints in reverse execution order. Outside a graph
 the same operations run as plain numpy forward computations, which is the
 inference path.
+
+A tape belongs to the thread that opened it. ``fork_join`` runs two callables
+on two threads (the caller and one worker thread per process); a fork/join
+op gives each branch its own sub-``Graph`` and records one ``BranchNode``
+whose adjoint walks the sub-tapes on two threads again.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -123,17 +130,52 @@ class Node:
         self.name = name
 
 
+class BranchNode(Node):
+    """The node of a fork/join op (see ``ops.parallel_concat``).
+
+    Each branch recorded its operations on its own sub-``Graph`` (``tapes``)
+    ending at its output (``heads``). ``inputs`` are the tensors the
+    sub-tapes read but did not produce, and ``backward_fn`` splits the
+    output adjoint into one adjoint per branch.
+    """
+
+    __slots__ = ("tapes", "heads")
+
+    def __init__(self, inputs, output, backward_fn, tapes, heads):
+        super().__init__(inputs, output, backward_fn, "parallel_concat")
+        self.tapes = tuple(tapes)
+        self.heads = tuple(heads)
+
+    def adjoints(self, g: np.ndarray, retain: bool) -> tuple:
+        """Walk each sub-tape on its own thread, then sum every input's
+        adjoints in branch order."""
+        walks = [partial(tape.propagate, head, part, retain)
+                 for tape, head, part in zip(self.tapes, self.heads, self.backward_fn(g))]
+        found = fork_join(*walks)
+        grads = []
+        for t in self.inputs:
+            total = None
+            for leaves in found:
+                hit = leaves.get(id(t))
+                if hit is not None:
+                    total = hit[1] if total is None else total + hit[1]
+            grads.append(total)
+        return tuple(grads)
+
+
 class Graph:
     """Tape of executed operations, in execution (hence topological) order.
 
     One backward pass per forward pass: after ``backward`` the graph is
     consumed, and both recording and a second backward raise ``GraphError``.
-    The tape is confined to the thread that opened it.
+    The tape is confined to the thread that opened it. ``len`` counts the
+    recorded operations, those on the sub-tapes of branch nodes included.
     """
 
     def __init__(self):
         self._nodes: list[Node] = []
         self._out_ids: set[int] = set()
+        self._size = 0
         self._consumed = False
         self._prev = None
 
@@ -151,9 +193,59 @@ class Graph:
             raise GraphError("graph already consumed by backward; run a new forward pass")
         self._nodes.append(node)
         self._out_ids.add(id(node.output))
+        self._size += 1
+        if isinstance(node, BranchNode):
+            self._size += sum(len(tape) for tape in node.tapes)
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return self._size
+
+    def produced(self, t: Tensor) -> bool:
+        return id(t) in self._out_ids
+
+    def reads(self):
+        """Every tensor the recorded operations take as input."""
+        return (inp for node in self._nodes for inp in node.inputs)
+
+    def propagate(self, head: Tensor, adjoint: np.ndarray,
+                  retain_intermediate_grads: bool) -> dict:
+        """Walk the tape in reverse, seeding ``head`` with ``adjoint``, and
+        return the adjoints that reach its leaves as {id: (leaf, adjoint)}.
+
+        Leaves are the tensors the tape read but did not produce. With
+        ``retain_intermediate_grads`` every produced tensor that requires
+        gradients gets ``grad``; either way each node is released as the walk
+        passes it, and the graph is consumed.
+        """
+        if self._consumed:
+            raise GraphError("backward already run on this graph; run a new forward pass")
+        self._consumed = True
+        nodes, out_ids = self._nodes, self._out_ids
+        adjoints = {id(head): adjoint}
+        leaves = {} if id(head) in out_ids else {id(head): head}
+        for i in range(len(nodes) - 1, -1, -1):
+            node = nodes[i]
+            nodes[i] = None   # release activations as soon as possible
+            out_adj = adjoints.pop(id(node.output), None)
+            if out_adj is None:
+                continue
+            if retain_intermediate_grads and node.output.requires_grad:
+                node.output.grad = (node.output.grad + out_adj
+                                    if node.output.grad is not None else out_adj.copy())
+            if isinstance(node, BranchNode):
+                grads = node.adjoints(out_adj, retain_intermediate_grads)
+            else:
+                grads = node.backward_fn(out_adj)
+            for inp, g in zip(node.inputs, grads):
+                if g is None or not inp.requires_grad:
+                    continue
+                prev = adjoints.get(id(inp))
+                adjoints[id(inp)] = g if prev is None else prev + g
+                if id(inp) not in out_ids:
+                    leaves[id(inp)] = inp
+        nodes.clear()
+        self._size = 0
+        return {tid: (t, adjoints[tid]) for tid, t in leaves.items() if tid in adjoints}
 
     def backward(self, loss: Tensor, retain_intermediate_grads: bool = True) -> None:
         """Populate ``grad`` on requires_grad tensors reachable from loss.
@@ -163,40 +255,55 @@ class Graph:
         graph, i.e. parameters) do, and tape activations are released as the
         walk passes them, which roughly halves peak training memory.
         """
-        if self._consumed:
-            raise GraphError("backward already run on this graph; run a new forward pass")
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        self._consumed = True
-
-        adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        leaves: dict[int, Tensor] = {}
-        if id(loss) not in self._out_ids:
-            leaves[id(loss)] = loss
-        for i in range(len(self._nodes) - 1, -1, -1):
-            node = self._nodes[i]
-            self._nodes[i] = None   # release activations as soon as possible
-            out_adj = adjoints.pop(id(node.output), None)
-            if out_adj is None:
-                continue
-            if retain_intermediate_grads and node.output.requires_grad:
-                node.output.grad = (node.output.grad + out_adj
-                                    if node.output.grad is not None else out_adj.copy())
-            grads = node.backward_fn(out_adj)
-            for inp, g in zip(node.inputs, grads):
-                if g is None or not inp.requires_grad:
-                    continue
-                prev = adjoints.get(id(inp))
-                adjoints[id(inp)] = g if prev is None else prev + g
-                if id(inp) not in self._out_ids:
-                    leaves[id(inp)] = inp
-        self._nodes.clear()
-        for tid, t in leaves.items():
-            adj = adjoints.get(tid)
-            if adj is not None:
-                t.grad = adj if t.grad is None else t.grad + adj
+        for t, adj in self.propagate(loss, np.ones_like(loss.data),
+                                     retain_intermediate_grads).values():
+            t.grad = adj if t.grad is None else t.grad + adj
 
 
 def backward(loss: Tensor, graph: Graph, retain_intermediate_grads: bool = True) -> None:
     """Reverse-mode pass over ``graph`` seeding dLoss/dLoss = 1."""
     graph.backward(loss, retain_intermediate_grads)
+
+
+# ------------------------------------------------------------------ fork/join
+
+_worker: Optional[ThreadPoolExecutor] = None
+_worker_lock = threading.Lock()
+
+
+def _mark_branch_thread() -> None:
+    _local.in_branch = True
+
+
+def _branch_worker() -> ThreadPoolExecutor:
+    """The one worker thread of the process, started on first use."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="numcore-branch",
+                                         initializer=_mark_branch_thread)
+        return _worker
+
+
+def fork_join(first: Callable[[], Any], second: Callable[[], Any]) -> tuple:
+    """Run two zero-argument callables concurrently and return both results.
+
+    ``first`` runs on the calling thread and ``second`` on the module's
+    single worker thread. Inside a branch (on the worker, or in ``first``)
+    both run inline, in order, so a nested fork cannot wait on itself. When
+    a branch raises, the other is still waited for; ``first``'s error wins.
+    """
+    if getattr(_local, "in_branch", False):
+        return first(), second()
+    pending = _branch_worker().submit(second)
+    _local.in_branch = True
+    try:
+        r0 = first()
+    except BaseException:
+        pending.exception()   # wait, so the worker is free for the next call
+        raise
+    finally:
+        _local.in_branch = False
+    return r0, pending.result()

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctgformer
 from ctgformer.cli import main
 from ctgformer.data import GenSpec, generate_cohort, write_cohort, write_raw_traces
 from ctgformer.signal import MISSING, RawTrace
@@ -165,6 +168,8 @@ class TestFinetuneCli:
                                "--out-dir", str(ft_dir)], capsys)
         assert code == 0
         assert (ft_dir / "best.ckpt").exists()
+        threads = json.loads((ft_dir / "effective_config.json").read_text())["threads"]
+        assert threads["usable_cpus"] == len(os.sched_getaffinity(0))
 
     def test_empty_band_errors(self, tmp_path, capsys):
         cohort = generate_cohort(GenSpec(n_per_class=6, seed=5, dtd_days=(3, 7)))
@@ -251,6 +256,8 @@ class TestHpoCli:
         lines = (out_dir / "leaderboard.csv").read_text().strip().splitlines()
         assert len(lines) == 3
         assert "best trial" in stdout
+        threads = json.loads((out_dir / "effective_config.json").read_text())["threads"]
+        assert threads["usable_cpus"] == len(os.sched_getaffinity(0))
 
 
 def test_module_entrypoint_smoke(tmp_path):
@@ -260,6 +267,26 @@ def test_module_entrypoint_smoke(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize("openblas", [None, "3"])
+def test_thread_settings_recorded(tmp_path, cohort_file, openblas):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(ctgformer.__file__).resolve().parents[1])
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    out_dir = tmp_path / "run"
+    proc = subprocess.run([sys.executable, "-m", "ctgformer.cli", "train",
+                           "--data", str(cohort_file), "--max-epochs", "1",
+                           "--batch-size", "8", "--out-dir", str(out_dir)] + SMALL_MODEL,
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    threads = json.loads((out_dir / "effective_config.json").read_text())["threads"]
+    cpus = len(os.sched_getaffinity(0))
+    half = str(max(1, cpus // 2))
+    assert threads == {"OPENBLAS_NUM_THREADS": openblas or half, "OMP_NUM_THREADS": half,
+                       "MKL_NUM_THREADS": half, "usable_cpus": cpus}
 
 
 def test_results_env_var_default(tmp_path, cohort_file, capsys, monkeypatch):

@@ -1,8 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
 from ctgformer.errors import CheckpointError, ModelError
-from ctgformer.numcore import Graph, Tensor, backward, grad_check, tsum
+from ctgformer.numcore import Graph, Tensor, backward, concat, grad_check, tsum
 from ctgformer.model import (
     ModelConfig,
     attention,
@@ -359,18 +361,18 @@ class TestClassify:
 
     def test_zero_head_gives_half(self):   # logit 0 is probability 1/2
         w, b = self.head()
-        out = classify(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 4))), w, b)
+        out = classify(Tensor(np.ones((1, 8))), w, b)
         assert out.shape == (1,)
         assert out.data[0] == pytest.approx(0.0)
 
     def test_saturated_bias(self):   # the logit stays 20; only a sigmoid would saturate
         w, b = self.head(b=20.0)
-        out = classify(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 4))), w, b)
+        out = classify(Tensor(np.ones((1, 8))), w, b)
         assert out.data[0] == pytest.approx(20.0, abs=1e-12)
 
     def test_log_three_gives_three_quarters(self):   # logit log 3 is probability 3/4
         w, b = self.head(b=float(np.log(3.0)))
-        out = classify(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))), w, b)
+        out = classify(Tensor(np.zeros((1, 8))), w, b)
         assert out.data[0] == pytest.approx(np.log(3.0), abs=1e-12)
 
 
@@ -455,6 +457,100 @@ class TestForward:
         for name, t in named_tensors(params).items():
             assert t.grad is not None, name
             assert np.all(np.isfinite(t.grad)), name
+
+
+class TestChannelBranches:
+    """forward_batch encodes FHR and TOCO on two threads (parallel_concat)."""
+
+    @pytest.mark.parametrize("share", [True, False])
+    def test_matches_sequential_channels_bit_for_bit(self, share):
+        cfg = ModelConfig(seq_len=32, patch_len=8, stride=8, n_layers=2, n_heads=2,
+                          d_model=8, d_ff=16, dropout=0.0, fc_dropout=0.0,
+                          attn_dropout=0.0, share_backbone=share)
+        batch = batch_dict(np.random.default_rng(2), b=3)
+
+        def sequential(params):
+            pooled = [pool_channel(*encode_channel(batch[v], batch[m], cfg,
+                                                   params.backbone_for(c)))
+                      for c, (v, m) in enumerate((("fhr", "fhr_mask"), ("toco", "toco_mask")))]
+            return classify(concat(pooled, axis=-1), params.w_head, params.b_head)
+
+        def grads(run):
+            params = init_params(cfg, 21)
+            with Graph() as g:
+                logits = run(params)
+                loss = tsum(logits * logits)
+            backward(loss, g, retain_intermediate_grads=False)
+            return logits.data, {k: t.grad for k, t in named_tensors(params).items()}
+
+        par_logits, par = grads(lambda p: forward_batch(batch, cfg, p, training=True,
+                                                        rng=np.random.default_rng(0)))
+        seq_logits, seq = grads(sequential)
+        assert np.array_equal(par_logits, seq_logits)
+        assert list(par) == list(seq)
+        for name in par:   # every weight is read at most once per channel
+            assert np.array_equal(par[name], seq[name]), name
+
+    def test_toco_with_too_few_samples_raises_model_error(self):
+        params = init_params(TINY, 4)
+        good = batch_dict(np.random.default_rng(3), b=2)
+        expected = forward_batch(good, TINY, params).data
+        bad = dict(good, toco_mask=good["toco_mask"].copy())
+        bad["toco_mask"][1] = False
+        bad["toco_mask"][1, 5] = True
+        with pytest.raises(ModelError, match="instance normalization needs at least 2 "
+                                             "observed samples per channel"):
+            forward_batch(bad, TINY, params)
+        assert np.array_equal(forward_batch(good, TINY, params).data, expected)
+
+    def test_both_channels_failing_raises_the_fhr_error(self):
+        params = init_params(TINY, 4)
+        good = batch_dict(np.random.default_rng(3), b=2)
+        bad = dict(good, fhr_mask=np.zeros_like(good["fhr_mask"]),
+                   toco_mask=np.zeros_like(good["toco_mask"]))
+        bad["fhr_mask"][:, 0] = True                 # FHR: one observed sample
+        bad["toco_mask"][:, [0, 9, 18, 27]] = True   # TOCO: every patch mostly missing
+        with pytest.raises(ModelError, match="every patch masked"):
+            forward_batch(dict(good, toco_mask=bad["toco_mask"]), TINY, params)
+        for _ in range(2):
+            with Graph():
+                with pytest.raises(ModelError, match="instance normalization"):
+                    forward_batch(bad, TINY, params, training=True,
+                                  rng=np.random.default_rng(0))
+        with Graph() as g:
+            loss = tsum(forward_batch(good, TINY, params, training=True,
+                                      rng=np.random.default_rng(0)))
+        backward(loss, g)
+        assert all(t.grad is not None for t in named_tensors(params).values())
+
+    def test_at_most_one_extra_thread(self):
+        params = init_params(TINY, 5)
+        batch = batch_dict(np.random.default_rng(4), b=2)
+        before = threading.active_count()
+        for k in range(50):
+            if k % 2:
+                forward_batch(batch, TINY, params)
+            else:
+                with Graph() as g:
+                    loss = tsum(forward_batch(batch, TINY, params, training=True,
+                                              rng=np.random.default_rng(k)))
+                backward(loss, g, retain_intermediate_grads=False)
+        assert threading.active_count() <= before + 1
+
+    def test_dropout_streams(self):
+        cfg = ModelConfig(seq_len=32, patch_len=8, stride=8, n_layers=1, n_heads=2,
+                          d_model=8, d_ff=16, dropout=0.3, fc_dropout=0.3,
+                          attn_dropout=0.3)
+        params = init_params(cfg, 6)
+        batch = batch_dict(np.random.default_rng(5), b=4)
+        runs = [forward_batch(batch, cfg, params, training=True,
+                              rng=np.random.default_rng(9)).data for _ in range(3)]
+        assert all(np.array_equal(runs[0], r) for r in runs[1:])
+        # without encoder dropout the channels draw nothing from rng
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        forward_batch(batch, TINY, init_params(TINY, 6), training=True, rng=rng)
+        assert rng.bit_generator.state == state
 
 
 class TestCheckpoint:

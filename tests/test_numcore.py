@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import zlib
 
@@ -317,6 +318,169 @@ class TestBackward:
         y = nc.mul(x, x)
         assert not y.requires_grad  # inference path builds no tape
 
+    def test_len_counts_branch_subtapes(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Graph() as g:
+            h = nc.parallel_concat([lambda: nc.relu(nc.mul(x, x)),   # 2 nodes
+                                    lambda: nc.neg(x)], axis=-1)     # 1 node
+            loss = nc.tsum(h)
+        assert len(g) == 2 + 1 + 1 + 1   # branches, the branch node, the sum
+        backward(loss, g)
+        assert len(g) == 0
+
+
+class TestSkippedAdjoints:
+    """An operand that does not require gradients gets None, not a discarded array."""
+
+    def last_node_grads(self, op, a, b):
+        with Graph() as g:
+            op(a, b)
+        node = g._nodes[-1]
+        return node.backward_fn(np.ones(node.output.shape))
+
+    @pytest.mark.parametrize("a_shape,b_shape", [((2, 3, 4), (4, 5)), ((2, 3, 4), (2, 4, 5))])
+    def test_matmul(self, a_shape, b_shape):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        both = self.last_node_grads(nc.matmul, Tensor(a, requires_grad=True),
+                                    Tensor(b, requires_grad=True))
+        ga, gb = self.last_node_grads(nc.matmul, Tensor(a), Tensor(b, requires_grad=True))
+        assert ga is None and np.array_equal(gb, both[1])
+        ga, gb = self.last_node_grads(nc.matmul, Tensor(a, requires_grad=True), Tensor(b))
+        assert gb is None and np.array_equal(ga, both[0])
+
+    def test_mul_by_constant(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        gx, gc = self.last_node_grads(nc.mul, x, 0.5)
+        assert gc is None and np.array_equal(gx, np.full((2, 3), 0.5))
+
+
+def two_layer_branch(x, w, c):
+    """relu(x @ w) * c: w is read once, c twice."""
+    return lambda: nc.mul(nc.mul(nc.relu(nc.matmul(x, w)), c), c)
+
+
+class TestParallelConcat:
+    def leaves(self, seed=0):
+        rng = np.random.default_rng(seed)
+        x0 = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        x1 = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        c = Tensor(rng.normal(size=(5,)), requires_grad=True)
+        head = Tensor(rng.normal(size=(10, 1)), requires_grad=True)
+        return x0, x1, w, c, head
+
+    def grads(self, join, seed=0):
+        x0, x1, w, c, head = ts = self.leaves(seed)
+        with Graph() as g:
+            h = join([two_layer_branch(x0, w, c), two_layer_branch(x1, w, c)])
+            loss = nc.tsum(nc.matmul(h, head))
+        backward(loss, g)
+        return h.data, loss.data, [t.grad for t in ts]
+
+    def test_matches_sequential_concat(self):
+        for seed in range(5):
+            h_par, loss_par, par = self.grads(nc.parallel_concat, seed)
+            h_seq, loss_seq, seq = self.grads(
+                lambda branches: nc.concat([b() for b in branches], axis=-1), seed)
+            assert np.array_equal(h_par, h_seq) and np.array_equal(loss_par, loss_seq)
+            x0, x1, w, _, head = range(5)
+            for i in (x0, x1, w, head):        # at most two contributions: same bits
+                assert np.array_equal(par[i], seq[i]), i
+            # c gets four contributions, summed in another order
+            assert np.allclose(par[3], seq[3], rtol=1e-14, atol=0)
+
+    def test_gradient_matches_finite_differences(self):
+        x0, x1, w, c, head = ts = self.leaves(1)
+
+        def f():
+            h = nc.parallel_concat([two_layer_branch(x0, w, c), two_layer_branch(x1, w, c)])
+            return nc.tsum(nc.matmul(h, head))
+
+        report = grad_check(f, list(ts), eps=1e-6, tol=1e-6)
+        assert report.passed, report.max_rel_err
+
+    def test_intermediate_grads_inside_branches(self):
+        x = Tensor(np.array([[1.0, -2.0, 3.0]]), requires_grad=True)
+        inner = {}
+
+        def branch(k):
+            def run():
+                inner[k] = nc.mul(x, float(k + 2))
+                return nc.relu(inner[k])
+            return run
+
+        with Graph() as g:
+            loss = nc.tsum(nc.parallel_concat([branch(0), branch(1)], axis=-1))
+        backward(loss, g)
+        assert np.array_equal(inner[0].grad, [[1.0, 0.0, 1.0]])
+        assert np.array_equal(inner[1].grad, [[1.0, 0.0, 1.0]])
+        assert np.array_equal(x.grad, [[5.0, 0.0, 5.0]])
+
+    def test_branch_returning_a_leaf(self):
+        x = Tensor(np.ones((1, 2)), requires_grad=True)
+        with Graph() as g:
+            loss = nc.tsum(nc.parallel_concat([lambda: x, lambda: nc.mul(x, 3.0)]))
+        backward(loss, g)
+        assert np.array_equal(x.grad, [[4.0, 4.0]])
+
+    def test_outside_graph_runs_branch_one_on_another_thread(self):
+        seen = {}
+
+        def branch(k):
+            def run():
+                seen[k] = threading.get_ident()
+                return Tensor(np.full((2, 1), float(k)))
+            return run
+
+        out = nc.parallel_concat([branch(0), branch(1)], axis=-1)
+        assert np.array_equal(out.data, [[0.0, 1.0], [0.0, 1.0]])
+        assert not out.requires_grad
+        assert seen[0] == threading.get_ident() != seen[1]
+
+    def test_errors(self):
+        def fail(msg):
+            def run():
+                raise ValueError(msg)
+            return run
+
+        def ok():
+            return Tensor(np.ones((1, 1)))
+
+        with pytest.raises(ValueError, match="second"):
+            nc.parallel_concat([ok, fail("second")])
+        with pytest.raises(ValueError, match="first"):
+            nc.parallel_concat([fail("first"), fail("second")])
+        with Graph():
+            with pytest.raises(ValueError, match="first"):
+                nc.parallel_concat([fail("first"), ok])
+        assert np.array_equal(nc.parallel_concat([ok, ok]).data, [[1.0, 1.0]])
+        with pytest.raises(NumcoreError):
+            nc.parallel_concat([ok, ok, ok])
+
+    def test_nested_op_runs_inline(self):
+        x = Tensor(np.arange(3.0)[None], requires_grad=True)
+
+        def inner():
+            return nc.parallel_concat([lambda: nc.mul(x, 2.0), lambda: nc.mul(x, 3.0)])
+
+        result = {}
+
+        def run():
+            with Graph() as g:
+                h = nc.parallel_concat([inner, inner])   # nested in both branches
+                loss = nc.tsum(h)
+            result["len"] = len(g)
+            backward(loss, g)
+            result["grad"] = x.grad
+
+        t = threading.Thread(target=run, daemon=True)
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive(), "nested parallel_concat deadlocked"
+        assert result["len"] == 2 * (2 + 1) + 1 + 1
+        assert np.array_equal(result["grad"], [[10.0, 10.0, 10.0]])
+
 
 class TestGradCheck:
     def test_sum_of_squares_tight(self):
@@ -349,6 +513,15 @@ class TestGradCheck:
 
         with pytest.raises(GradCheckError, match="nondeterministic"):
             grad_check(f, [x])
+
+    def test_transposed_view_leaf(self):
+        # the leaf's data is a non-contiguous view; perturbations must reach it
+        rng = np.random.default_rng(4)
+        a = Tensor(rng.normal(size=(4, 3)).T, requires_grad=True)
+        assert not a.data.flags.c_contiguous
+        w = Tensor(rng.normal(size=(4, 2)))
+        report = grad_check(lambda: scalar_loss(nc.matmul(a, w)), [a], eps=1e-5, tol=1e-6)
+        assert report.passed, report.max_rel_err
 
     def test_bad_eps_rejected(self):
         x = Tensor([1.0], requires_grad=True)
