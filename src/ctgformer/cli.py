@@ -1,10 +1,12 @@
 """Command-line entry point.
 
-Subcommands: generate, preprocess, train, finetune, eval, hpo. Shared flags:
---seed, --out-dir, --config <json>, --preset. Config precedence is
-defaults < preset < config file < command-line flags, and the resolved
-configuration is echoed into the output directory as effective_config.json.
-The CTG_RESULTS_DIR environment variable sets the default output root.
+Subcommands: generate, preprocess, train, finetune, eval, hpo. Each takes
+only the flags it reads: --seed on generate, train, finetune and hpo;
+--out-dir on train, finetune, eval and hpo; --config <json> and --preset
+on train and finetune, where config precedence is defaults < preset <
+config file < command-line flags. Those four echo what they ran with into
+the output directory as effective_config.json. The CTG_RESULTS_DIR
+environment variable sets the default output root.
 
 The model runs its two channels on two threads, and both make BLAS calls, so
 each BLAS call gets half the usable cores (at least one) unless the thread
@@ -40,6 +42,7 @@ from . import evaluation as evalmod
 from .errors import CliError, CtgformerError
 from .hpo import PRESETS, SearchSpace, best_trial, run_search, write_leaderboard
 from .model import ModelConfig, load_checkpoint, save_checkpoint
+from .numcore import ACTIVATIONS
 from .signal import WINDOW_LEN, preprocess
 from .train import (
     TRAIN_KEYS,
@@ -78,7 +81,7 @@ def _load_config_file(path) -> dict:
         raise CliError(f"config file {p} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise CliError(f"config file {p} must hold a JSON object")
-    unknown = set(payload).difference(MODEL_KEYS, TRAIN_KEYS, {"seed"})
+    unknown = set(payload).difference(MODEL_KEYS, TRAIN_KEYS)
     if unknown:
         raise CliError(f"config file {p} has unknown keys: {sorted(unknown)}")
     return payload
@@ -87,15 +90,15 @@ def _load_config_file(path) -> dict:
 def _collect_settings(args) -> dict:
     """Apply precedence: defaults < preset < config file < flags."""
     settings = {}
-    if getattr(args, "preset", None):
+    if args.preset:
         if args.preset not in PRESETS:
             raise CliError(f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}")
         settings.update(PRESETS[args.preset])
-    if getattr(args, "config", None):
+    if args.config:
         settings.update(_load_config_file(args.config))
     # a model or train key without a flag reads None and leaves settings alone
     overrides = {k: getattr(args, k, None) for k in MODEL_KEYS + TRAIN_KEYS}
-    if getattr(args, "separate_backbones", False):
+    if args.separate_backbones:
         overrides["share_backbone"] = False
     settings.update({k: v for k, v in overrides.items() if v is not None})
     return settings
@@ -104,9 +107,6 @@ def _collect_settings(args) -> dict:
 def _split_settings(settings: dict) -> tuple:
     model_kwargs = {k: v for k, v in settings.items() if k in MODEL_KEYS}
     train_kwargs = {k: v for k, v in settings.items() if k in TRAIN_KEYS}
-    unknown = set(settings).difference(MODEL_KEYS, TRAIN_KEYS, {"seed"})
-    if unknown:
-        raise CliError(f"unknown configuration keys: {sorted(unknown)}")
     return model_kwargs, train_kwargs
 
 
@@ -128,14 +128,9 @@ def _parse_band(text: str) -> tuple:
         raise CliError(f"--dtd-band must look like LO:HI, got {text!r}") from exc
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default=None)
+def _add_model_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON file of config overrides")
     p.add_argument("--preset", default=None, help="named preset, e.g. paper-best")
-
-
-def _add_model_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-layers", type=int, default=None)
     p.add_argument("--n-heads", type=int, default=None)
     p.add_argument("--d-model", type=int, default=None)
@@ -145,7 +140,7 @@ def _add_model_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attn-dropout", type=float, default=None)
     p.add_argument("--patch-len", type=int, default=None)
     p.add_argument("--stride", type=int, default=None)
-    p.add_argument("--activation", choices=("relu", "gelu", "elu"), default=None)
+    p.add_argument("--activation", choices=ACTIVATIONS, default=None)
     p.add_argument("--separate-backbones", action="store_true")
     p.add_argument("--learning-rate", type=float, default=None)
     p.add_argument("--batch-size", type=int, default=None)
@@ -153,6 +148,8 @@ def _add_model_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--patience", type=int, default=None)
     p.add_argument("--split-fraction", type=float, default=0.8)
     p.add_argument("--dtd-band", default=None, help="restrict cases to LO:HI days to delivery")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out-dir", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,23 +162,20 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.add_argument("--missing-rate", type=float, default=None)
     g.add_argument("--contraction-rate", type=float, default=None)
-    _add_common(g)
+    g.add_argument("--seed", type=int, default=0)
 
     pp = sub.add_parser("preprocess", help="clip, scale, window and mask raw traces")
     pp.add_argument("--raw", required=True)
     pp.add_argument("--out", required=True)
-    _add_common(pp)
 
     tr = sub.add_parser("train", help="train from a cohort file")
     tr.add_argument("--data", required=True)
     _add_model_train_flags(tr)
-    _add_common(tr)
 
     ft = sub.add_parser("finetune", help="resume training from a checkpoint")
     ft.add_argument("--from", dest="from_ckpt", required=True)
     ft.add_argument("--data", required=True)
     _add_model_train_flags(ft)
-    _add_common(ft)
 
     ev = sub.add_parser("eval", help="ROC analysis of predictions or a checkpoint")
     ev.add_argument("--preds", default=None)
@@ -193,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--dtd-max", type=float, default=None)
     ev.add_argument("--sens-target", type=float, default=0.90)
     ev.add_argument("--spec-target", type=float, default=0.90)
-    _add_common(ev)
+    ev.add_argument("--out-dir", default=None)
 
     hp = sub.add_parser("hpo", help="random hyperparameter search")
     hp.add_argument("--data", required=True)
@@ -202,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     hp.add_argument("--patience", type=int, default=10)
     hp.add_argument("--prune", action="store_true")
     hp.add_argument("--split-fraction", type=float, default=0.8)
-    _add_common(hp)
+    hp.add_argument("--seed", type=int, default=0)
+    hp.add_argument("--out-dir", default=None)
 
     return parser
 
@@ -276,7 +271,7 @@ def cmd_finetune(args) -> int:
     settings = _collect_settings(args)
     model_kwargs, train_kwargs = _split_settings(settings)
     expect = ModelConfig(**model_kwargs) if model_kwargs else None
-    train_cfg = TrainConfig(seed=args.seed, finetune_from=str(ckpt), **train_kwargs)
+    train_cfg = TrainConfig(seed=args.seed, **train_kwargs)
     train_traces, val_traces = _prepare_sets(args)
     _echo_config(out_dir, {"command": "finetune", "data": args.data, "seed": args.seed,
                            "from": str(ckpt), "split_fraction": args.split_fraction,

@@ -1,6 +1,6 @@
 """Patch-transformer model: config, parameters, network, checkpoints."""
 
-from .config import ACTIVATION_KINDS, ModelConfig
+from .config import ModelConfig
 from .params import (
     Backbone,
     LayerParams,
@@ -28,7 +28,6 @@ from .net import (
 from .checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 
 __all__ = [
-    "ACTIVATION_KINDS",
     "Backbone",
     "FORMAT_VERSION",
     "LayerParams",

@@ -56,25 +56,24 @@ def load_checkpoint(path) -> tuple:
     try:
         header = json.loads(blob[16:header_end].decode())
         cfg = ModelConfig.from_dict(header["config"])
-        manifest = header["tensors"]
+        manifest = [(m["name"], tuple(m["shape"])) for m in header["tensors"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
 
     # every value is overwritten below, so the weights need no random draws
     params = build_params(cfg, lambda shape: Tensor(np.empty(shape), requires_grad=True))
     named = named_tensors(params)
-    if [m["name"] for m in manifest] != list(named.keys()):
+    if [name for name, _ in manifest] != list(named.keys()):
         raise CheckpointError(f"{path}: tensor manifest does not match the stored config")
     offset = header_end
-    for m in manifest:
-        shape = tuple(m["shape"])
-        t = named[m["name"]]
+    for name, shape in manifest:
+        t = named[name]
         if shape != t.data.shape:
-            raise CheckpointError(f"{path}: tensor {m['name']} has shape {shape}, "
+            raise CheckpointError(f"{path}: tensor {name} has shape {shape}, "
                                   f"config implies {t.data.shape}")
         nbytes = int(np.prod(shape)) * 8
         if offset + nbytes > len(blob):
-            raise CheckpointError(f"{path}: truncated tensor data at {m['name']}")
+            raise CheckpointError(f"{path}: truncated tensor data at {name}")
         t.data = np.frombuffer(blob, dtype="<f8", count=int(np.prod(shape)),
                                offset=offset).reshape(shape).copy()
         t.grad = None

@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from ..errors import ModelError
+from ..numcore import ACTIVATIONS
 from ..signal import WINDOW_LEN
-
-ACTIVATION_KINDS = ("relu", "gelu", "elu")
 
 
 @dataclass
@@ -42,8 +41,8 @@ class ModelConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ModelError(f"{name} must lie in [0, 1), got {rate}")
-        if self.activation not in ACTIVATION_KINDS:
-            raise ModelError(f"activation must be one of {ACTIVATION_KINDS}, "
+        if self.activation not in ACTIVATIONS:
+            raise ModelError(f"activation must be one of {ACTIVATIONS}, "
                              f"got {self.activation!r}")
         if self.channels != 2:
             raise ModelError("this model processes exactly 2 channels")
@@ -51,10 +50,6 @@ class ModelConfig:
     @property
     def n_patches(self) -> int:
         return (self.seq_len - self.patch_len) // self.stride + 1
-
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.n_heads
 
     def as_dict(self) -> dict:
         return asdict(self)

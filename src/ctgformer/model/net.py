@@ -38,10 +38,10 @@ from .params import Backbone, LayerParams, ModelParams
 
 INSTANCE_NORM_EPS = 1e-8
 LAYER_NORM_EPS = 1e-5
+FORWARD_BUDGET_BYTES = 384 << 20   # taped activations of one training forward pass
 
 
-def instance_normalize(values: np.ndarray, mask: np.ndarray,
-                       eps: float = INSTANCE_NORM_EPS):
+def instance_normalize(values: np.ndarray, mask: np.ndarray):
     """Standardise each row's observed samples to zero mean, unit variance;
     masked positions stay 0. Statistics are recomputed per call, so inference
     uses each sequence's own mean and variance. Returns (normalized, mu, sigma)
@@ -53,7 +53,7 @@ def instance_normalize(values: np.ndarray, mask: np.ndarray,
     mu = masked_vals.sum(axis=1) / counts
     centered = np.where(mask, values - mu[:, None], 0.0)
     sigma = np.sqrt((centered ** 2).sum(axis=1) / counts)
-    sigma = np.maximum(sigma, eps)
+    sigma = np.maximum(sigma, INSTANCE_NORM_EPS)
     return centered / sigma[:, None], mu, sigma
 
 
@@ -90,8 +90,7 @@ def embed_patches(patches: np.ndarray, w_patch: Tensor, w_pos: Tensor) -> Tensor
 
 
 def attention(e: Tensor, layer: LayerParams, patch_mask: np.ndarray, n_heads: int,
-              attn_dropout: float = 0.0, training: bool = False,
-              rng: Optional[np.random.Generator] = None) -> Tensor:
+              attn_dropout: float = 0.0, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Multi-head self-attention with masked key columns.
 
     Masked patches receive -inf logits in every row, so their weight is
@@ -112,7 +111,7 @@ def attention(e: Tensor, layer: LayerParams, patch_mask: np.ndarray, n_heads: in
     scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dk))
     key_gone = (~patch_mask)[:, None, None, :]     # broadcast over heads and query rows
     weights = softmax(masked_fill(scores, key_gone, -np.inf), axis=-1)
-    weights = dropout(weights, attn_dropout, training=training, rng=rng)
+    weights = dropout(weights, attn_dropout, rng)
     ctx = reshape(transpose(matmul(weights, v), (0, 2, 1, 3)), (b, n, d))
     return matmul(ctx, layer.w_o)
 
@@ -123,32 +122,32 @@ def ffn(h: Tensor, layer: LayerParams, kind: str) -> Tensor:
 
 
 def encoder_layer(e: Tensor, layer: LayerParams, patch_mask: np.ndarray, cfg: ModelConfig,
-                  training: bool = False, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Post-norm block: LN(e + Drop(Attn(e))) then LN(. + Drop(FFN(.)))."""
-    a = attention(e, layer, patch_mask, cfg.n_heads, cfg.attn_dropout, training, rng)
-    e1 = layer_norm(e + dropout(a, cfg.dropout, training=training, rng=rng),
+                  rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Post-norm block: LN(e + Drop(Attn(e))) then LN(. + Drop(FFN(.)));
+    dropout is on only with a generator ``rng``."""
+    a = attention(e, layer, patch_mask, cfg.n_heads, cfg.attn_dropout, rng)
+    e1 = layer_norm(e + dropout(a, cfg.dropout, rng),
                     layer.ln1_gain, layer.ln1_bias, eps=LAYER_NORM_EPS)
     f = ffn(e1, layer, cfg.activation)
-    return layer_norm(e1 + dropout(f, cfg.dropout, training=training, rng=rng),
+    return layer_norm(e1 + dropout(f, cfg.dropout, rng),
                       layer.ln2_gain, layer.ln2_bias, eps=LAYER_NORM_EPS)
 
 
 def run_encoder(e: Tensor, backbone: Backbone, patch_mask: np.ndarray, cfg: ModelConfig,
-                training: bool = False, rng: Optional[np.random.Generator] = None) -> Tensor:
+                rng: Optional[np.random.Generator] = None) -> Tensor:
     for layer in backbone.layers:
-        e = encoder_layer(e, layer, patch_mask, cfg, training, rng)
+        e = encoder_layer(e, layer, patch_mask, cfg, rng)
     return e
 
 
 def encode_channel(values: np.ndarray, mask: np.ndarray, cfg: ModelConfig,
-                   backbone: Backbone, training: bool = False,
-                   rng: Optional[np.random.Generator] = None):
+                   backbone: Backbone, rng: Optional[np.random.Generator] = None):
     """Encode (B, L) channels to their (B, N, d) patch representations.
     Returns (encoded, patch_mask)."""
     normalized, _, _ = instance_normalize(values, mask)
     patches, patch_mask = make_patches(normalized, mask, cfg.patch_len, cfg.stride)
     e = embed_patches(patches, backbone.w_patch, backbone.w_pos)
-    return run_encoder(e, backbone, patch_mask, cfg, training, rng), patch_mask
+    return run_encoder(e, backbone, patch_mask, cfg, rng), patch_mask
 
 
 def pool_channel(e: Tensor, patch_mask: np.ndarray) -> Tensor:
@@ -161,11 +160,10 @@ def pool_channel(e: Tensor, patch_mask: np.ndarray) -> Tensor:
 
 
 def classify(fused: Tensor, w_head: Tensor, b_head: Tensor,
-             fc_dropout: float = 0.0, training: bool = False,
-             rng: Optional[np.random.Generator] = None) -> Tensor:
+             fc_dropout: float = 0.0, rng: Optional[np.random.Generator] = None) -> Tensor:
     """(B,) logits, no sigmoid, from the fused (B, 2d) channel summaries
     (FHR then TOCO)."""
-    fused = dropout(fused, fc_dropout, training=training, rng=rng)
+    fused = dropout(fused, fc_dropout, rng)
     logit = matmul(fused, w_head) + b_head
     return reshape(logit, (logit.shape[0],))
 
@@ -175,25 +173,31 @@ def forward_batch(batch: dict, cfg: ModelConfig, params: ModelParams,
     """(B,) logits for a stacked batch (see ``data.stack_traces``).
 
     FHR and TOCO are encoded and pooled on two threads by
-    ``parallel_concat``. When training with encoder dropout each channel
-    draws its masks from its own generator, seeded from two draws on ``rng``
-    (no draw without encoder dropout); the head's dropout draws from ``rng``.
+    ``parallel_concat``. A training pass draws every dropout mask from
+    ``rng`` and raises ``ModelError`` without one; inference ignores it.
+    With encoder dropout each channel draws its masks from its own
+    generator, seeded from two draws on ``rng`` (no draw without encoder
+    dropout); the head's dropout draws from ``rng``.
     """
+    if not training:
+        rng = None
+    elif rng is None:
+        raise ModelError("a training pass needs a generator (rng) for its dropout masks")
     rngs = (None, None)
-    if training and rng is not None and (cfg.dropout > 0 or cfg.attn_dropout > 0):
+    if rng is not None and (cfg.dropout > 0 or cfg.attn_dropout > 0):
         rngs = [np.random.default_rng(s) for s in rng.integers(2 ** 63, size=2)]
 
     def channel(c: int, vals: str, mask: str) -> Tensor:
         e, patch_mask = encode_channel(batch[vals], batch[mask], cfg,
-                                       params.backbone_for(c), training, rngs[c])
+                                       params.backbone_for(c), rngs[c])
         return pool_channel(e, patch_mask)
 
     fused = parallel_concat([partial(channel, 0, "fhr", "fhr_mask"),
                              partial(channel, 1, "toco", "toco_mask")], axis=-1)
-    return classify(fused, params.w_head, params.b_head, cfg.fc_dropout, training, rng)
+    return classify(fused, params.w_head, params.b_head, cfg.fc_dropout, rng)
 
 
-def max_forward_chunk(cfg: ModelConfig, budget_bytes: int = 384 << 20) -> int:
+def max_forward_chunk(cfg: ModelConfig) -> int:
     """Largest trace count one training forward pass may carry without the
     taped activations outgrowing the memory budget.
 
@@ -205,7 +209,7 @@ def max_forward_chunk(cfg: ModelConfig, budget_bytes: int = 384 << 20) -> int:
     n = cfg.n_patches
     per_layer = 6 * cfg.n_heads * n * n + 14 * n * max(cfg.d_model, cfg.d_ff)
     per_trace = cfg.n_layers * per_layer * 8
-    return max(1, budget_bytes // per_trace)
+    return max(1, FORWARD_BUDGET_BYTES // per_trace)
 
 
 def predict_scores(traces, cfg: ModelConfig, params: ModelParams,
@@ -218,5 +222,5 @@ def predict_scores(traces, cfg: ModelConfig, params: ModelParams,
     scores = np.empty(len(traces))
     for lo in range(0, len(traces), step):
         chunk = stack_traces(traces[lo:lo + step])
-        scores[lo:lo + step] = sigmoid(forward_batch(chunk, cfg, params, training=False)).data
+        scores[lo:lo + step] = sigmoid(forward_batch(chunk, cfg, params)).data
     return scores

@@ -25,12 +25,12 @@ ACTIVATIONS = ("relu", "gelu", "elu")
 INIT_SCHEMES = ("uniform_fan", "zeros", "ones")
 
 
-def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn, name: str) -> Tensor:
+def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tensor:
     graph = _active_graph()
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=requires and graph is not None)
     if graph is not None and requires:
-        graph.record(Node(inputs, out, backward_fn, name))
+        graph.record(Node(inputs, out, backward_fn))
     return out
 
 
@@ -81,7 +81,7 @@ def add(a, b) -> Tensor:
     def bw(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _record((a, b), out, bw, "add")
+    return _record((a, b), out, bw)
 
 
 def sub(a, b) -> Tensor:
@@ -91,7 +91,7 @@ def sub(a, b) -> Tensor:
     def bw(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return _record((a, b), out, bw, "sub")
+    return _record((a, b), out, bw)
 
 
 def mul(a, b) -> Tensor:
@@ -102,7 +102,7 @@ def mul(a, b) -> Tensor:
         return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
                 _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
-    return _record((a, b), out, bw, "mul")
+    return _record((a, b), out, bw)
 
 
 def neg(a) -> Tensor:
@@ -111,7 +111,7 @@ def neg(a) -> Tensor:
     def bw(g):
         return (-g,)
 
-    return _record((a,), -a.data, bw, "neg")
+    return _record((a,), -a.data, bw)
 
 
 def matmul(a, b) -> Tensor:
@@ -141,7 +141,7 @@ def matmul(a, b) -> Tensor:
             return ((g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None,
                     a.data.reshape(rows, d_in).T @ g2 if b.requires_grad else None)
 
-        return _record((a, b), out, bw, "matmul")
+        return _record((a, b), out, bw)
     try:
         out = np.matmul(a.data, b.data)
     except ValueError as exc:
@@ -153,7 +153,7 @@ def matmul(a, b) -> Tensor:
         return (None if ga is None else _unbroadcast(ga, a.shape),
                 None if gb is None else _unbroadcast(gb, b.shape))
 
-    return _record((a, b), out, bw, "matmul")
+    return _record((a, b), out, bw)
 
 
 def reshape(a, shape) -> Tensor:
@@ -163,7 +163,7 @@ def reshape(a, shape) -> Tensor:
     def bw(g):
         return (g.reshape(a.shape),)
 
-    return _record((a,), out, bw, "reshape")
+    return _record((a,), out, bw)
 
 
 def transpose(a, axes) -> Tensor:
@@ -175,7 +175,7 @@ def transpose(a, axes) -> Tensor:
     def bw(g):
         return (g.transpose(inverse),)
 
-    return _record((a,), out, bw, "transpose")
+    return _record((a,), out, bw)
 
 
 def _split_adjoint(parts: Sequence[Tensor], axis: int):
@@ -191,7 +191,7 @@ def _split_adjoint(parts: Sequence[Tensor], axis: int):
 def concat(tensors: Sequence, axis: int = -1) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
     out = np.concatenate([t.data for t in ts], axis=axis)
-    return _record(tuple(ts), out, _split_adjoint(ts, axis), "concat")
+    return _record(tuple(ts), out, _split_adjoint(ts, axis))
 
 
 def _on_tape(fn: Callable[[], Tensor]) -> tuple:
@@ -241,20 +241,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _record((a,), out, bw, "sum")
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.shape[axis]
-
-    def bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, a.shape).copy(),)
-
-    return _record((a,), out, bw, "mean")
+    return _record((a,), out, bw)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -268,7 +255,7 @@ def softmax(a, axis: int = -1) -> Tensor:
         inner = (g * out).sum(axis=axis, keepdims=True)
         return (out * (g - inner),)
 
-    return _record((a,), out, bw, "softmax")
+    return _record((a,), out, bw)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -297,7 +284,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         gbias = g.sum(axis=lead) if lead else g.copy()
         return gx, _unbroadcast(ggain, gain.shape), _unbroadcast(gbias, bias.shape)
 
-    return _record((x, gain, bias), out, bw, "layer_norm")
+    return _record((x, gain, bias), out, bw)
 
 
 def relu(a) -> Tensor:
@@ -307,7 +294,7 @@ def relu(a) -> Tensor:
     def bw(g):
         return (g * (a.data > 0.0),)
 
-    return _record((a,), out, bw, "relu")
+    return _record((a,), out, bw)
 
 
 def gelu(a) -> Tensor:
@@ -320,18 +307,19 @@ def gelu(a) -> Tensor:
         pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
         return (g * (phi_cdf + a.data * pdf),)
 
-    return _record((a,), out, bw, "gelu")
+    return _record((a,), out, bw)
 
 
-def elu(a, alpha: float = 1.0) -> Tensor:
+def elu(a) -> Tensor:
+    """x for x > 0, exp(x) - 1 otherwise (alpha = 1)."""
     a = as_tensor(a)
-    neg_part = alpha * np.expm1(np.minimum(a.data, 0.0))
+    neg_part = np.expm1(np.minimum(a.data, 0.0))
     out = np.where(a.data > 0.0, a.data, neg_part)
 
     def bw(g):
-        return (g * np.where(a.data > 0.0, 1.0, neg_part + alpha),)
+        return (g * np.where(a.data > 0.0, 1.0, neg_part + 1.0),)
 
-    return _record((a,), out, bw, "elu")
+    return _record((a,), out, bw)
 
 
 def activation(a, kind: str) -> Tensor:
@@ -361,7 +349,7 @@ def sigmoid(a) -> Tensor:
     def bw(g):
         return (g * out * (1.0 - out),)
 
-    return _record((a,), out, bw, "sigmoid")
+    return _record((a,), out, bw)
 
 
 def bce_with_logits(z, labels) -> Tensor:
@@ -380,7 +368,7 @@ def bce_with_logits(z, labels) -> Tensor:
     def bw(g):
         return (g * (_sigmoid(z.data) - y) / z.size,)
 
-    return _record((z,), out, bw, "bce_with_logits")
+    return _record((z,), out, bw)
 
 
 def masked_fill(a, mask, value: float) -> Tensor:
@@ -392,20 +380,18 @@ def masked_fill(a, mask, value: float) -> Tensor:
     def bw(g):
         return (np.where(mask, 0.0, g),)
 
-    return _record((a,), out, bw, "masked_fill")
+    return _record((a,), out, bw)
 
 
-def dropout(x, rate: float, training: bool = True,
-            rng: Optional[np.random.Generator] = None, seed: Optional[int] = None) -> Tensor:
+def dropout(x, rate: float, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors by
-    1/(1-rate). Identity at inference or rate 0."""
+    1/(1-rate), drawing the mask from ``rng`` only. Identity without a
+    generator (inference) or at rate 0."""
     x = as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise NumcoreError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        rng = np.random.default_rng(seed)
     keep = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
     out = np.where(keep, x.data * scale, 0.0)
@@ -413,4 +399,4 @@ def dropout(x, rate: float, training: bool = True,
     def bw(g):
         return (np.where(keep, g * scale, 0.0),)
 
-    return _record((x,), out, bw, "dropout")
+    return _record((x,), out, bw)

@@ -65,9 +65,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -119,15 +116,13 @@ def as_tensor(x) -> Tensor:
 class Node:
     """One recorded operation: inputs, output and the adjoint rule."""
 
-    __slots__ = ("inputs", "output", "backward_fn", "name")
+    __slots__ = ("inputs", "output", "backward_fn")
 
     def __init__(self, inputs: Sequence[Tensor], output: Tensor,
-                 backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]],
-                 name: str = "op"):
+                 backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]):
         self.inputs = tuple(inputs)
         self.output = output
         self.backward_fn = backward_fn
-        self.name = name
 
 
 class BranchNode(Node):
@@ -142,7 +137,7 @@ class BranchNode(Node):
     __slots__ = ("tapes", "heads")
 
     def __init__(self, inputs, output, backward_fn, tapes, heads):
-        super().__init__(inputs, output, backward_fn, "parallel_concat")
+        super().__init__(inputs, output, backward_fn)
         self.tapes = tuple(tapes)
         self.heads = tuple(heads)
 

@@ -45,7 +45,6 @@ class TrainConfig:
     max_epochs: int = 50
     patience: int = 10
     seed: int = 0
-    finetune_from: Optional[str] = None
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -109,18 +108,16 @@ class Adam:
     """Adaptive-moment optimizer (beta1=0.9, beta2=0.999, eps=1e-8) that also
     zeroes gradients after applying them."""
 
-    def __init__(self, named: dict, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, named: dict, lr: float):
         self.named = named
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {name: np.zeros_like(t.data) for name, t in named.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in named.items()}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         for name, tensor in self.named.items():
@@ -129,7 +126,7 @@ class Adam:
                 continue
             m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
             v = self.v[name] = b2 * self.v[name] + (1 - b2) * (g * g)
-            update = self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            update = self.lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
             tensor.data = tensor.data - update
             tensor.grad = None
 

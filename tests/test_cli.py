@@ -144,12 +144,14 @@ class TestTrain:
         assert cfg["model"]["d_ff"] == 24           # flag beats config file
         assert cfg["model"]["d_model"] == 16        # config file beats default
 
-    def test_unknown_config_key_rejected(self, tmp_path, cohort_file, capsys):
+    @pytest.mark.parametrize("payload", [{"d_modle": 16}, {"seed": 5}],
+                             ids=["misspelt", "seed"])
+    def test_unknown_config_key_rejected(self, tmp_path, cohort_file, capsys, payload):
         cfg_file = tmp_path / "bad.json"
-        cfg_file.write_text(json.dumps({"d_modle": 16}))
+        cfg_file.write_text(json.dumps(payload))
         code, _, stderr = run(["train", "--data", str(cohort_file),
-                               "--config", str(cfg_file),
-                               "--out-dir", str(tmp_path / "r")], capsys)
+                               "--config", str(cfg_file), "--max-epochs", "1",
+                               "--out-dir", str(tmp_path / "r")] + SMALL_MODEL, capsys)
         assert code == 1
         assert "unknown" in stderr
 
@@ -258,6 +260,19 @@ class TestHpoCli:
         assert "best trial" in stdout
         threads = json.loads((out_dir / "effective_config.json").read_text())["threads"]
         assert threads["usable_cpus"] == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n-per-class", "0", "--out", "nope.csv", "--out-dir", "d"],
+    ["preprocess", "--raw", "nope.csv", "--out", "nope.csv", "--seed", "1"],
+    ["eval", "--preds", "nope.csv", "--config", "c.json"],
+    ["hpo", "--data", "nope.csv", "--preset", "paper-best"],
+], ids=["generate", "preprocess", "eval", "hpo"])
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_module_entrypoint_smoke(tmp_path):

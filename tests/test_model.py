@@ -1,3 +1,5 @@
+import json
+import struct
 import threading
 
 import numpy as np
@@ -552,6 +554,14 @@ class TestChannelBranches:
         forward_batch(batch, TINY, init_params(TINY, 6), training=True, rng=rng)
         assert rng.bit_generator.state == state
 
+    def test_training_pass_needs_a_generator(self):
+        cfg = ModelConfig(seq_len=32, patch_len=8, stride=8, n_layers=1, n_heads=2,
+                          d_model=8, d_ff=16, dropout=0.3, fc_dropout=0.3,
+                          attn_dropout=0.3)
+        batch = batch_dict(np.random.default_rng(5), b=4)
+        with pytest.raises(ModelError, match="needs a generator"):
+            forward_batch(batch, cfg, init_params(cfg, 6), training=True)
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -581,6 +591,22 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", ["entry_not_object", "entry_without_shape"])
+    def test_malformed_manifest_rejected(self, tmp_path, damage):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(TINY, 1), TINY, path)
+        blob = path.read_bytes()
+        (n,) = struct.unpack_from("<Q", blob, 8)
+        header = json.loads(blob[16:16 + n])
+        if damage == "entry_not_object":
+            header["tensors"] = [m["name"] for m in header["tensors"]]
+        else:
+            del header["tensors"][-1]["shape"]
+        head = json.dumps(header).encode()
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + n:])
+        with pytest.raises(CheckpointError, match="malformed header"):
             load_checkpoint(path)
 
     def test_load_then_forward_matches(self, tmp_path):
