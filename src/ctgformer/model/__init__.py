@@ -5,6 +5,7 @@ from .params import (
     Backbone,
     LayerParams,
     ModelParams,
+    cast_params,
     clone_param_data,
     init_params,
     load_param_data,
@@ -34,6 +35,7 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "attention",
+    "cast_params",
     "classify",
     "clone_param_data",
     "embed_patches",

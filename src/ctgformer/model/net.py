@@ -8,6 +8,13 @@ linear head that emits one logit from the two concatenated channel summaries;
 only ``predict_scores`` applies the sigmoid. The two channels share no
 activation before the head, so ``forward_batch`` runs them on two threads.
 
+The parameters are float64 and so is inference. A training pass computes in
+float32 (``TRAIN_DTYPE``) on a working copy of the parameters cast once at
+its top, after Micikevicius et al., "Mixed Precision Training"
+(arXiv:1710.03740): the gradients reach the float64 parameters, which the
+optimizer updates in float64. Below ``forward_batch`` every function
+computes in the dtype of the weights it is given.
+
 Every operation takes a leading batch axis; one trace is a batch of one.
 """
 
@@ -34,11 +41,12 @@ from ..numcore import (
     transpose,
 )
 from .config import ModelConfig
-from .params import Backbone, LayerParams, ModelParams
+from .params import Backbone, LayerParams, ModelParams, cast_params
 
 INSTANCE_NORM_EPS = 1e-8
 LAYER_NORM_EPS = 1e-5
 FORWARD_BUDGET_BYTES = 384 << 20   # taped activations of one training forward pass
+TRAIN_DTYPE = np.float32           # compute dtype of a training pass
 
 
 def instance_normalize(values: np.ndarray, mask: np.ndarray):
@@ -80,13 +88,13 @@ def patch_count(seq_len: int, patch_len: int, stride: int) -> int:
 
 
 def embed_patches(patches: np.ndarray, w_patch: Tensor, w_pos: Tensor) -> Tensor:
-    """Project (B, N, P) patches into the latent width and add positional
-    rows. Masked patches are embedded too; masking is enforced inside
-    attention."""
+    """Project (B, N, P) patches, cast to the weights' dtype, into the latent
+    width and add positional rows. Masked patches are embedded too; masking
+    is enforced inside attention."""
     n = patches.shape[-2]
     if w_pos.shape[0] != n:
         raise ModelError(f"positional table has {w_pos.shape[0]} rows, need {n}")
-    return matmul(Tensor(patches), w_patch) + w_pos
+    return matmul(Tensor(patches.astype(w_patch.data.dtype, copy=False)), w_patch) + w_pos
 
 
 def attention(e: Tensor, layer: LayerParams, patch_mask: np.ndarray, n_heads: int,
@@ -155,7 +163,8 @@ def pool_channel(e: Tensor, patch_mask: np.ndarray) -> Tensor:
     counts = patch_mask.sum(axis=1)
     if np.any(counts == 0):
         raise ModelError("cannot pool a sequence with every patch masked")
-    weights = Tensor((patch_mask / counts[:, None])[:, None, :])   # (B, 1, N)
+    weights = (patch_mask / counts[:, None])[:, None, :]   # (B, 1, N)
+    weights = Tensor(weights.astype(e.data.dtype, copy=False))
     return reshape(matmul(weights, e), (e.shape[0], e.shape[2]))
 
 
@@ -173,16 +182,20 @@ def forward_batch(batch: dict, cfg: ModelConfig, params: ModelParams,
     """(B,) logits for a stacked batch (see ``data.stack_traces``).
 
     FHR and TOCO are encoded and pooled on two threads by
-    ``parallel_concat``. A training pass draws every dropout mask from
-    ``rng`` and raises ``ModelError`` without one; inference ignores it.
-    With encoder dropout each channel draws its masks from its own
-    generator, seeded from two draws on ``rng`` (no draw without encoder
-    dropout); the head's dropout draws from ``rng``.
+    ``parallel_concat``. A training pass computes in ``TRAIN_DTYPE`` on one
+    working copy of ``params`` (``cast_params``) that both channels read,
+    draws every dropout mask from ``rng`` and raises ``ModelError`` without
+    one; inference computes in float64 and ignores ``rng``. With encoder
+    dropout each channel draws its masks from its own generator, seeded
+    from two draws on ``rng`` (no draw without encoder dropout); the head's
+    dropout draws from ``rng``.
     """
     if not training:
         rng = None
     elif rng is None:
         raise ModelError("a training pass needs a generator (rng) for its dropout masks")
+    else:
+        params = cast_params(params, TRAIN_DTYPE)
     rngs = (None, None)
     if rng is not None and (cfg.dropout > 0 or cfg.attn_dropout > 0):
         rngs = [np.random.default_rng(s) for s in rng.integers(2 ** 63, size=2)]
@@ -203,12 +216,13 @@ def max_forward_chunk(cfg: ModelConfig) -> int:
 
     The tape keeps every layer's intermediates alive until backward: per
     trace and layer roughly six attention-score-sized arrays
-    (heads x N x N) plus about fourteen token-sized ones (N x width),
-    float64. Depends only on the config, so chunked runs stay deterministic.
+    (heads x N x N) plus about fourteen token-sized ones (N x width), in
+    ``TRAIN_DTYPE``. Depends only on the config, so chunked runs stay
+    deterministic.
     """
     n = cfg.n_patches
     per_layer = 6 * cfg.n_heads * n * n + 14 * n * max(cfg.d_model, cfg.d_ff)
-    per_trace = cfg.n_layers * per_layer * 8
+    per_trace = cfg.n_layers * per_layer * np.dtype(TRAIN_DTYPE).itemsize
     return max(1, FORWARD_BUDGET_BYTES // per_trace)
 
 

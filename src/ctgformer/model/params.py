@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ModelError
-from ..numcore import Tensor, param_init
+from ..numcore import Tensor, astype, param_init
 from .config import ModelConfig
 
 
@@ -77,6 +77,19 @@ def build_params(cfg: ModelConfig, uni) -> ModelParams:
         w_head=uni((cfg.channels * d, 1)),
         b_head=param_init((1,), "zeros"),
     )
+
+
+def cast_params(params: ModelParams, dtype) -> ModelParams:
+    """A working copy of ``params`` in ``dtype``, each tensor made by one
+    ``astype`` op, so on a tape the copy's gradients reach ``params`` in
+    their own dtype."""
+    def cast_backbone(bb: Backbone) -> Backbone:
+        return Backbone(w_patch=astype(bb.w_patch, dtype), w_pos=astype(bb.w_pos, dtype),
+                        layers=[LayerParams(**{k: astype(t, dtype) for k, t in vars(layer).items()})
+                                for layer in bb.layers])
+
+    return ModelParams(backbones=[cast_backbone(bb) for bb in params.backbones],
+                       w_head=astype(params.w_head, dtype), b_head=astype(params.b_head, dtype))
 
 
 def named_tensors(params: ModelParams) -> dict:

@@ -43,7 +43,9 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1
     """Compare analytic gradients of ``f`` against central finite differences.
 
     ``f`` takes no arguments and returns a scalar Tensor computed from
-    ``params``; it must be deterministic (run any dropout in inference mode).
+    ``params``; it must be deterministic (run any dropout in inference mode)
+    and run in float64, as must ``params``: a central difference at
+    ``eps=1e-5`` is below float32 resolution.
     Large tensors are subsampled to at most ``max_coords_per_param``
     coordinates each. Relative error uses max(|analytic|, |numeric|,
     ``denom_floor``) as the denominator so dead coordinates compare against
@@ -54,12 +56,16 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1
     params = list(params)
     if not all(p.requires_grad for p in params):
         raise GradCheckError("all checked params must have requires_grad=True")
+    if any(p.data.dtype != np.float64 for p in params):
+        raise GradCheckError("all checked params must be float64")
 
     # Determinism gate: two silent evaluations must agree bit for bit.
     probe_a = f()
     probe_b = f()
     if probe_a.data.size != 1:
         raise ShapeError(f"grad_check needs a scalar function, got shape {probe_a.shape}")
+    if probe_a.data.dtype != np.float64:
+        raise GradCheckError(f"grad_check needs a float64 function, got {probe_a.data.dtype}")
     if probe_a.data.tobytes() != probe_b.data.tobytes():
         raise GradCheckError("nondeterministic function: two evaluations differ "
                              "(disable dropout or fix its seed)")

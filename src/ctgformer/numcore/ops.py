@@ -74,8 +74,31 @@ def param_init(shape: Sequence[int], scheme: str, seed: int = 0) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+def _operands(a, b) -> tuple:
+    """Both operands as tensors. A constant (anything not a ``Tensor``)
+    takes the dtype of the tensor beside it, so a Python scale cannot
+    promote float32 to float64."""
+    if isinstance(a, Tensor) and not isinstance(b, Tensor):
+        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
+    if isinstance(b, Tensor) and not isinstance(a, Tensor):
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    return as_tensor(a), as_tensor(b)
+
+
+def astype(a, dtype) -> Tensor:
+    """``a`` cast to ``dtype`` (float32 or float64); the adjoint is cast
+    back to ``a``'s dtype."""
+    a = as_tensor(a)
+    source = a.data.dtype
+
+    def bw(g):
+        return (g.astype(source),)
+
+    return _record((a,), a.data.astype(dtype), bw)
+
+
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.data + b.data
 
     def bw(g):
@@ -85,7 +108,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.data - b.data
 
     def bw(g):
@@ -95,7 +118,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.data * b.data
 
     def bw(g):
@@ -357,16 +380,19 @@ def bce_with_logits(z, labels) -> Tensor:
 
     Computed as mean(max(z, 0) - y*z + log1p(exp(-|z|))), which is finite for
     every finite logit; the adjoint (sigmoid(z) - y) / n stays non-zero on a
-    confident mistake. Labels are constants and get no gradient.
+    confident mistake. Labels are constants and get no gradient. The loss is
+    computed and returned in float64 whatever the dtype of ``z``; the
+    adjoint comes back in ``z``'s dtype.
     """
     z = as_tensor(z)
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != z.shape:
         raise ShapeError(f"bce_with_logits: labels {y.shape} do not match logits {z.shape}")
-    out = np.mean(np.maximum(z.data, 0.0) - y * z.data + np.log1p(np.exp(-np.abs(z.data))))
+    z64 = z.data.astype(np.float64, copy=False)
+    out = np.mean(np.maximum(z64, 0.0) - y * z64 + np.log1p(np.exp(-np.abs(z64))))
 
     def bw(g):
-        return (g * (_sigmoid(z.data) - y) / z.size,)
+        return ((g * (_sigmoid(z64) - y) / z.size).astype(z.data.dtype, copy=False),)
 
     return _record((z,), out, bw)
 
@@ -385,18 +411,21 @@ def masked_fill(a, mask, value: float) -> Tensor:
 
 def dropout(x, rate: float, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors by
-    1/(1-rate), drawing the mask from ``rng`` only. Identity without a
-    generator (inference) or at rate 0."""
+    1/(1-rate), drawing the mask from ``rng`` only, in ``x``'s dtype.
+    Identity without a generator (inference) or at rate 0."""
     x = as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise NumcoreError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None or rate == 0.0:
         return x
-    keep = rng.random(x.shape) >= rate
+    keep = rng.random(x.shape, dtype=x.data.dtype) >= rate   # bool
     scale = 1.0 / (1.0 - rate)
-    out = np.where(keep, x.data * scale, 0.0)
+    out = x.data * keep
+    out *= scale
 
     def bw(g):
-        return (np.where(keep, g * scale, 0.0),)
+        gx = g * keep
+        gx *= scale
+        return (gx,)
 
     return _record((x,), out, bw)

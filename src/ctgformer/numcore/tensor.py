@@ -1,6 +1,11 @@
-"""Dense float64 tensors plus the tape that makes them differentiable.
+"""Dense float64 or float32 tensors plus the tape that makes them
+differentiable.
 
-A ``Tensor`` wraps a numpy array. Operations from :mod:`ctgformer.numcore.ops`
+A ``Tensor`` wraps a numpy array: float32 data stays float32 and anything
+else becomes float64. No operation promotes float32 to float64, so a
+float32 working copy made by ``ops.astype`` keeps the rest of its tape
+float32, and ``astype``'s adjoint casts the gradient back to the source's
+float64. Operations from :mod:`ctgformer.numcore.ops`
 combine tensors; while a ``Graph`` is active (``with Graph() as g:``) every
 operation whose inputs require gradients is recorded on the tape, and
 ``backward`` replays the adjoints in reverse execution order. Outside a graph
@@ -32,16 +37,20 @@ def _active_graph() -> Optional["Graph"]:
 
 
 class Tensor:
-    """n-dimensional float64 array, optionally tracked for gradients.
+    """n-dimensional float64 or float32 array, optionally tracked for
+    gradients.
 
     ``grad`` is populated by a backward pass and holds dLoss/dself with the
-    same shape as ``data``. Values are stored row-major (numpy default).
+    same shape and dtype as ``data``. Values are stored row-major (numpy
+    default).
     """
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype != np.float32:
+            arr = arr.astype(np.float64, copy=False)
         if arr.ndim == 0:
             arr = arr.reshape(())
         self.data = arr

@@ -10,6 +10,7 @@ from ctgformer.numcore import Graph, Tensor, backward, concat, grad_check, tsum
 from ctgformer.model import (
     ModelConfig,
     attention,
+    cast_params,
     classify,
     embed_patches,
     encode_channel,
@@ -26,7 +27,11 @@ from ctgformer.model import (
     predict_scores,
     save_checkpoint,
 )
+from ctgformer.model.net import TRAIN_DTYPE, max_forward_chunk
 from ctgformer.model.params import clone_param_data, load_param_data
+from ctgformer.hpo import preset_configs
+from ctgformer.numcore.tensor import BranchNode
+from ctgformer.train import Adam, bce_loss_batch
 from ctgformer.data import GenSpec, generate_cohort
 
 TINY = ModelConfig(seq_len=32, patch_len=8, stride=8, n_layers=1, n_heads=2,
@@ -472,10 +477,11 @@ class TestChannelBranches:
         batch = batch_dict(np.random.default_rng(2), b=3)
 
         def sequential(params):
+            work = cast_params(params, TRAIN_DTYPE)   # the training pass's working copy
             pooled = [pool_channel(*encode_channel(batch[v], batch[m], cfg,
-                                                   params.backbone_for(c)))
+                                                   work.backbone_for(c)))
                       for c, (v, m) in enumerate((("fhr", "fhr_mask"), ("toco", "toco_mask")))]
-            return classify(concat(pooled, axis=-1), params.w_head, params.b_head)
+            return classify(concat(pooled, axis=-1), work.w_head, work.b_head)
 
         def grads(run):
             params = init_params(cfg, 21)
@@ -561,6 +567,77 @@ class TestChannelBranches:
         batch = batch_dict(np.random.default_rng(5), b=4)
         with pytest.raises(ModelError, match="needs a generator"):
             forward_batch(batch, cfg, init_params(cfg, 6), training=True)
+
+
+def acceptance_config(**overrides) -> ModelConfig:
+    """paper-best at d_model 128, 2 layers, as the acceptance suite runs it."""
+    model_kwargs, _ = preset_configs("paper-best")
+    model_kwargs.update(d_model=128, n_layers=2, **overrides)
+    return ModelConfig(**model_kwargs)
+
+
+def tape_nodes(nodes):
+    """Every node of a tape, those on the sub-tapes of branch nodes included."""
+    for node in nodes:
+        yield node
+        if isinstance(node, BranchNode):
+            for tape in node.tapes:
+                yield from tape_nodes(tape._nodes)
+
+
+class TestMixedPrecision:
+    """A training pass computes in float32 against float64 master weights."""
+
+    @pytest.mark.parametrize("share", [True, False])
+    def test_training_tape_is_float32_and_master_state_float64(self, share):
+        cfg = ModelConfig(seq_len=32, patch_len=8, stride=8, n_layers=2, n_heads=2,
+                          d_model=8, d_ff=16, dropout=0.2, fc_dropout=0.2,
+                          attn_dropout=0.2, share_backbone=share)
+        params = init_params(cfg, 8)
+        batch = batch_dict(np.random.default_rng(6), b=3)
+        with Graph() as g:
+            logits = forward_batch(batch, cfg, params, training=True,
+                                   rng=np.random.default_rng(1))
+        nodes = list(tape_nodes(g._nodes))
+        assert any(isinstance(node, BranchNode) for node in nodes)
+        assert len(nodes) == len(g)
+        assert {node.output.data.dtype for node in nodes} == {np.dtype(np.float32)}
+        with g:
+            loss = bce_loss_batch(logits, np.array([0.0, 1.0, 1.0]))
+        assert loss.data.dtype == np.float64
+        backward(loss, g, retain_intermediate_grads=False)
+        named = named_tensors(params)
+        assert all(t.data.dtype == np.float64 and t.grad.dtype == np.float64
+                   for t in named.values())
+        opt = Adam(named, lr=1e-3)
+        opt.step()
+        assert all(t.data.dtype == np.float64 for t in named.values())
+        assert all(a.dtype == np.float64 for a in (*opt.m.values(), *opt.v.values()))
+
+    @pytest.mark.parametrize("cfg", [TINY, acceptance_config(dropout=0.0, fc_dropout=0.0,
+                                                             attn_dropout=0.0)],
+                             ids=["tiny", "acceptance"])
+    def test_float32_gradients_match_float64(self, cfg):
+        batch = batch_dict(np.random.default_rng(9), b=3, seq_len=cfg.seq_len)
+        labels = np.array([1.0, 0.0, 1.0])
+
+        def grads(training):
+            params = init_params(cfg, 12)
+            with Graph() as g:
+                loss = bce_loss_batch(forward_batch(batch, cfg, params, training=training,
+                                                    rng=np.random.default_rng(0)), labels)
+            backward(loss, g, retain_intermediate_grads=False)
+            return {k: t.grad for k, t in named_tensors(params).items()}
+
+        g32, g64 = grads(True), grads(False)
+        for name, ref in g64.items():
+            assert g32[name].dtype == np.float64, name
+            rel = np.linalg.norm(g32[name] - ref) / np.linalg.norm(ref)
+            assert rel <= 1e-4, (name, rel)
+
+    def test_paper_best_chunk_counts_float32_activations(self):
+        model_kwargs, _ = preset_configs("paper-best")
+        assert max_forward_chunk(ModelConfig(**model_kwargs)) == 32
 
 
 class TestCheckpoint:

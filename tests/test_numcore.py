@@ -259,6 +259,66 @@ class TestDropout:
         assert np.array_equal(a, b)
 
 
+    def test_float32_mask_reused_by_backward(self):
+        x = Tensor(np.linspace(1.0, 2.0, 64, dtype=np.float32), requires_grad=True)
+        with Graph() as g:
+            out = nc.dropout(x, 0.25, np.random.default_rng(3))
+            loss = nc.tsum(out)
+        assert out.data.dtype == np.float32
+        backward(loss, g)
+        keep = out.data != 0.0
+        assert 0 < keep.sum() < 64
+        assert x.grad.dtype == np.float32
+        assert np.array_equal(x.grad, np.where(keep, np.float32(1 / 0.75), 0.0))
+        assert np.array_equal(out.data[keep], x.data[keep] * np.float32(1 / 0.75))
+
+
+class TestPrecision:
+    """float32 stays float32 through every op; astype's adjoint casts back."""
+
+    def test_tensor_keeps_float32_and_makes_the_rest_float64(self):
+        assert Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+        for data in ([1, 2], np.ones(2, dtype=np.float16), 3.0, np.ones(2, dtype=bool)):
+            assert Tensor(data).data.dtype == np.float64
+
+    def test_astype_adjoint_casts_back(self):
+        x = Tensor(np.arange(1.0, 7.0).reshape(2, 3), requires_grad=True)
+        with Graph() as g:
+            y = nc.astype(x, np.float32)
+            loss = nc.tsum(nc.mul(y, y))
+        assert y.data.dtype == np.float32 and loss.data.dtype == np.float32
+        backward(loss, g)
+        assert x.grad.dtype == np.float64
+        assert np.array_equal(x.grad, 2.0 * x.data)
+
+    @pytest.mark.parametrize("build", [
+        lambda t: t * 0.125, lambda t: 0.125 * t, lambda t: 1.0 - t, lambda t: t + 1,
+        lambda t: t - np.float64(2.0), lambda t: nc.mul(t, np.ones(3)),
+    ], ids=["mul", "rmul", "rsub", "add_int", "sub_np_scalar", "mul_array"])
+    def test_constants_do_not_promote(self, build):
+        t = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        with Graph() as g:
+            out = build(t)
+            loss = nc.tsum(out)
+        assert out.data.dtype == np.float32
+        backward(loss, g)
+        assert t.grad.dtype == np.float32
+
+    def test_bce_loss_float64_adjoint_in_logit_dtype(self):
+        z = Tensor(np.array([-3.0, 0.5, 40.0], dtype=np.float32), requires_grad=True)
+        labels = np.array([0.0, 1.0, 0.0])
+        with Graph() as g:
+            loss = nc.bce_with_logits(z, labels)
+        assert loss.data.dtype == np.float64
+        ref = nc.bce_with_logits(Tensor(z.data.astype(np.float64)), labels)
+        assert loss.item() == ref.item()
+        backward(loss, g)
+        assert z.grad.dtype == np.float32
+        z64 = z.data.astype(np.float64)
+        expected = (1.0 / (1.0 + np.exp(-z64)) - labels) / 3
+        assert np.allclose(z.grad, expected, rtol=1e-6, atol=0)
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(4.0), requires_grad=True)
@@ -522,6 +582,19 @@ class TestGradCheck:
         w = Tensor(rng.normal(size=(4, 2)))
         report = grad_check(lambda: scalar_loss(nc.matmul(a, w)), [a], eps=1e-5, tol=1e-6)
         assert report.passed, report.max_rel_err
+
+    @pytest.mark.parametrize("where", ["param", "function"])
+    def test_float32_rejected(self, where):
+        # a central difference at eps=1e-5 is below float32 resolution
+        data = np.linspace(0.5, 1.5, 4)
+        if where == "param":
+            x = Tensor(data.astype(np.float32), requires_grad=True)
+            f = lambda: nc.tsum(nc.mul(x, x))  # noqa: E731
+        else:
+            x = Tensor(data, requires_grad=True)
+            f = lambda: nc.tsum(nc.mul(nc.astype(x, np.float32), x.data.astype(np.float32)))  # noqa: E731
+        with pytest.raises(GradCheckError, match="float64"):
+            grad_check(f, [x])
 
     def test_bad_eps_rejected(self):
         x = Tensor([1.0], requires_grad=True)
