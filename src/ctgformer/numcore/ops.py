@@ -4,6 +4,11 @@ Every op accepts ``Tensor`` or array-like inputs, computes the forward result
 with numpy, and, when a graph is active and an input requires gradients,
 records the adjoint rule on the tape. Broadcasting follows numpy semantics;
 adjoints are summed back over broadcast axes.
+
+An adjoint rule's closure captures only what the rule reads: shapes where
+that is all it needs, and an operand's data only when an adjoint that reads
+it will be computed. It never captures a ``Tensor``, so the tape keeps no
+array alive that backward does not read.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tens
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=requires and graph is not None)
     if graph is not None and requires:
-        graph.record(Node(inputs, out, backward_fn))
+        graph.record(Node(inputs, out, backward_fn), inputs)
     return out
 
 
@@ -100,9 +105,10 @@ def astype(a, dtype) -> Tensor:
 def add(a, b) -> Tensor:
     a, b = _operands(a, b)
     out = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _record((a, b), out, bw)
 
@@ -110,9 +116,10 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _operands(a, b)
     out = a.data - b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return _record((a, b), out, bw)
 
@@ -120,10 +127,13 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
     out = a.data * b.data
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if b.requires_grad else None   # read only by grad_b
+    b_data = b.data if a.requires_grad else None   # read only by grad_a
 
     def bw(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+        return (None if b_data is None else _unbroadcast(g * b_data, a_shape),
+                None if a_data is None else _unbroadcast(g * a_data, b_shape))
 
     return _record((a, b), out, bw)
 
@@ -148,21 +158,25 @@ def matmul(a, b) -> Tensor:
     BLAS GEMM each, and grad_b is summed over all rows inside that GEMM.
     Otherwise (attention scores, weighted values, pooling) the product runs
     stacked over the leading axes. Either way an operand that does not
-    require gradients gets no adjoint computed.
+    require gradients gets no adjoint computed, and the tape keeps each
+    operand's data only when the other operand's adjoint reads it.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if b.requires_grad else None   # read only by grad_b
+    b_data = b.data if a.requires_grad else None   # read only by grad_a
     if b.ndim == 2:
-        rows, (d_in, d_out) = math.prod(a.shape[:-1]), b.shape
-        out = (a.data.reshape(rows, d_in) @ b.data).reshape(a.shape[:-1] + (d_out,))
+        rows, (d_in, d_out) = math.prod(a_shape[:-1]), b_shape
+        out = (a.data.reshape(rows, d_in) @ b.data).reshape(a_shape[:-1] + (d_out,))
 
         def bw(g):
             g2 = g.reshape(rows, d_out)
-            return ((g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None,
-                    a.data.reshape(rows, d_in).T @ g2 if b.requires_grad else None)
+            return (None if b_data is None else (g2 @ b_data.T).reshape(a_shape),
+                    None if a_data is None else a_data.reshape(rows, d_in).T @ g2)
 
         return _record((a, b), out, bw)
     try:
@@ -171,10 +185,10 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul broadcast failure: {a.shape} @ {b.shape}") from exc
 
     def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad else None
-        return (None if ga is None else _unbroadcast(ga, a.shape),
-                None if gb is None else _unbroadcast(gb, b.shape))
+        ga = None if b_data is None else np.matmul(g, np.swapaxes(b_data, -1, -2))
+        gb = None if a_data is None else np.matmul(np.swapaxes(a_data, -1, -2), g)
+        return (None if ga is None else _unbroadcast(ga, a_shape),
+                None if gb is None else _unbroadcast(gb, b_shape))
 
     return _record((a, b), out, bw)
 
@@ -182,9 +196,10 @@ def matmul(a, b) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     out = a.data.reshape(shape)
+    a_shape = a.shape
 
     def bw(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(a_shape),)
 
     return _record((a,), out, bw)
 
@@ -246,23 +261,25 @@ def parallel_concat(branches: Sequence[Callable[[], Tensor]], axis: int = -1) ->
     out = Tensor(np.concatenate([h.data for h in heads], axis=axis))
     reads = {}
     for tape, head in zip(tapes, heads):
-        for t in (*tape.reads(), head):
+        for t in (*tape.leaves(), head):
             if t.requires_grad and not tape.produced(t):
-                reads.setdefault(id(t), t)
+                reads.setdefault(t.key, t)
     if reads:
         out.requires_grad = True
-        graph.record(BranchNode(reads.values(), out, _split_adjoint(heads, axis), tapes, heads))
+        inputs = tuple(reads.values())
+        graph.record(BranchNode(inputs, out, _split_adjoint(heads, axis), tapes, heads), inputs)
     return out
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    a_shape = a.shape
 
     def bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, a_shape).copy(),)
 
     return _record((a,), out, bw)
 
@@ -294,18 +311,19 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     xhat *= inv
     out = xhat * gain.data
     out += bias.data
+    gain_data, bias_shape = gain.data, bias.shape   # x itself is not read
 
     def bw(g):
-        gx = g * gain.data
+        gx = g * gain_data
         m1 = gx.mean(axis=-1, keepdims=True)
         m2 = (gx * xhat).mean(axis=-1, keepdims=True)
         gx -= m1
         gx -= xhat * m2
         gx *= inv
-        lead = tuple(range(g.ndim - gain.data.ndim))
+        lead = tuple(range(g.ndim - gain_data.ndim))
         ggain = (g * xhat).sum(axis=lead) if lead else g * xhat
         gbias = g.sum(axis=lead) if lead else g.copy()
-        return gx, _unbroadcast(ggain, gain.shape), _unbroadcast(gbias, bias.shape)
+        return gx, _unbroadcast(ggain, gain_data.shape), _unbroadcast(gbias, bias_shape)
 
     return _record((x, gain, bias), out, bw)
 
@@ -314,8 +332,8 @@ def relu(a) -> Tensor:
     a = as_tensor(a)
     out = np.maximum(a.data, 0.0)
 
-    def bw(g):
-        return (g * (a.data > 0.0),)
+    def bw(g):   # out > 0 exactly where a > 0, so a itself need not stay alive
+        return (g * (out > 0.0),)
 
     return _record((a,), out, bw)
 
@@ -323,12 +341,13 @@ def relu(a) -> Tensor:
 def gelu(a) -> Tensor:
     """Exact Gaussian-CDF form: x * Phi(x)."""
     a = as_tensor(a)
-    phi_cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    out = a.data * phi_cdf
+    x = a.data
+    phi_cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    out = x * phi_cdf
 
     def bw(g):
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-        return (g * (phi_cdf + a.data * pdf),)
+        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+        return (g * (phi_cdf + x * pdf),)
 
     return _record((a,), out, bw)
 
@@ -336,11 +355,12 @@ def gelu(a) -> Tensor:
 def elu(a) -> Tensor:
     """x for x > 0, exp(x) - 1 otherwise (alpha = 1)."""
     a = as_tensor(a)
-    neg_part = np.expm1(np.minimum(a.data, 0.0))
-    out = np.where(a.data > 0.0, a.data, neg_part)
+    x = a.data
+    neg_part = np.expm1(np.minimum(x, 0.0))
+    out = np.where(x > 0.0, x, neg_part)
 
     def bw(g):
-        return (g * np.where(a.data > 0.0, 1.0, neg_part + 1.0),)
+        return (g * np.where(x > 0.0, 1.0, neg_part + 1.0),)
 
     return _record((a,), out, bw)
 
@@ -390,9 +410,10 @@ def bce_with_logits(z, labels) -> Tensor:
         raise ShapeError(f"bce_with_logits: labels {y.shape} do not match logits {z.shape}")
     z64 = z.data.astype(np.float64, copy=False)
     out = np.mean(np.maximum(z64, 0.0) - y * z64 + np.log1p(np.exp(-np.abs(z64))))
+    n, dtype = z.size, z.data.dtype
 
     def bw(g):
-        return ((g * (_sigmoid(z64) - y) / z.size).astype(z.data.dtype, copy=False),)
+        return ((g * (_sigmoid(z64) - y) / n).astype(dtype, copy=False),)
 
     return _record((z,), out, bw)
 

@@ -12,6 +12,13 @@ operation whose inputs require gradients is recorded on the tape, and
 the same operations run as plain numpy forward computations, which is the
 inference path.
 
+The tape keeps only what the adjoint rules read. A ``Node`` holds no
+tensor: it names its inputs and output by ``Tensor.key`` and keeps a weak
+reference to the output, and each rule's closure captures the arrays (or
+just the shapes) its adjoint needs. The graph holds strong references only to
+its leaves, the tensors it read but did not produce. So an intermediate the
+caller drops is freed during the forward pass unless a rule needs its data.
+
 A tape belongs to the thread that opened it. ``fork_join`` runs two callables
 on two threads (the caller and one worker thread per process); a fork/join
 op gives each branch its own sub-``Graph`` and records one ``BranchNode``
@@ -20,7 +27,9 @@ whose adjoint walks the sub-tapes on two threads again.
 
 from __future__ import annotations
 
+import itertools
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Any, Callable, Optional, Sequence
@@ -30,6 +39,7 @@ import numpy as np
 from ..errors import GraphError, ShapeError
 
 _local = threading.local()
+_keys = itertools.count()   # one counter for every thread: keys stay unique
 
 
 def _active_graph() -> Optional["Graph"]:
@@ -42,10 +52,11 @@ class Tensor:
 
     ``grad`` is populated by a backward pass and holds dLoss/dself with the
     same shape and dtype as ``data``. Values are stored row-major (numpy
-    default).
+    default). ``key`` is unique within the process and names the tensor on
+    a tape; unlike ``id()`` it is never reused after the tensor dies.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "key", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -56,6 +67,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
+        self.key = next(_keys)
 
     @property
     def shape(self) -> tuple:
@@ -123,14 +135,24 @@ def as_tensor(x) -> Tensor:
 
 
 class Node:
-    """One recorded operation: inputs, output and the adjoint rule."""
+    """One recorded operation: the adjoint rule and the names of its tensors.
 
-    __slots__ = ("inputs", "output", "backward_fn")
+    A node holds no tensor. ``inputs`` are the input keys, ``needs_grad``
+    their ``requires_grad`` flags at record time; ``key`` names the output,
+    ``ref`` is a weak reference to it, and ``shape`` and ``dtype`` are its
+    shape and dtype.
+    """
+
+    __slots__ = ("inputs", "needs_grad", "key", "ref", "shape", "dtype", "backward_fn")
 
     def __init__(self, inputs: Sequence[Tensor], output: Tensor,
                  backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]):
-        self.inputs = tuple(inputs)
-        self.output = output
+        self.inputs = tuple(t.key for t in inputs)
+        self.needs_grad = tuple(t.requires_grad for t in inputs)
+        self.key = output.key
+        self.ref = weakref.ref(output)
+        self.shape = output.data.shape
+        self.dtype = output.data.dtype
         self.backward_fn = backward_fn
 
 
@@ -138,9 +160,9 @@ class BranchNode(Node):
     """The node of a fork/join op (see ``ops.parallel_concat``).
 
     Each branch recorded its operations on its own sub-``Graph`` (``tapes``)
-    ending at its output (``heads``). ``inputs`` are the tensors the
-    sub-tapes read but did not produce, and ``backward_fn`` splits the
-    output adjoint into one adjoint per branch.
+    ending at its output (``heads``, dropped once the sub-tapes are walked).
+    ``inputs`` are the tensors the sub-tapes read but did not produce, and
+    ``backward_fn`` splits the output adjoint into one adjoint per branch.
     """
 
     __slots__ = ("tapes", "heads")
@@ -155,12 +177,13 @@ class BranchNode(Node):
         adjoints in branch order."""
         walks = [partial(tape.propagate, head, part, retain)
                  for tape, head, part in zip(self.tapes, self.heads, self.backward_fn(g))]
+        self.heads = ()
         found = fork_join(*walks)
         grads = []
-        for t in self.inputs:
+        for key in self.inputs:
             total = None
             for leaves in found:
-                hit = leaves.get(id(t))
+                hit = leaves.get(key)
                 if hit is not None:
                     total = hit[1] if total is None else total + hit[1]
             grads.append(total)
@@ -178,7 +201,8 @@ class Graph:
 
     def __init__(self):
         self._nodes: list[Node] = []
-        self._out_ids: set[int] = set()
+        self._out_keys: set[int] = set()
+        self._leaves: dict[int, Tensor] = {}
         self._size = 0
         self._consumed = False
         self._prev = None
@@ -192,11 +216,16 @@ class Graph:
         _local.graph = self._prev
         self._prev = None
 
-    def record(self, node: Node) -> None:
+    def record(self, node: Node, inputs: Sequence[Tensor]) -> None:
+        """Append ``node``, whose inputs are the tensors ``inputs``; keep
+        those that require gradients and that no recorded node produced."""
         if self._consumed:
             raise GraphError("graph already consumed by backward; run a new forward pass")
+        for t in inputs:
+            if t.requires_grad and t.key not in self._out_keys:
+                self._leaves.setdefault(t.key, t)
         self._nodes.append(node)
-        self._out_ids.add(id(node.output))
+        self._out_keys.add(node.key)
         self._size += 1
         if isinstance(node, BranchNode):
             self._size += sum(len(tape) for tape in node.tapes)
@@ -205,59 +234,61 @@ class Graph:
         return self._size
 
     def produced(self, t: Tensor) -> bool:
-        return id(t) in self._out_ids
+        return t.key in self._out_keys
 
-    def reads(self):
-        """Every tensor the recorded operations take as input."""
-        return (inp for node in self._nodes for inp in node.inputs)
+    def leaves(self):
+        """The tensors requiring gradients that the recorded operations read
+        but did not produce."""
+        return self._leaves.values()
 
     def propagate(self, head: Tensor, adjoint: np.ndarray,
                   retain_intermediate_grads: bool) -> dict:
         """Walk the tape in reverse, seeding ``head`` with ``adjoint``, and
-        return the adjoints that reach its leaves as {id: (leaf, adjoint)}.
+        return the adjoints that reach its leaves as {key: (leaf, adjoint)}.
 
-        Leaves are the tensors the tape read but did not produce. With
-        ``retain_intermediate_grads`` every produced tensor that requires
-        gradients gets ``grad``; either way each node is released as the walk
-        passes it, and the graph is consumed.
+        With ``retain_intermediate_grads`` every produced tensor that is
+        still alive gets ``grad``; either way each node is released as the
+        walk passes it, and the graph is consumed.
         """
         if self._consumed:
             raise GraphError("backward already run on this graph; run a new forward pass")
         self._consumed = True
-        nodes, out_ids = self._nodes, self._out_ids
-        adjoints = {id(head): adjoint}
-        leaves = {} if id(head) in out_ids else {id(head): head}
+        nodes, leaves = self._nodes, self._leaves
+        if head.key not in self._out_keys:
+            leaves.setdefault(head.key, head)
+        adjoints = {head.key: adjoint}
         for i in range(len(nodes) - 1, -1, -1):
             node = nodes[i]
             nodes[i] = None   # release activations as soon as possible
-            out_adj = adjoints.pop(id(node.output), None)
+            out_adj = adjoints.pop(node.key, None)
             if out_adj is None:
                 continue
-            if retain_intermediate_grads and node.output.requires_grad:
-                node.output.grad = (node.output.grad + out_adj
-                                    if node.output.grad is not None else out_adj.copy())
+            if retain_intermediate_grads:
+                out = node.ref()
+                if out is not None:
+                    out.grad = out.grad + out_adj if out.grad is not None else out_adj.copy()
             if isinstance(node, BranchNode):
                 grads = node.adjoints(out_adj, retain_intermediate_grads)
             else:
                 grads = node.backward_fn(out_adj)
-            for inp, g in zip(node.inputs, grads):
-                if g is None or not inp.requires_grad:
+            for key, needs, g in zip(node.inputs, node.needs_grad, grads):
+                if g is None or not needs:
                     continue
-                prev = adjoints.get(id(inp))
-                adjoints[id(inp)] = g if prev is None else prev + g
-                if id(inp) not in out_ids:
-                    leaves[id(inp)] = inp
+                prev = adjoints.get(key)
+                adjoints[key] = g if prev is None else prev + g
         nodes.clear()
+        self._leaves = {}
         self._size = 0
-        return {tid: (t, adjoints[tid]) for tid, t in leaves.items() if tid in adjoints}
+        return {key: (t, adjoints[key]) for key, t in leaves.items() if key in adjoints}
 
     def backward(self, loss: Tensor, retain_intermediate_grads: bool = True) -> None:
         """Populate ``grad`` on requires_grad tensors reachable from loss.
 
-        With ``retain_intermediate_grads`` every such tensor gets its
-        gradient; without it only leaves (tensors not produced by this
-        graph, i.e. parameters) do, and tape activations are released as the
-        walk passes them, which roughly halves peak training memory.
+        Leaves (tensors this graph did not produce, i.e. parameters) always
+        get their gradient. With ``retain_intermediate_grads`` every produced
+        tensor the caller still holds gets one too; without it their
+        adjoints are dropped as soon as the walk has used them. Nodes are
+        released as the walk passes them in both modes.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")

@@ -124,10 +124,17 @@ class Adam:
             g = tensor.grad
             if g is None:
                 continue
-            m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1 - b2) * (g * g)
-            update = self.lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
-            tensor.data = tensor.data - update
+            # in place, with the IEEE operations of
+            # m = b1*m + (1-b1)*g; data -= lr*(m/bias1) / (sqrt(v/bias2) + eps)
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * (g * g)
+            update = m / bias1
+            update *= self.lr
+            update /= np.sqrt(v / bias2) + eps
+            tensor.data -= update
             tensor.grad = None
 
 

@@ -1,5 +1,5 @@
 """GEMM micro-benchmark: ``matmul`` forward plus backward at the model's
-weight-product shapes.
+weight-product shapes, in float32 as a training pass runs them.
 
 Not part of the test suite (the file name does not match ``test_*.py``).
 Run it by naming the file:
@@ -14,10 +14,10 @@ from ctgformer import numcore as nc
 from ctgformer.numcore import Graph, Tensor, backward
 
 SHAPES = {
-    # paper-best (d_model 512, d_ff 128), 16-trace forward chunk, 60 patches
-    "wide-qkvo": ((16, 60, 512), (512, 512)),
-    "wide-ffn1": ((16, 60, 512), (512, 128)),
-    # acceptance config (d_model 128), 48-trace chunk
+    # paper-best (d_model 512, d_ff 128), 32-trace forward chunk, 60 patches
+    "wide-qkvo": ((32, 60, 512), (512, 512)),
+    "wide-ffn1": ((32, 60, 512), (512, 128)),
+    # acceptance config (d_model 128), one 48-trace batch per chunk
     "small-qkvo": ((48, 60, 128), (128, 128)),
 }
 
@@ -26,9 +26,9 @@ SHAPES = {
 def test_matmul_forward_backward(benchmark, name):
     a_shape, b_shape = SHAPES[name]
     rng = np.random.default_rng(0)
-    a = Tensor(rng.normal(size=a_shape), requires_grad=True)
-    b = Tensor(rng.normal(size=b_shape), requires_grad=True)
-    g_out = Tensor(rng.normal(size=a_shape[:-1] + b_shape[-1:]))
+    a = Tensor(rng.normal(size=a_shape).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.normal(size=b_shape).astype(np.float32), requires_grad=True)
+    g_out = Tensor(rng.normal(size=a_shape[:-1] + b_shape[-1:]).astype(np.float32))
 
     def step():
         a.zero_grad()
@@ -39,4 +39,4 @@ def test_matmul_forward_backward(benchmark, name):
         return b.grad
 
     grad_b = benchmark(step)
-    assert grad_b.shape == b_shape
+    assert grad_b.shape == b_shape and grad_b.dtype == np.float32

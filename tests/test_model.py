@@ -1,6 +1,7 @@
 import json
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -601,7 +602,7 @@ class TestMixedPrecision:
         nodes = list(tape_nodes(g._nodes))
         assert any(isinstance(node, BranchNode) for node in nodes)
         assert len(nodes) == len(g)
-        assert {node.output.data.dtype for node in nodes} == {np.dtype(np.float32)}
+        assert {node.dtype for node in nodes} == {np.dtype(np.float32)}
         with g:
             loss = bce_loss_batch(logits, np.array([0.0, 1.0, 1.0]))
         assert loss.data.dtype == np.float64
@@ -638,6 +639,31 @@ class TestMixedPrecision:
     def test_paper_best_chunk_counts_float32_activations(self):
         model_kwargs, _ = preset_configs("paper-best")
         assert max_forward_chunk(ModelConfig(**model_kwargs)) == 32
+
+
+class TestTapeMemory:
+    def test_training_forward_keeps_only_what_backward_reads(self):
+        # the acceptance config at 8 traces: the arrays the adjoint rules
+        # read come to about 14 MiB; holding every op's input and output
+        # tensors as well keeps about 29.5 MiB
+        cfg = acceptance_config()
+        params = init_params(cfg, 2)
+        batch = batch_dict(np.random.default_rng(3), b=8, seq_len=cfg.seq_len)
+        forward_batch(batch, cfg, params, training=True, rng=np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            with Graph() as g:
+                logits = forward_batch(batch, cfg, params, training=True,
+                                       rng=np.random.default_rng(1))
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= 16 << 20, held / 2 ** 20
+        with g:
+            loss = bce_loss_batch(logits, np.ones(8))
+        backward(loss, g, retain_intermediate_grads=False)
+        assert all(t.grad is not None for t in named_tensors(params).values())
 
 
 class TestCheckpoint:

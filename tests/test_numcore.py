@@ -1,5 +1,7 @@
+import sys
 import threading
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -396,7 +398,7 @@ class TestSkippedAdjoints:
         with Graph() as g:
             op(a, b)
         node = g._nodes[-1]
-        return node.backward_fn(np.ones(node.output.shape))
+        return node.backward_fn(np.ones(node.shape))
 
     @pytest.mark.parametrize("a_shape,b_shape", [((2, 3, 4), (4, 5)), ((2, 3, 4), (2, 4, 5))])
     def test_matmul(self, a_shape, b_shape):
@@ -413,6 +415,109 @@ class TestSkippedAdjoints:
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         gx, gc = self.last_node_grads(nc.mul, x, 0.5)
         assert gc is None and np.array_equal(gx, np.full((2, 3), 0.5))
+
+
+class TestLeanTape:
+    """The tape holds only what adjoint rules read: tensors are named by key,
+    not held, so an intermediate the caller drops dies during the forward."""
+
+    def test_dropped_intermediates_are_freed_while_graph_lives(self):
+        # no rule holds a Tensor: a rule that needs an operand's data (the
+        # matmul reads relu's output) keeps the array, not the tensor
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        gain = Tensor(rng.uniform(0.5, 1.5, size=(3,)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(3,)), requires_grad=True)
+
+        def grads(drop):
+            for p in (x, w, gain, bias):
+                p.zero_grad()
+            with Graph() as g:
+                chain = [nc.add(x, 1.0)]
+                chain.append(nc.mul(chain[-1], 2.0))
+                chain.append(nc.layer_norm(chain[-1], gain, bias))
+                chain.append(nc.relu(chain[-1]))
+                chain.append(nc.matmul(chain[-1], w))
+                chain.append(nc.reshape(chain[-1], (8,)))
+                loss = nc.tsum(chain[-1])
+                refs = [weakref.ref(t) for t in chain]
+                if drop:
+                    del chain
+            assert all((r() is None) == drop for r in refs)
+            assert len(g) == 7
+            backward(loss, g)
+            return [p.grad for p in (x, w, gain, bias)]
+
+        for dropped, held in zip(grads(True), grads(False)):
+            assert np.array_equal(dropped, held)
+
+    def test_retained_grads_reach_held_intermediates(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        held = []
+
+        def branch():
+            held.append(nc.mul(x, 3.0))
+            return nc.add(held[-1], 1.0)
+
+        with Graph() as g:
+            y = nc.mul(x, x)
+            z = nc.add(y, 1.0)
+            p = nc.parallel_concat([branch, lambda: nc.neg(x)], axis=-1)
+            loss = nc.add(nc.tsum(nc.mul(z, 3.0)), nc.tsum(p))
+        backward(loss, g)
+        assert np.array_equal(z.grad, [3.0, 3.0])
+        assert np.array_equal(y.grad, [3.0, 3.0])
+        assert np.array_equal(held[0].grad, [1.0, 1.0])   # on a branch sub-tape
+        assert np.array_equal(p.grad, np.ones(4))
+        assert np.array_equal(x.grad, 6.0 * x.data + 3.0 - 1.0)
+
+    def test_without_retain_intermediates_get_no_grad(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Graph() as g:
+            y = nc.mul(x, x)
+            loss = nc.tsum(y)
+        backward(loss, g, retain_intermediate_grads=False)
+        assert y.grad is None and np.array_equal(x.grad, 2.0 * x.data)
+
+    def test_keys_stay_unique_across_threads(self):
+        keys = [[] for _ in range(4)]
+
+        def make(out):
+            out.extend(Tensor(0.0).key for _ in range(5000))
+
+        workers = [threading.Thread(target=make, args=(out,)) for out in keys]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        flat = [k for out in keys for k in out]
+        assert len(flat) == 20000 and len(set(flat)) == 20000
+
+    def test_many_dropped_tensors_pass_grad_check(self):
+        # every step makes and drops several tensors, so CPython reuses
+        # their ids while the tape is live; adjoints must still route right
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 8)) / np.sqrt(8), requires_grad=True)
+        gain = Tensor(rng.uniform(0.5, 1.5, size=(8,)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(8,)), requires_grad=True)
+
+        def f():
+            h = x
+            for _ in range(40):
+                h = nc.layer_norm(nc.add(nc.matmul(nc.relu(h), w), nc.mul(h, 0.5)), gain, bias)
+                h = nc.reshape(nc.reshape(h, (16,)), (2, 8))
+            return nc.tsum(nc.mul(h, x))
+
+        report = grad_check(f, [x, w, gain, bias])
+        assert report.passed, report.worst
 
 
 def two_layer_branch(x, w, c):

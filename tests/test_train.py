@@ -92,6 +92,20 @@ class TestAdamAndEpoch:
         for n, t in named_tensors(params).items():
             assert t.data.tobytes() == before[n].tobytes(), n
 
+    def test_step_matches_reference_formula_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        t = Tensor(rng.normal(size=(64, 32)), requires_grad=True)
+        data, m, v = t.data.copy(), np.zeros((64, 32)), np.zeros((64, 32))
+        opt = Adam({"w": t}, lr=3e-4)
+        for step in range(1, 4):
+            g = rng.normal(size=(64, 32))
+            t.grad = g.copy()
+            opt.step()
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * (g * g)
+            data = data - 3e-4 * (m / (1 - 0.9 ** step)) / (np.sqrt(v / (1 - 0.999 ** step)) + 1e-8)
+            assert t.data.tobytes() == data.tobytes() and t.grad is None
+
     def test_same_seed_identical_params(self, small_sets):
         train_traces, val_traces = small_sets
         tc = TrainConfig(learning_rate=1e-3, batch_size=8, max_epochs=3, seed=9)
