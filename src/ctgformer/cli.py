@@ -229,8 +229,7 @@ def cmd_preprocess(args) -> int:
         traces.extend(windows)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    datamod.write_cohort(datamod.Cohort(traces=traces,
-                                        provenance={"kind": "file", "path": args.raw}), out)
+    datamod.write_cohort(datamod.Cohort(traces), out)
     print(f"wrote {len(traces)} windows to {out} ({dropped} dropped by the 30% rule)")
     return 0
 

@@ -14,55 +14,59 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import CtgformerError, DataError
 from .signal import MISSING, RawTrace, Trace, WINDOW_LEN, preprocess
 
-GENERATOR_VERSION = 1
 COHORT_HEADER = "#ctg-cohort v1"
 RAW_HEADER = "#ctg-raw v1"
 _WINDOW_ID = re.compile(r".*:w(\d+)$")
 
+# Generator motifs. Rates are events/hour.
+BASELINE_RANGE = (115.0, 155.0)
+NPO_VARIABILITY = (10.0, 22.0)   # short-term variability amplitude, bpm
+APO_VARIABILITY = (2.0, 6.0)
+NPO_ACCEL_RATE = 5.0
+APO_ACCEL_RATE = 1.0
+NPO_DECEL_RATE = 0.5
+APO_DECEL_RATE = 0.0             # APO decels come from contraction coupling
+DECEL_LAG_RANGE = (8.0, 16.0)    # samples between contraction peak and nadir
+COUPLING_PROB = 0.85             # chance a contraction triggers a late decel
+DRIFT_INTERCEPT = 0.25           # adverse strength s = intercept + slope * dtd
+DRIFT_SLOPE = 0.107
+MISSING_BURST_CAP = 0.25         # a channel's missing share, kept under the 30% rule
+
 
 @dataclass
 class GenSpec:
-    """Parameters of the synthetic cohort generator. Rates are events/hour."""
+    """The settings a caller chooses for the synthetic cohort generator. Rates
+    are events/hour; the motif shapes are the module constants above."""
 
     n_per_class: int = 100
     seed: int = 0
-    baseline_range: tuple = (115.0, 155.0)
-    npo_variability: tuple = (10.0, 22.0)   # short-term variability amplitude, bpm
-    apo_variability: tuple = (2.0, 6.0)
-    npo_accel_rate: float = 5.0
-    apo_accel_rate: float = 1.0
-    npo_decel_rate: float = 0.5
-    apo_decel_rate: float = 0.0             # APO decels come from contraction coupling
     contraction_rate: float = 10.0
-    decel_lag_range: tuple = (8.0, 16.0)    # samples between contraction peak and nadir
-    coupling_prob: float = 0.85             # chance a contraction triggers a late decel
     missing_rate: float = 0.04
     dtd_days: tuple = (0, 7)                # inclusive integer range
-    drift_intercept: float = 0.25           # adverse strength s = intercept + slope * dtd
-    drift_slope: float = 0.107
 
     def __post_init__(self):
-        for name in ("npo_accel_rate", "apo_accel_rate", "npo_decel_rate",
-                     "apo_decel_rate", "contraction_rate", "missing_rate"):
+        for name in ("contraction_rate", "missing_rate"):
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be non-negative")
-        for name in ("baseline_range", "npo_variability", "apo_variability", "decel_lag_range"):
-            lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise DataError(f"{name} must be a non-degenerate (low, high) range")
         if self.n_per_class < 1:
             raise DataError("n_per_class must be at least 1")
+        days = self.dtd_days
+        if not (isinstance(days, (tuple, list)) and len(days) == 2
+                and all(isinstance(d, (int, np.integer)) for d in days)
+                and 0 <= days[0] <= days[1]):
+            raise DataError(f"dtd_days must be two integers with 0 <= low <= high, "
+                            f"got {self.dtd_days!r}")
 
     def adverse_strength(self, dtd: float) -> float:
-        return float(np.clip(self.drift_intercept + self.drift_slope * dtd, 0.0, 1.0))
+        return float(np.clip(DRIFT_INTERCEPT + DRIFT_SLOPE * dtd, 0.0, 1.0))
 
     def expected_stv_margin(self) -> float:
         """Conservative lower bound on the class gap in mean short-term
@@ -73,8 +77,8 @@ class GenSpec:
         amp * 0.188. Case amplitude is pulled toward the control midpoint by
         (1 - strength); a 0.6 safety factor absorbs the other motifs.
         """
-        npo_mid = 0.5 * sum(self.npo_variability)
-        apo_mid = 0.5 * sum(self.apo_variability)
+        npo_mid = 0.5 * sum(NPO_VARIABILITY)
+        apo_mid = 0.5 * sum(APO_VARIABILITY)
         days = range(int(self.dtd_days[0]), int(self.dtd_days[1]) + 1)
         mean_s = float(np.mean([self.adverse_strength(d) for d in days]))
         eff_apo = apo_mid + (npo_mid - apo_mid) * (1.0 - mean_s)
@@ -84,7 +88,6 @@ class GenSpec:
 @dataclass
 class Cohort:
     traces: list
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         ids = [t.trace_id for t in self.traces]
@@ -118,7 +121,7 @@ def _bumps(n: int, times: np.ndarray, amps: np.ndarray, sigmas: np.ndarray) -> n
     return out
 
 
-def _missing_bursts(rng: np.random.Generator, n: int, rate: float, cap: float = 0.25) -> np.ndarray:
+def _missing_bursts(rng: np.random.Generator, n: int, rate: float) -> np.ndarray:
     """Boolean missing mask built from short dropout bursts, capped so no
     window ever violates the 30% preprocessing rule."""
     missing = np.zeros(n, dtype=bool)
@@ -129,7 +132,7 @@ def _missing_bursts(rng: np.random.Generator, n: int, rate: float, cap: float = 
         start = int(rng.integers(0, n))
         length = 1 + int(rng.geometric(0.25))
         stop = min(n, start + length)
-        if (missing.sum() + (stop - start)) / n > cap:
+        if (missing.sum() + (stop - start)) / n > MISSING_BURST_CAP:
             break
         missing[start:stop] = True
     return missing
@@ -141,7 +144,7 @@ def _synth_trace(spec: GenSpec, label: int, index: int) -> RawTrace:
     dtd = int(rng.integers(spec.dtd_days[0], spec.dtd_days[1] + 1))
     strength = spec.adverse_strength(dtd) if label == 1 else 0.0
 
-    baseline = rng.uniform(*spec.baseline_range)
+    baseline = rng.uniform(*BASELINE_RANGE)
     t = np.arange(n)
     wander = np.zeros(n)
     for _ in range(2):
@@ -152,10 +155,10 @@ def _synth_trace(spec: GenSpec, label: int, index: int) -> RawTrace:
     # Case variability is pulled toward the control range as strength fades,
     # so near-delivery cases are the subtle ones.
     if label == 0:
-        stv_amp = rng.uniform(*spec.npo_variability)
+        stv_amp = rng.uniform(*NPO_VARIABILITY)
     else:
-        base = rng.uniform(*spec.apo_variability)
-        npo_mid = 0.5 * (spec.npo_variability[0] + spec.npo_variability[1])
+        base = rng.uniform(*APO_VARIABILITY)
+        npo_mid = 0.5 * (NPO_VARIABILITY[0] + NPO_VARIABILITY[1])
         stv_amp = base + (npo_mid - base) * (1.0 - strength)
     noise = rng.normal(size=n)
     kernel = np.ones(3) / 3.0
@@ -163,7 +166,7 @@ def _synth_trace(spec: GenSpec, label: int, index: int) -> RawTrace:
     variability = stv_amp * 0.5 * smooth
 
     hours = 1.0
-    n_accels = rng.poisson((spec.npo_accel_rate if label == 0 else spec.apo_accel_rate) * hours)
+    n_accels = rng.poisson((NPO_ACCEL_RATE if label == 0 else APO_ACCEL_RATE) * hours)
     accels = _bumps(n, rng.uniform(0, n, n_accels), rng.uniform(10, 25, n_accels),
                     rng.uniform(2.5, 5.0, n_accels))
 
@@ -176,15 +179,15 @@ def _synth_trace(spec: GenSpec, label: int, index: int) -> RawTrace:
     toco += _bumps(n, contr_times, contr_amps, contr_sigmas)
 
     decels = np.zeros(n)
-    n_spont = rng.poisson(spec.npo_decel_rate * hours if label == 0 else spec.apo_decel_rate * hours)
+    n_spont = rng.poisson(NPO_DECEL_RATE * hours if label == 0 else APO_DECEL_RATE * hours)
     decels -= _bumps(n, rng.uniform(0, n, n_spont), rng.uniform(10, 20, n_spont),
                      rng.uniform(3, 6, n_spont))
     if label == 1:
         # late decelerations: nadir trails each contraction peak by the lag
         depth_scale = 0.35 + 0.65 * strength
         for c in contr_times:
-            if rng.random() < spec.coupling_prob:
-                lag = rng.uniform(*spec.decel_lag_range)
+            if rng.random() < COUPLING_PROB:
+                lag = rng.uniform(*DECEL_LAG_RANGE)
                 decels -= _bumps(n, np.array([c + lag]),
                                  np.array([rng.uniform(20, 45) * depth_scale]),
                                  np.array([rng.uniform(4, 8)]))
@@ -212,8 +215,7 @@ def generate_cohort(spec: GenSpec) -> Cohort:
                 raise DataError(f"generator produced {len(windows)} windows for one trace; "
                                 "missing-data cap violated")
             traces.append(windows[0])
-    return Cohort(traces=traces, provenance={"kind": "synthetic", "seed": spec.seed,
-                                             "generator_version": GENERATOR_VERSION})
+    return Cohort(traces)
 
 
 def short_term_variability(values: np.ndarray, mask: np.ndarray) -> float:
@@ -224,100 +226,89 @@ def short_term_variability(values: np.ndarray, mask: np.ndarray) -> float:
     return float(np.abs(np.diff(values))[both].mean())
 
 
-def write_cohort(cohort: Cohort, path) -> None:
-    """One trace per line: id, label, days to delivery, 960 fhr then 960 toco
-    values with -1 at unobserved positions."""
+def _write_records(path, header: str, records: Sequence, numbers: Callable) -> None:
+    """Write ``header``, then one line per record: its trace id and the
+    ``repr`` of each of ``numbers(record)``. Every id is checked before the
+    file is opened."""
+    for r in records:
+        if r.trace_id != r.trace_id.strip() or any(c in r.trace_id for c in ",\r\n"):
+            raise DataError(f"trace id {r.trace_id!r} cannot be written: an id may not "
+                            "contain a comma, CR or LF, nor start or end with whitespace")
     with open(path, "w") as fh:
-        fh.write(COHORT_HEADER + "\n")
-        for t in cohort.traces:
-            fhr = np.where(t.fhr_mask, t.fhr, MISSING)
-            toco = np.where(t.toco_mask, t.toco, MISSING)
-            fields = [t.trace_id, str(t.label), repr(float(t.days_to_delivery))]
-            fields += [repr(float(v)) for v in fhr]
-            fields += [repr(float(v)) for v in toco]
-            fh.write(",".join(fields) + "\n")
+        fh.write(header + "\n")
+        for r in records:
+            fh.write(",".join([r.trace_id, *map(repr, numbers(r))]) + "\n")
 
 
-def _window_index_from_id(trace_id: str) -> int:
-    m = _WINDOW_ID.match(trace_id)
-    return int(m.group(1)) if m else 0
-
-
-def read_cohort(path) -> Cohort:
-    traces = []
+def _read_records(path, header: str, parse: Callable) -> list:
+    """Check ``header``, then ``parse`` the comma-separated fields of every
+    non-blank line. Any failure becomes a ``DataError`` naming ``path:lineno``."""
+    records = []
     with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != COHORT_HEADER:
-            raise DataError(f"{path}: expected header {COHORT_HEADER!r}, got {header!r}")
+        first = fh.readline().rstrip("\n")
+        if first != header:
+            raise DataError(f"{path}: expected header {header!r}, got {first!r}")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            fields = line.split(",")
-            if len(fields) != 3 + 2 * WINDOW_LEN:
-                raise DataError(f"{path}:{lineno}: expected {3 + 2 * WINDOW_LEN} fields, "
-                                f"got {len(fields)}")
-            trace_id = fields[0]
             try:
-                label = int(fields[1])
-                dtd = float(fields[2])
-                values = np.array([float(v) for v in fields[3:]], dtype=np.float64)
+                records.append(parse(line.split(",")))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
-            fhr_raw, toco_raw = values[:WINDOW_LEN], values[WINDOW_LEN:]
-            fhr_mask, toco_mask = fhr_raw != MISSING, toco_raw != MISSING
-            try:
-                traces.append(Trace(
-                    trace_id=trace_id,
-                    fhr=np.where(fhr_mask, fhr_raw, 0.0),
-                    toco=np.where(toco_mask, toco_raw, 0.0),
-                    fhr_mask=fhr_mask, toco_mask=toco_mask,
-                    label=label, days_to_delivery=dtd,
-                    window_index=_window_index_from_id(trace_id),
-                ))
-            except Exception as exc:
+            except CtgformerError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return Cohort(traces=traces, provenance={"kind": "file", "path": str(path)})
+    return records
+
+
+def write_cohort(cohort: Cohort, path) -> None:
+    """One trace per line: id, label, days to delivery, 960 fhr then 960 toco
+    values with -1 at unobserved positions."""
+    _write_records(path, COHORT_HEADER, cohort.traces, lambda t: [
+        int(t.label), float(t.days_to_delivery),
+        *np.where(t.fhr_mask, t.fhr, MISSING).tolist(),
+        *np.where(t.toco_mask, t.toco, MISSING).tolist()])
+
+
+def _parse_cohort_record(fields: list) -> Trace:
+    if len(fields) != 3 + 2 * WINDOW_LEN:
+        raise DataError(f"expected {3 + 2 * WINDOW_LEN} fields, got {len(fields)}")
+    label, dtd = int(fields[1]), float(fields[2])
+    values = np.array([float(v) for v in fields[3:]], dtype=np.float64)
+    fhr_raw, toco_raw = values[:WINDOW_LEN], values[WINDOW_LEN:]
+    fhr_mask, toco_mask = fhr_raw != MISSING, toco_raw != MISSING
+    window = _WINDOW_ID.match(fields[0])
+    return Trace(trace_id=fields[0],
+                 fhr=np.where(fhr_mask, fhr_raw, 0.0),
+                 toco=np.where(toco_mask, toco_raw, 0.0),
+                 fhr_mask=fhr_mask, toco_mask=toco_mask,
+                 label=label, days_to_delivery=dtd,
+                 window_index=int(window.group(1)) if window else 0)
+
+
+def read_cohort(path) -> Cohort:
+    return Cohort(_read_records(path, COHORT_HEADER, _parse_cohort_record))
 
 
 def write_raw_traces(raws: Sequence[RawTrace], path) -> None:
     """Variable-length raw traces: id, label, dtd, length, fhr values, toco values."""
-    with open(path, "w") as fh:
-        fh.write(RAW_HEADER + "\n")
-        for r in raws:
-            fields = [r.trace_id, str(r.label), repr(float(r.days_to_delivery)), str(len(r.fhr))]
-            fields += [repr(float(v)) for v in r.fhr]
-            fields += [repr(float(v)) for v in r.toco]
-            fh.write(",".join(fields) + "\n")
+    _write_records(path, RAW_HEADER, raws, lambda r: [
+        int(r.label), float(r.days_to_delivery), len(r.fhr), *r.fhr.tolist(), *r.toco.tolist()])
+
+
+def _parse_raw_record(fields: list) -> RawTrace:
+    if len(fields) < 4:
+        raise DataError("truncated record")
+    label, dtd, n = int(fields[1]), float(fields[2]), int(fields[3])
+    if len(fields) != 4 + 2 * n:
+        raise DataError(f"expected {4 + 2 * n} fields for length {n}, got {len(fields)}")
+    values = np.array([float(v) for v in fields[4:]], dtype=np.float64)
+    return RawTrace(trace_id=fields[0], fhr=values[:n], toco=values[n:],
+                    label=label, days_to_delivery=dtd)
 
 
 def read_raw_traces(path) -> list:
-    raws = []
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != RAW_HEADER:
-            raise DataError(f"{path}: expected header {RAW_HEADER!r}, got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) < 4:
-                raise DataError(f"{path}:{lineno}: truncated record")
-            try:
-                label, dtd, n = int(fields[1]), float(fields[2]), int(fields[3])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
-            if len(fields) != 4 + 2 * n:
-                raise DataError(f"{path}:{lineno}: expected {4 + 2 * n} fields for "
-                                f"length {n}, got {len(fields)}")
-            try:
-                values = np.array([float(v) for v in fields[4:]], dtype=np.float64)
-                raws.append(RawTrace(trace_id=fields[0], fhr=values[:n], toco=values[n:],
-                                     label=label, days_to_delivery=dtd))
-            except Exception as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return raws
+    return _read_records(path, RAW_HEADER, _parse_raw_record)
 
 
 def split(cohort: Cohort, fraction: float = 0.8, seed: int = 0) -> tuple:
@@ -335,25 +326,23 @@ def split(cohort: Cohort, fraction: float = 0.8, seed: int = 0) -> tuple:
         n_train = min(max(n_train, 1), len(members) - 1)
         for pos, idx in enumerate(order):
             (train if pos < n_train else val).append(members[idx])
-    prov = dict(cohort.provenance)
-    return (Cohort(traces=train, provenance={**prov, "split": "train", "fraction": fraction}),
-            Cohort(traces=val, provenance={**prov, "split": "val", "fraction": fraction}))
+    return Cohort(train), Cohort(val)
 
 
 def filter_dtd(cohort: Cohort, band) -> Cohort:
-    """Restrict case traces to a days-to-delivery band; controls are kept.
-
-    ``band`` is either a max-days scalar (band [0, max]) or a (low, high)
-    inclusive pair.
-    """
-    lo, hi = (0.0, float(band)) if np.isscalar(band) else (float(band[0]), float(band[1]))
+    """Restrict case traces to the inclusive (low, high) days-to-delivery
+    ``band``; controls are kept."""
+    try:
+        lo, hi = map(float, band)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"days-to-delivery band must be a (low, high) pair, got {band!r}") from exc
     if lo > hi or lo < 0:
         raise DataError(f"invalid days-to-delivery band [{lo}, {hi}]")
     kept = [t for t in cohort.traces
             if t.label == 0 or lo <= t.days_to_delivery <= hi]
     if not any(t.label == 1 for t in kept):
         raise DataError(f"no case traces inside days-to-delivery band [{lo}, {hi}]")
-    return Cohort(traces=kept, provenance={**cohort.provenance, "dtd_band": (lo, hi)})
+    return Cohort(kept)
 
 
 def stack_traces(traces: Sequence[Trace]) -> dict:
@@ -366,6 +355,4 @@ def stack_traces(traces: Sequence[Trace]) -> dict:
         "fhr_mask": np.stack([t.fhr_mask for t in traces]),
         "toco_mask": np.stack([t.toco_mask for t in traces]),
         "labels": np.array([t.label for t in traces], dtype=np.float64),
-        "dtd": np.array([t.days_to_delivery for t in traces]),
-        "ids": [t.trace_id for t in traces],
     }

@@ -42,6 +42,9 @@ class Prediction:
             raise EvalError(f"score must lie in [0, 1], got {self.score}")
         if self.label not in (0, 1):
             raise EvalError(f"label must be 0 or 1, got {self.label}")
+        if not (math.isfinite(self.days_to_delivery) and self.days_to_delivery >= 0):
+            raise EvalError(f"days_to_delivery must be finite and non-negative, "
+                            f"got {self.days_to_delivery}")
 
 
 @dataclass(frozen=True)

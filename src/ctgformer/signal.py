@@ -39,6 +39,11 @@ def _as_channel(values, name: str) -> np.ndarray:
     return arr
 
 
+def _check_days_to_delivery(days: float) -> None:
+    if not (np.isfinite(days) and days >= 0):
+        raise SignalError(f"days_to_delivery must be finite and non-negative, got {days}")
+
+
 @dataclass
 class RawTrace:
     """Unprocessed two-channel recording of arbitrary length."""
@@ -58,8 +63,7 @@ class RawTrace:
             raise SignalError("trace is empty")
         if self.label not in (0, 1):
             raise SignalError(f"label must be 0 or 1, got {self.label}")
-        if not (np.isfinite(self.days_to_delivery) and self.days_to_delivery >= 0):
-            raise SignalError(f"days_to_delivery must be non-negative, got {self.days_to_delivery}")
+        _check_days_to_delivery(self.days_to_delivery)
 
 
 @dataclass
@@ -94,6 +98,7 @@ class Trace:
                 raise SignalError(f"observed {name} values must lie in [0, 1]")
         if self.label not in (0, 1):
             raise SignalError(f"label must be 0 or 1, got {self.label}")
+        _check_days_to_delivery(self.days_to_delivery)
 
 
 def clip_ranges(raw: RawTrace) -> RawTrace:
@@ -116,30 +121,30 @@ def scale_unit(raw: RawTrace) -> RawTrace:
     return replace(raw, fhr=fhr, toco=toco)
 
 
-def build_mask(window_values: np.ndarray, length: int = WINDOW_LEN):
-    """Pad a window of up to ``length`` samples and derive its observation mask.
+def build_mask(window_values: np.ndarray):
+    """Pad a window of up to 960 samples and derive its observation mask.
 
     Mask is True where the sample is inside the original extent and not the
     missing sentinel; every masked-out position carries value 0.0.
     """
     vals = np.asarray(window_values, dtype=np.float64)
-    if len(vals) > length:
-        raise SignalError(f"window longer than {length} samples")
-    padded = np.zeros(length)
-    mask = np.zeros(length, dtype=bool)
+    if len(vals) > WINDOW_LEN:
+        raise SignalError(f"window longer than {WINDOW_LEN} samples")
+    padded = np.zeros(WINDOW_LEN)
+    mask = np.zeros(WINDOW_LEN, dtype=bool)
     observed = vals != MISSING
     padded[: len(vals)][observed] = vals[observed]
     mask[: len(vals)] = observed
     return padded, mask
 
 
-def window_pad(raw: RawTrace, drop_threshold: float = MAX_MISSING_FRACTION) -> list[Trace]:
+def window_pad(raw: RawTrace) -> list[Trace]:
     """Cut a scaled trace into consecutive 960-sample windows.
 
     The final partial window is right-padded with missing samples. A window is
-    dropped when more than ``drop_threshold`` of the heart-rate samples inside
-    its original (unpadded) extent are missing; padding itself does not count
-    against the window.
+    dropped when more than ``MAX_MISSING_FRACTION`` (30%) of the heart-rate
+    samples inside its original (unpadded) extent are missing; padding itself
+    does not count against the window.
     """
     n = len(raw.fhr)
     if n == 0:
@@ -155,7 +160,7 @@ def window_pad(raw: RawTrace, drop_threshold: float = MAX_MISSING_FRACTION) -> l
         lo, hi = j * WINDOW_LEN, min((j + 1) * WINDOW_LEN, n)
         fhr_seg, toco_seg = raw.fhr[lo:hi], raw.toco[lo:hi]
         missing_frac = np.mean(fhr_seg == MISSING)
-        if missing_frac > drop_threshold:
+        if missing_frac > MAX_MISSING_FRACTION:
             continue
         fhr, fhr_mask = build_mask(fhr_seg)
         toco, toco_mask = build_mask(toco_seg)

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,15 @@ class TestGenerator:
     def test_zero_per_class_rejected(self):
         with pytest.raises(DataError):
             GenSpec(n_per_class=0)
+
+    @pytest.mark.parametrize("days", [(7, 0), (-3, 1), (0.5, 2), (1, 2, 3), 7])
+    def test_bad_dtd_days_rejected(self, days):
+        with pytest.raises(DataError, match="dtd_days"):
+            GenSpec(dtd_days=days)
+
+    def test_single_day_band(self):
+        c = generate_cohort(GenSpec(n_per_class=5, seed=1, dtd_days=(4, 4)))
+        assert {t.days_to_delivery for t in c.traces} == {4.0}
 
     def test_class_separability_in_short_term_variability(self):
         spec = GenSpec(n_per_class=500, seed=11)
@@ -116,6 +128,30 @@ class TestCohortIO:
         with pytest.raises(DataError, match="non-numeric"):
             read_cohort(path)
 
+    @pytest.mark.parametrize("dtd", ["-3.0", "nan", "inf"])
+    def test_bad_days_to_delivery_reports_lineno(self, tmp_path, dtd):
+        c = generate_cohort(GenSpec(n_per_class=2, seed=1))
+        path = tmp_path / "c.csv"
+        write_cohort(c, path)
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[2] = dtd
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"c\.csv:3: days_to_delivery"):
+            read_cohort(path)
+
+    @pytest.mark.parametrize("bad", ["a,b", " a", "a ", "a\nb", "a\rb", "a\t"])
+    def test_writers_reject_ids_the_format_cannot_carry(self, tmp_path, bad):
+        c = generate_cohort(GenSpec(n_per_class=2, seed=1))
+        traces = [replace(c.traces[0], trace_id=bad)] + c.traces[1:]
+        with pytest.raises(DataError, match=re.escape(repr(bad))):
+            write_cohort(Cohort(traces), tmp_path / "c.csv")
+        raws = [RawTrace(bad, np.full(4, 140.0), np.full(4, 20.0), 0, 1.0)]
+        with pytest.raises(DataError, match=re.escape(repr(bad))):
+            write_raw_traces(raws, tmp_path / "r.csv")
+        assert not (tmp_path / "c.csv").exists() and not (tmp_path / "r.csv").exists()
+
     def test_hand_written_fixture(self, tmp_path):
         path = tmp_path / "tiny.csv"
         rows = []
@@ -155,6 +191,40 @@ class TestCohortIO:
             assert a.trace_id == b.trace_id and a.label == b.label
             assert np.array_equal(a.fhr, b.fhr)
             assert np.array_equal(a.toco, b.toco)
+
+
+class TestRawFileErrors:
+    @staticmethod
+    def write(tmp_path, *records, header="#ctg-raw v1"):
+        path = tmp_path / "raw.csv"
+        path.write_text("\n".join([header, "ok,0,1.0,2,140.0,141.0,20.0,21.0", *records]) + "\n")
+        return path
+
+    def test_wrong_header(self, tmp_path):
+        with pytest.raises(DataError, match="header"):
+            read_raw_traces(self.write(tmp_path, header="#ctg-cohort v1"))
+
+    def test_truncated_record(self, tmp_path):
+        with pytest.raises(DataError, match=r"raw\.csv:3: truncated"):
+            read_raw_traces(self.write(tmp_path, "x,0,1.0"))
+
+    @pytest.mark.parametrize("record", ["x,0,1.0,2,140.0,141.0,20.0",
+                                        "x,0,1.0,1,140.0,141.0,20.0,21.0"])
+    def test_field_count_must_match_length(self, tmp_path, record):
+        with pytest.raises(DataError, match=r"raw\.csv:3: expected \d+ fields"):
+            read_raw_traces(self.write(tmp_path, record))
+
+    @pytest.mark.parametrize("record", ["x,one,1.0,1,140.0,20.0",
+                                        "x,0,1.0,two,140.0,20.0",
+                                        "x,0,1.0,1,abc,20.0"])
+    def test_non_numeric_field(self, tmp_path, record):
+        with pytest.raises(DataError, match=r"raw\.csv:3: non-numeric"):
+            read_raw_traces(self.write(tmp_path, record))
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        with pytest.raises(DataError, match=r"raw\.csv:4: truncated"):
+            read_raw_traces(self.write(tmp_path, "", "x,0"))
+        assert [r.trace_id for r in read_raw_traces(self.write(tmp_path, ""))] == ["ok"]
 
 
 class TestSplit:
@@ -218,13 +288,18 @@ class TestFilterDtd:
         c = generate_cohort(GenSpec(n_per_class=45, seed=16))
         for hi in range(0, 8):
             try:
-                f = filter_dtd(c, hi)
+                f = filter_dtd(c, (0, hi))
             except DataError:
                 expect = 0
             else:
                 expect = len(f.traces) - 45
             scan = sum(1 for t in c.traces if t.label == 1 and t.days_to_delivery <= hi)
             assert expect == scan or (expect == 0 and scan == 0)
+
+    def test_scalar_band_rejected(self):
+        c = generate_cohort(GenSpec(n_per_class=4, seed=3))
+        with pytest.raises(DataError, match="pair"):
+            filter_dtd(c, 2)
 
     def test_empty_band_error(self):
         c = generate_cohort(GenSpec(n_per_class=10, seed=3, dtd_days=(3, 7)))
@@ -235,6 +310,7 @@ class TestFilterDtd:
 def test_stack_traces_shapes():
     c = generate_cohort(GenSpec(n_per_class=4, seed=2))
     batch = stack_traces(c.traces)
+    assert set(batch) == {"fhr", "fhr_mask", "toco", "toco_mask", "labels"}
     assert batch["fhr"].shape == (8, WINDOW_LEN)
     assert batch["labels"].tolist() == [0.0] * 4 + [1.0] * 4
     assert batch["fhr_mask"].dtype == bool

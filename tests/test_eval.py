@@ -294,6 +294,13 @@ class TestDtdFiltering:
         ids7 = {q.trace_id for q in filter_by_dtd(p, 7) if q.label == 1}
         assert ids2 <= ids7
 
+    @pytest.mark.parametrize("dtd", [-4.0, float("nan"), float("inf")])
+    def test_bad_days_to_delivery_rejected(self, dtd):
+        # accepted, a NaN-dated positive would silently leave every subset
+        # and a negative one would count as near delivery
+        with pytest.raises(EvalError, match="days_to_delivery"):
+            Prediction("t0", 0.9, 1, dtd)
+
     def test_counts_match_direct_scan(self):
         p = self.make_cohort_preds()
         for d in range(1, 8):
@@ -321,6 +328,13 @@ class TestPredictionsIO:
         path = tmp_path / "preds.csv"
         path.write_text("trace_id,score,label,days_to_delivery\nx,0.5,1,2.0\ny,oops,0,1\n")
         with pytest.raises(EvalError, match=":3"):
+            read_predictions(path)
+
+    @pytest.mark.parametrize("dtd", ["-4.0", "nan"])
+    def test_bad_days_to_delivery_reports_line(self, tmp_path, dtd):
+        path = tmp_path / "preds.csv"
+        path.write_text(f"trace_id,score,label,days_to_delivery\nx,0.5,1,2.0\ny,0.9,1,{dtd}\n")
+        with pytest.raises(EvalError, match=":3: days_to_delivery"):
             read_predictions(path)
 
     def test_report_files(self, tmp_path):

@@ -38,6 +38,11 @@ class TestRawTraceValidation:
         with pytest.raises(SignalError):
             make_raw(label=2)
 
+    @pytest.mark.parametrize("dtd", [-3.0, float("nan"), float("inf")])
+    def test_bad_days_to_delivery(self, dtd):
+        with pytest.raises(SignalError, match="days_to_delivery"):
+            make_raw(dtd=dtd)
+
 
 class TestClipRanges:
     def test_fhr_upper_clamp(self):
@@ -215,3 +220,10 @@ class TestTraceValidation:
         with pytest.raises(SignalError):
             Trace("t", np.zeros(100), np.zeros(100),
                   np.ones(100, dtype=bool), np.ones(100, dtype=bool), 0, 1.0)
+
+    @pytest.mark.parametrize("dtd", [-3.0, float("nan"), float("inf")])
+    def test_bad_days_to_delivery(self, dtd):
+        # the same rule as RawTrace, so a window never carries a bad date
+        ones = np.ones(WINDOW_LEN, dtype=bool)
+        with pytest.raises(SignalError, match="days_to_delivery"):
+            Trace("t", np.zeros(WINDOW_LEN), np.zeros(WINDOW_LEN), ones, ones, 1, dtd)
