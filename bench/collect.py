@@ -10,9 +10,10 @@ and one more pair with ``--trace 1`` gives the per-layer metrics. Runs are
 sequential, so the two sides never share the machine. The file, written into
 the change's checkout, holds every run (metrics, gate results, exit code),
 each end-to-end metric's median, quartiles and pair wins per side, each
-side's environment block as perfbench records it, and both git revisions
-with a digest of each side's ``src/``. It is rewritten after every run, so a
-cut-short collection keeps what ran.
+side's failed share of the attempted fits, each side's environment block as
+perfbench records it, and both git revisions with a digest of each side's
+``src/``. It is rewritten after every run, so a cut-short collection keeps
+what ran.
 """
 
 from __future__ import annotations
@@ -133,6 +134,28 @@ def gate_summary(runs: list) -> dict:
     return out
 
 
+def failure_summary(runs: list) -> dict:
+    """Per side over the untraced runs: ``attempted`` and ``failed`` summed,
+    their ``share`` (failed / max(attempted, 1), as perfbench reports its
+    ``failed_ratio``) and ``no_result``, the count of runs that printed no
+    result. ``more_failures`` is true when the change's share exceeds the
+    parent's."""
+    out = {side: {"attempted": 0, "failed": 0, "no_result": 0} for side in SIDES}
+    for run in runs:
+        if run["trace"] != 0:
+            continue
+        side = out[run["side"]]
+        if "attempted" in run:
+            side["attempted"] += run["attempted"]
+            side["failed"] += run["failed"]
+        else:
+            side["no_result"] += 1
+    for side in SIDES:
+        out[side]["share"] = out[side]["failed"] / max(out[side]["attempted"], 1)
+    out["more_failures"] = out["change"]["share"] > out["parent"]["share"]
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -176,7 +199,7 @@ def main(argv=None) -> int:
                     doc["env"].setdefault(side, env)
                 runs.append(run)
                 entry.update(end_to_end=summarize(spec, runs), per_layer=traced_layers(runs),
-                             gates=gate_summary(runs))
+                             gates=gate_summary(runs), failures=failure_summary(runs))
                 save()
                 print(f"{workload} pair {pair} {side} trace {trace}: exit {run['returncode']}, "
                       f"{json.dumps(run.get('metrics', {}).get('throughput_per_s'))}", flush=True)

@@ -13,6 +13,7 @@ deterministic in the generator spec, with per-trace derived seeds.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -54,8 +55,9 @@ class GenSpec:
 
     def __post_init__(self):
         for name in ("contraction_rate", "missing_rate"):
-            if getattr(self, name) < 0:
-                raise DataError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise DataError(f"{name} must be finite and non-negative, got {value!r}")
         if self.n_per_class < 1:
             raise DataError("n_per_class must be at least 1")
         days = self.dtd_days

@@ -113,17 +113,6 @@ def add(a, b) -> Tensor:
     return _record((a, b), out, bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    out = a.data - b.data
-    a_shape, b_shape = a.shape, b.shape
-
-    def bw(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
-
-    return _record((a, b), out, bw)
-
-
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
     out = a.data * b.data
@@ -136,15 +125,6 @@ def mul(a, b) -> Tensor:
                 None if a_data is None else _unbroadcast(g * a_data, b_shape))
 
     return _record((a, b), out, bw)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bw(g):
-        return (-g,)
-
-    return _record((a,), -a.data, bw)
 
 
 def matmul(a, b) -> Tensor:

@@ -13,11 +13,12 @@ the same operations run as plain numpy forward computations, which is the
 inference path.
 
 The tape keeps only what the adjoint rules read. A ``Node`` holds no
-tensor: it names its inputs and output by ``Tensor.key`` and keeps a weak
-reference to the output, and each rule's closure captures the arrays (or
-just the shapes) its adjoint needs. The graph holds strong references only to
-its leaves, the tensors it read but did not produce. So an intermediate the
-caller drops is freed during the forward pass unless a rule needs its data.
+tensor: it names its inputs and output by ``Tensor.key``, and each rule's
+closure captures the arrays (or just the shapes) its adjoint needs. The
+graph holds strong references only to its leaves, the tensors it read but
+did not produce. So an intermediate the caller drops is freed during the
+forward pass unless a rule needs its data, and ``backward`` gives ``grad``
+to the leaves only.
 
 A tape belongs to the thread that opened it. ``fork_join`` runs two callables
 on two threads (the caller and one worker thread per process); a fork/join
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Any, Callable, Optional, Sequence
@@ -50,10 +50,11 @@ class Tensor:
     """n-dimensional float64 or float32 array, optionally tracked for
     gradients.
 
-    ``grad`` is populated by a backward pass and holds dLoss/dself with the
-    same shape and dtype as ``data``. Values are stored row-major (numpy
-    default). ``key`` is unique within the process and names the tensor on
-    a tape; unlike ``id()`` it is never reused after the tensor dies.
+    ``grad`` is populated by a backward pass when the tensor is a leaf of
+    its graph, and holds dLoss/dself with the same shape and dtype as
+    ``data``. Values are stored row-major (numpy default). ``key`` is unique
+    within the process and names the tensor on a tape; unlike ``id()`` it is
+    never reused after the tensor dies.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "key", "__weakref__")
@@ -62,8 +63,6 @@ class Tensor:
         arr = np.asarray(data)
         if arr.dtype != np.float32:
             arr = arr.astype(np.float64, copy=False)
-        if arr.ndim == 0:
-            arr = arr.reshape(())
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
@@ -102,32 +101,12 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        from . import ops
-
-        return ops.sub(self, other)
-
-    def __rsub__(self, other):
-        from . import ops
-
-        return ops.sub(other, self)
-
     def __mul__(self, other):
         from . import ops
 
         return ops.mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        from . import ops
-
-        return ops.neg(self)
-
-    def __matmul__(self, other):
-        from . import ops
-
-        return ops.matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:
@@ -139,18 +118,16 @@ class Node:
 
     A node holds no tensor. ``inputs`` are the input keys, ``needs_grad``
     their ``requires_grad`` flags at record time; ``key`` names the output,
-    ``ref`` is a weak reference to it, and ``shape`` and ``dtype`` are its
-    shape and dtype.
+    and ``shape`` and ``dtype`` are its shape and dtype.
     """
 
-    __slots__ = ("inputs", "needs_grad", "key", "ref", "shape", "dtype", "backward_fn")
+    __slots__ = ("inputs", "needs_grad", "key", "shape", "dtype", "backward_fn")
 
     def __init__(self, inputs: Sequence[Tensor], output: Tensor,
                  backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]):
         self.inputs = tuple(t.key for t in inputs)
         self.needs_grad = tuple(t.requires_grad for t in inputs)
         self.key = output.key
-        self.ref = weakref.ref(output)
         self.shape = output.data.shape
         self.dtype = output.data.dtype
         self.backward_fn = backward_fn
@@ -172,10 +149,10 @@ class BranchNode(Node):
         self.tapes = tuple(tapes)
         self.heads = tuple(heads)
 
-    def adjoints(self, g: np.ndarray, retain: bool) -> tuple:
+    def adjoints(self, g: np.ndarray) -> tuple:
         """Walk each sub-tape on its own thread, then sum every input's
         adjoints in branch order."""
-        walks = [partial(tape.propagate, head, part, retain)
+        walks = [partial(tape.propagate, head, part)
                  for tape, head, part in zip(self.tapes, self.heads, self.backward_fn(g))]
         self.heads = ()
         found = fork_join(*walks)
@@ -193,10 +170,13 @@ class BranchNode(Node):
 class Graph:
     """Tape of executed operations, in execution (hence topological) order.
 
-    One backward pass per forward pass: after ``backward`` the graph is
-    consumed, and both recording and a second backward raise ``GraphError``.
-    The tape is confined to the thread that opened it. ``len`` counts the
-    recorded operations, those on the sub-tapes of branch nodes included.
+    One backward pass per forward pass (the module function ``backward``):
+    it gives ``grad`` to the leaves only, the tensors the graph read but did
+    not produce, and releases each node as the walk passes it. After it the
+    graph is consumed, and both recording and a second backward raise
+    ``GraphError``. The tape is confined to the thread that opened it.
+    ``len`` counts the recorded operations, those on the sub-tapes of branch
+    nodes included.
     """
 
     def __init__(self):
@@ -241,14 +221,12 @@ class Graph:
         but did not produce."""
         return self._leaves.values()
 
-    def propagate(self, head: Tensor, adjoint: np.ndarray,
-                  retain_intermediate_grads: bool) -> dict:
+    def propagate(self, head: Tensor, adjoint: np.ndarray) -> dict:
         """Walk the tape in reverse, seeding ``head`` with ``adjoint``, and
         return the adjoints that reach its leaves as {key: (leaf, adjoint)}.
 
-        With ``retain_intermediate_grads`` every produced tensor that is
-        still alive gets ``grad``; either way each node is released as the
-        walk passes it, and the graph is consumed.
+        Each node is released as the walk passes it, and the graph is
+        consumed.
         """
         if self._consumed:
             raise GraphError("backward already run on this graph; run a new forward pass")
@@ -263,12 +241,8 @@ class Graph:
             out_adj = adjoints.pop(node.key, None)
             if out_adj is None:
                 continue
-            if retain_intermediate_grads:
-                out = node.ref()
-                if out is not None:
-                    out.grad = out.grad + out_adj if out.grad is not None else out_adj.copy()
             if isinstance(node, BranchNode):
-                grads = node.adjoints(out_adj, retain_intermediate_grads)
+                grads = node.adjoints(out_adj)
             else:
                 grads = node.backward_fn(out_adj)
             for key, needs, g in zip(node.inputs, node.needs_grad, grads):
@@ -281,25 +255,24 @@ class Graph:
         self._size = 0
         return {key: (t, adjoints[key]) for key, t in leaves.items() if key in adjoints}
 
-    def backward(self, loss: Tensor, retain_intermediate_grads: bool = True) -> None:
-        """Populate ``grad`` on requires_grad tensors reachable from loss.
 
-        Leaves (tensors this graph did not produce, i.e. parameters) always
-        get their gradient. With ``retain_intermediate_grads`` every produced
-        tensor the caller still holds gets one too; without it their
-        adjoints are dropped as soon as the walk has used them. Nodes are
-        released as the walk passes them in both modes.
-        """
-        if loss.data.size != 1:
-            raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        for t, adj in self.propagate(loss, np.ones_like(loss.data),
-                                     retain_intermediate_grads).values():
-            t.grad = adj if t.grad is None else t.grad + adj
+def backward(loss: Tensor, graph: Graph, retain_intermediate_grads: bool = False) -> None:
+    """Reverse-mode pass over ``graph`` seeding dLoss/dLoss = 1: add
+    dLoss/dleaf to ``grad`` of every leaf (a requires_grad tensor the graph
+    read but did not produce, i.e. a parameter) that ``loss`` reaches.
 
-
-def backward(loss: Tensor, graph: Graph, retain_intermediate_grads: bool = True) -> None:
-    """Reverse-mode pass over ``graph`` seeding dLoss/dLoss = 1."""
-    graph.backward(loss, retain_intermediate_grads)
+    Produced tensors never get ``grad``; their adjoints are dropped as soon
+    as the walk has used them. ``retain_intermediate_grads`` is kept only
+    because ``perfbench/workloads.py`` passes ``False``; ``True`` raises
+    ``GraphError``. Delete the keyword when perfbench is next revised.
+    """
+    if retain_intermediate_grads:
+        raise GraphError("backward gives grad to leaves only; "
+                         "retain_intermediate_grads=True is not supported")
+    if loss.data.size != 1:
+        raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    for t, adj in graph.propagate(loss, np.ones_like(loss.data)).values():
+        t.grad = adj if t.grad is None else t.grad + adj
 
 
 # ------------------------------------------------------------------ fork/join

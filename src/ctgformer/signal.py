@@ -94,8 +94,9 @@ class Trace:
             if np.any(vals[~mask] != 0.0):
                 raise SignalError(f"masked {name} positions must hold value 0.0")
             obs = vals[mask]
-            if obs.size and (obs.min() < 0.0 or obs.max() > 1.0):
-                raise SignalError(f"observed {name} values must lie in [0, 1]")
+            # negated, so that NaN (which fails every comparison) is rejected
+            if obs.size and not (obs.min() >= 0.0 and obs.max() <= 1.0):
+                raise SignalError(f"observed {name} values must be finite and lie in [0, 1]")
         if self.label not in (0, 1):
             raise SignalError(f"label must be 0 or 1, got {self.label}")
         _check_days_to_delivery(self.days_to_delivery)

@@ -47,8 +47,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise TrainError(f"learning_rate must be non-negative, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise TrainError(f"learning_rate must be finite and non-negative, "
+                             f"got {self.learning_rate}")
         if self.batch_size < 1:
             raise TrainError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.patience < 1:
@@ -176,7 +177,7 @@ def train_epoch(params: ModelParams, cfg: ModelConfig, train_cfg: TrainConfig,
             chunk_loss = loss.item()
             if not math.isfinite(chunk_loss):
                 raise TrainError(f"non-finite loss {chunk_loss!r} at epoch {epoch}, batch {b}")
-            backward(loss, g, retain_intermediate_grads=False)
+            backward(loss, g)
             batch_loss += chunk_loss
         optimizer.step()
         losses.append(batch_loss)

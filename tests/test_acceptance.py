@@ -279,7 +279,7 @@ def test_criterion_07_optimisation_sanity():
         with Graph() as g:
             logits = forward_batch(piece, TINY, params, training=True, rng=train_rng)
             loss = bce_loss_batch(logits, piece["labels"])
-        backward(loss, g, retain_intermediate_grads=False)
+        backward(loss, g)
         opt.step()
         scores = sigmoid(forward_batch(batch, TINY, params)).data
         preds = [Prediction(str(i), float(s), int(l))

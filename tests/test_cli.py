@@ -61,6 +61,19 @@ class TestGenerate:
         assert len(cohort.traces) == 8
 
 
+@pytest.mark.parametrize("argv,module", [
+    (["generate", "--n-per-class", "2", "--missing-rate", "nan"], "data"),
+    (["generate", "--n-per-class", "2", "--contraction-rate", "inf"], "data"),
+    (["train", "--learning-rate", "nan", "--max-epochs", "1"] + SMALL_MODEL, "train"),
+], ids=["missing_rate_nan", "contraction_rate_inf", "learning_rate_nan"])
+def test_non_finite_rate_fails_cleanly(tmp_path, cohort_file, capsys, argv, module):
+    argv = argv + (["--out", str(tmp_path / "c.csv")] if argv[0] == "generate" else
+                   ["--data", str(cohort_file), "--out-dir", str(tmp_path / "run")])
+    code, _, stderr = run(argv, capsys)
+    assert code == 1
+    assert stderr.startswith(f"error[{module}]: ") and "must be finite" in stderr
+
+
 class TestPreprocess:
     def test_windows_raw_traces(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -51,3 +51,24 @@ def test_unpaired_and_traced_runs_left_out():
     runs.append({"pair": 7, "side": "parent", "trace": 0, "metrics": {}})
     thr = collect.summarize(SPEC, runs)["throughput_per_s"]
     assert thr["pairs"] == 2 and thr["change"]["median"] == 20.0
+
+
+def test_failures_summed_per_side_over_untraced_runs():
+    def run(pair, side, attempted=None, failed=None, trace=0):
+        out = {"pair": pair, "side": side, "trace": trace}
+        if attempted is not None:
+            out.update(attempted=attempted, failed=failed)
+        return out
+
+    runs = [run(0, "parent", 7, 0), run(0, "change", 7, 1),
+            run(1, "parent", 6, 1), run(1, "change", 8, 0),
+            run(2, "parent"), run(2, "change", 5, 0),     # the parent printed nothing
+            run(3, "parent", 9, 9, trace=1), run(3, "change", 9, 0, trace=1)]
+    out = collect.failure_summary(runs)
+    assert out["parent"] == {"attempted": 13, "failed": 1, "no_result": 1, "share": 1 / 13}
+    assert out["change"] == {"attempted": 20, "failed": 1, "no_result": 0, "share": 1 / 20}
+    assert not out["more_failures"]
+    runs.append(run(4, "change", 2, 2))
+    assert collect.failure_summary(runs)["more_failures"]
+    empty = collect.failure_summary([])
+    assert empty["parent"]["share"] == 0.0 and not empty["more_failures"]

@@ -41,6 +41,12 @@ class TestGenerator:
         with pytest.raises(DataError):
             GenSpec(n_per_class=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["contraction_rate", "missing_rate"])
+    def test_non_finite_rate_rejected(self, name, value):
+        with pytest.raises(DataError, match=f"{name} must be finite"):
+            GenSpec(**{name: value})
+
     @pytest.mark.parametrize("days", [(7, 0), (-3, 1), (0.5, 2), (1, 2, 3), 7])
     def test_bad_dtd_days_rejected(self, days):
         with pytest.raises(DataError, match="dtd_days"):
@@ -126,6 +132,18 @@ class TestCohortIO:
         lines[1] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="non-numeric"):
+            read_cohort(path)
+
+    def test_nan_sample_reports_lineno(self, tmp_path):
+        c = generate_cohort(GenSpec(n_per_class=2, seed=1))
+        path = tmp_path / "c.csv"
+        write_cohort(c, path)
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[3 + 100] = "nan"   # an fhr sample
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"c\.csv:3: observed fhr values must be finite"):
             read_cohort(path)
 
     @pytest.mark.parametrize("dtd", ["-3.0", "nan", "inf"])

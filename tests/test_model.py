@@ -489,7 +489,7 @@ class TestChannelBranches:
             with Graph() as g:
                 logits = run(params)
                 loss = tsum(logits * logits)
-            backward(loss, g, retain_intermediate_grads=False)
+            backward(loss, g)
             return logits.data, {k: t.grad for k, t in named_tensors(params).items()}
 
         par_logits, par = grads(lambda p: forward_batch(batch, cfg, p, training=True,
@@ -543,7 +543,7 @@ class TestChannelBranches:
                 with Graph() as g:
                     loss = tsum(forward_batch(batch, TINY, params, training=True,
                                               rng=np.random.default_rng(k)))
-                backward(loss, g, retain_intermediate_grads=False)
+                backward(loss, g)
         assert threading.active_count() <= before + 1
 
     def test_dropout_streams(self):
@@ -606,7 +606,7 @@ class TestMixedPrecision:
         with g:
             loss = bce_loss_batch(logits, np.array([0.0, 1.0, 1.0]))
         assert loss.data.dtype == np.float64
-        backward(loss, g, retain_intermediate_grads=False)
+        backward(loss, g)
         named = named_tensors(params)
         assert all(t.data.dtype == np.float64 and t.grad.dtype == np.float64
                    for t in named.values())
@@ -627,7 +627,7 @@ class TestMixedPrecision:
             with Graph() as g:
                 loss = bce_loss_batch(forward_batch(batch, cfg, params, training=training,
                                                     rng=np.random.default_rng(0)), labels)
-            backward(loss, g, retain_intermediate_grads=False)
+            backward(loss, g)
             return {k: t.grad for k, t in named_tensors(params).items()}
 
         g32, g64 = grads(True), grads(False)
@@ -662,7 +662,7 @@ class TestTapeMemory:
         assert held <= 16 << 20, held / 2 ** 20
         with g:
             loss = bce_loss_batch(logits, np.ones(8))
-        backward(loss, g, retain_intermediate_grads=False)
+        backward(loss, g)
         assert all(t.grad is not None for t in named_tensors(params).values())
 
 

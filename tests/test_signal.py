@@ -216,6 +216,15 @@ class TestTraceValidation:
         with pytest.raises(SignalError, match="masked"):
             Trace("t", fhr, np.zeros(WINDOW_LEN), mask, np.ones(WINDOW_LEN, dtype=bool), 0, 1.0)
 
+    @pytest.mark.parametrize("channel", ["fhr", "toco"])
+    def test_nan_observed_sample_rejected(self, channel):
+        # NaN fails every comparison, so a plain range check lets it through
+        values = {"fhr": np.full(WINDOW_LEN, 0.5), "toco": np.full(WINDOW_LEN, 0.5)}
+        values[channel][7] = np.nan
+        ones = np.ones(WINDOW_LEN, dtype=bool)
+        with pytest.raises(SignalError, match=f"observed {channel} values must be finite"):
+            Trace("t", values["fhr"], values["toco"], ones, ones, 0, 1.0)
+
     def test_wrong_length_rejected(self):
         with pytest.raises(SignalError):
             Trace("t", np.zeros(100), np.zeros(100),

@@ -123,6 +123,11 @@ class TestAdamAndEpoch:
         last = np.mean([e.train_loss for e in log.epochs[-3:]])
         assert last < first
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(TrainError, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=rate)
+
     def test_empty_dataset_rejected(self, small_sets):
         _, val_traces = small_sets
         tc = TrainConfig(max_epochs=1)
