@@ -6,7 +6,12 @@ only the flags it reads: --seed on generate, train, finetune and hpo;
 on train and finetune, where config precedence is defaults < preset <
 config file < command-line flags. Those four echo what they ran with into
 the output directory as effective_config.json. The CTG_RESULTS_DIR
-environment variable sets the default output root.
+environment variable sets the default output root. train and finetune run
+one command body, finetune starting from its --from checkpoint; both print
+the path of the checkpoint they write. Settings are checked and input files
+read before the output directory is made, so a command rejected for them
+writes nothing; checks inside training run after effective_config.json is
+written.
 
 The model runs its two channels on two threads, and both make BLAS calls, so
 each BLAS call gets half the usable cores (at least one) unless the thread
@@ -40,7 +45,7 @@ if "numpy" not in sys.modules:
 from . import data as datamod
 from . import evaluation as evalmod
 from .errors import CliError, CtgformerError
-from .hpo import PRESETS, SearchSpace, best_trial, run_search, write_leaderboard
+from .hpo import SearchSpace, best_trial, preset_configs, run_search, write_leaderboard
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .numcore import ACTIVATIONS
 from .signal import WINDOW_LEN, preprocess
@@ -87,26 +92,18 @@ def _load_config_file(path) -> dict:
     return payload
 
 
-def _collect_settings(args) -> dict:
-    """Apply precedence: defaults < preset < config file < flags."""
-    settings = {}
-    if args.preset:
-        if args.preset not in PRESETS:
-            raise CliError(f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}")
-        settings.update(PRESETS[args.preset])
-    if args.config:
-        settings.update(_load_config_file(args.config))
-    # a model or train key without a flag reads None and leaves settings alone
-    overrides = {k: getattr(args, k, None) for k in MODEL_KEYS + TRAIN_KEYS}
+def _settings(args) -> tuple:
+    """(ModelConfig kwargs, TrainConfig kwargs) by precedence: defaults <
+    preset < config file < flags."""
+    model_kwargs, train_kwargs = preset_configs(args.preset) if args.preset else ({}, {})
+    overrides = _load_config_file(args.config) if args.config else {}
+    # a model or train key without a flag reads None and leaves the rest alone
+    flags = {k: getattr(args, k, None) for k in MODEL_KEYS + TRAIN_KEYS}
     if args.separate_backbones:
-        overrides["share_backbone"] = False
-    settings.update({k: v for k, v in overrides.items() if v is not None})
-    return settings
-
-
-def _split_settings(settings: dict) -> tuple:
-    model_kwargs = {k: v for k, v in settings.items() if k in MODEL_KEYS}
-    train_kwargs = {k: v for k, v in settings.items() if k in TRAIN_KEYS}
+        flags["share_backbone"] = False
+    overrides.update({k: v for k, v in flags.items() if v is not None})
+    for key, value in overrides.items():
+        (train_kwargs if key in TRAIN_KEYS else model_kwargs)[key] = value
     return model_kwargs, train_kwargs
 
 
@@ -203,14 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     kwargs = {"n_per_class": args.n_per_class, "seed": args.seed}
     if args.missing_rate is not None:
         kwargs["missing_rate"] = args.missing_rate
     if args.contraction_rate is not None:
         kwargs["contraction_rate"] = args.contraction_rate
     cohort = datamod.generate_cohort(datamod.GenSpec(**kwargs))
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     datamod.write_cohort(cohort, out)
     npo, apo = cohort.class_counts
     print(f"wrote {len(cohort.traces)} traces ({npo} control, {apo} case) to {out}")
@@ -244,44 +241,30 @@ def _prepare_sets(args):
 
 
 def cmd_train(args) -> int:
-    out_dir = _resolve_out_dir(args.out_dir, "train")
-    settings = _collect_settings(args)
-    model_kwargs, train_kwargs = _split_settings(settings)
-    cfg = ModelConfig(**model_kwargs)
+    """train, and finetune: the same loop started from the --from checkpoint,
+    whose config must match any model settings given."""
+    model_kwargs, train_kwargs = _settings(args)
+    finetuning = args.command == "finetune"
+    cfg = ModelConfig(**model_kwargs) if model_kwargs or not finetuning else None
     train_cfg = TrainConfig(seed=args.seed, **train_kwargs)
+    ckpt = _require_file(args.from_ckpt, "checkpoint") if finetuning else None
     train_traces, val_traces = _prepare_sets(args)
-    _echo_config(out_dir, {"command": "train", "data": args.data, "seed": args.seed,
+    out_dir = _resolve_out_dir(args.out_dir, args.command)
+    source = {"from": str(ckpt)} if finetuning else {"model": cfg.as_dict()}
+    _echo_config(out_dir, {"command": args.command, "data": args.data, "seed": args.seed,
                            "split_fraction": args.split_fraction,
-                           "dtd_band": args.dtd_band,
-                           "model": cfg.as_dict(), "train": vars(train_cfg),
+                           "dtd_band": args.dtd_band, **source, "train": vars(train_cfg),
                            "threads": _thread_settings()})
-    params, log = fit(cfg, train_cfg, train_traces, val_traces, verbose=True)
+    if finetuning:
+        params, log, cfg = finetune(ckpt, train_traces, val_traces, train_cfg,
+                                    expect_config=cfg, verbose=True)
+    else:
+        params, log = fit(cfg, train_cfg, train_traces, val_traces, verbose=True)
     save_checkpoint(params, cfg, out_dir / "best.ckpt")
     write_train_log(log, out_dir / "train_log.csv")
     print(f"stop={log.stop_reason} best_epoch={log.best_epoch} "
           f"best_val_auc={log.best_val_auc!r}")
     print(f"checkpoint {out_dir / 'best.ckpt'}")
-    return 0
-
-
-def cmd_finetune(args) -> int:
-    out_dir = _resolve_out_dir(args.out_dir, "finetune")
-    ckpt = _require_file(args.from_ckpt, "checkpoint")
-    settings = _collect_settings(args)
-    model_kwargs, train_kwargs = _split_settings(settings)
-    expect = ModelConfig(**model_kwargs) if model_kwargs else None
-    train_cfg = TrainConfig(seed=args.seed, **train_kwargs)
-    train_traces, val_traces = _prepare_sets(args)
-    _echo_config(out_dir, {"command": "finetune", "data": args.data, "seed": args.seed,
-                           "from": str(ckpt), "split_fraction": args.split_fraction,
-                           "dtd_band": args.dtd_band, "train": vars(train_cfg),
-                           "threads": _thread_settings()})
-    params, log, cfg = finetune(ckpt, train_traces, val_traces, train_cfg,
-                                expect_config=expect, verbose=True)
-    save_checkpoint(params, cfg, out_dir / "best.ckpt")
-    write_train_log(log, out_dir / "train_log.csv")
-    print(f"stop={log.stop_reason} best_epoch={log.best_epoch} "
-          f"best_val_auc={log.best_val_auc!r}")
     return 0
 
 
@@ -299,13 +282,14 @@ def _metrics_line(name: str, rep) -> str:
 
 
 def cmd_eval(args) -> int:
-    out_dir = _resolve_out_dir(args.out_dir, "eval")
     if args.preds:
         preds = evalmod.read_predictions(_require_file(args.preds, "predictions file"))
+        out_dir = _resolve_out_dir(args.out_dir, "eval")
     elif args.ckpt and args.data:
         params, cfg = load_checkpoint(_require_file(args.ckpt, "checkpoint"))
         cohort = datamod.read_cohort(_require_file(args.data, "cohort file"))
         preds = predictions_for(cohort.traces, cfg, params)
+        out_dir = _resolve_out_dir(args.out_dir, "eval")
         evalmod.write_predictions(preds, out_dir / "preds.csv")
     else:
         raise CliError("eval needs --preds, or --ckpt together with --data")
@@ -328,10 +312,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_hpo(args) -> int:
-    out_dir = _resolve_out_dir(args.out_dir, "hpo")
     cohort = datamod.read_cohort(_require_file(args.data, "cohort file"))
     train_cohort, val_cohort = datamod.split(cohort, fraction=args.split_fraction,
                                              seed=args.seed)
+    out_dir = _resolve_out_dir(args.out_dir, "hpo")
     space = SearchSpace()
     _echo_config(out_dir, {"command": "hpo", "data": args.data, "seed": args.seed,
                            "trials": args.trials, "max_epochs": args.max_epochs,
@@ -360,7 +344,7 @@ COMMANDS = {
     "generate": cmd_generate,
     "preprocess": cmd_preprocess,
     "train": cmd_train,
-    "finetune": cmd_finetune,
+    "finetune": cmd_train,
     "eval": cmd_eval,
     "hpo": cmd_hpo,
 }

@@ -172,37 +172,26 @@ def best_trial(trials: Sequence[TrialRecord]) -> TrialRecord:
     return max(pool, key=lambda t: (t.best_val_auc, -t.index))
 
 
-LEADERBOARD_FIELDS = [
-    "rank", "trial", "status", "best_val_auc", "best_epoch", "epochs_run",
-    "n_layers", "n_heads", "d_model", "d_ff", "dropout", "fc_dropout",
-    "attn_dropout", "patch_len", "stride", "activation", "learning_rate",
-    "batch_size",
-]
+# the sampled ModelConfig fields, in leaderboard column order
+CONFIG_COLUMNS = ("n_layers", "n_heads", "d_model", "d_ff", "dropout", "fc_dropout",
+                  "attn_dropout", "patch_len", "stride", "activation")
+
+LEADERBOARD_FIELDS = ["rank", "trial", "status", "best_val_auc", "best_epoch",
+                      "epochs_run", *CONFIG_COLUMNS, "learning_rate", "batch_size"]
 
 
 def leaderboard_rows(trials: Sequence[TrialRecord]) -> list:
     scored = [t for t in trials if t.best_val_auc is not None]
     failed = [t for t in trials if t.best_val_auc is None]
     ordered = sorted(scored, key=lambda t: (-t.best_val_auc, t.index)) + failed
-    rows = []
-    for rank, t in enumerate(ordered, start=1):
-        cfg = t.model_config
-        rows.append({
-            "rank": rank,
-            "trial": t.index,
-            "status": t.status,
-            "best_val_auc": "" if t.best_val_auc is None else repr(t.best_val_auc),
-            "best_epoch": t.log.best_epoch if t.log else "",
-            "epochs_run": len(t.log.epochs) if t.log else "",
-            "n_layers": cfg.n_layers, "n_heads": cfg.n_heads,
-            "d_model": cfg.d_model, "d_ff": cfg.d_ff,
-            "dropout": repr(cfg.dropout), "fc_dropout": repr(cfg.fc_dropout),
-            "attn_dropout": repr(cfg.attn_dropout),
-            "patch_len": cfg.patch_len, "stride": cfg.stride,
-            "activation": cfg.activation,
-            "learning_rate": repr(t.learning_rate), "batch_size": t.batch_size,
-        })
-    return rows
+    # the csv module writes a float as its repr, so values go in unformatted
+    return [{"rank": rank, "trial": t.index, "status": t.status,
+             "best_val_auc": "" if t.best_val_auc is None else t.best_val_auc,
+             "best_epoch": t.log.best_epoch if t.log else "",
+             "epochs_run": len(t.log.epochs) if t.log else "",
+             **{k: getattr(t.model_config, k) for k in CONFIG_COLUMNS},
+             "learning_rate": t.learning_rate, "batch_size": t.batch_size}
+            for rank, t in enumerate(ordered, start=1)]
 
 
 def write_leaderboard(trials: Sequence[TrialRecord], path) -> None:

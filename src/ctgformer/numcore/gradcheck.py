@@ -10,6 +10,8 @@ import numpy as np
 from ..errors import GradCheckError, ShapeError
 from .tensor import Graph, Tensor, backward
 
+DENOM_FLOOR = 1e-6   # smallest relative-error denominator: an absolute scale near 0
+
 
 @dataclass
 class CoordinateError:
@@ -32,14 +34,14 @@ class GradCheckReport:
         return self.passed
 
 
-def _rel_err(a: float, n: float, floor: float) -> float:
-    denom = max(abs(a), abs(n), floor)
+def _rel_err(a: float, n: float) -> float:
+    denom = max(abs(a), abs(n), DENOM_FLOOR)
     return abs(a - n) / denom
 
 
 def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1e-5,
-               tol: float = 1e-4, max_coords_per_param: int = 50, seed: int = 0,
-               denom_floor: float = 1e-6) -> GradCheckReport:
+               tol: float = 1e-4, max_coords_per_param: int = 50,
+               seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients of ``f`` against central finite differences.
 
     ``f`` takes no arguments and returns a scalar Tensor computed from
@@ -48,7 +50,7 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1
     ``eps=1e-5`` is below float32 resolution.
     Large tensors are subsampled to at most ``max_coords_per_param``
     coordinates each. Relative error uses max(|analytic|, |numeric|,
-    ``denom_floor``) as the denominator so dead coordinates compare against
+    ``DENOM_FLOOR``) as the denominator so dead coordinates compare against
     an absolute scale instead of dividing by ~0.
     """
     if eps <= 0:
@@ -98,7 +100,7 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1
             p.data[idx] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
             a = float(analytic[pi][idx])
-            err = _rel_err(a, numeric, denom_floor)
+            err = _rel_err(a, numeric)
             checked += 1
             if err > max_err:
                 max_err = err

@@ -36,6 +36,7 @@ from .numcore import Graph, Tensor, backward, bce_with_logits
 
 PROB_CLAMP = 1e-12
 IMPROVE_DELTA = 1e-6   # val AUC must beat the best by this to reset patience
+PREDICT_BATCH = 256    # traces scored per forward pass by predictions_for
 
 
 @dataclass
@@ -139,9 +140,8 @@ class Adam:
             tensor.grad = None
 
 
-def predictions_for(traces: Sequence, cfg: ModelConfig, params: ModelParams,
-                    batch_size: int = 256) -> list:
-    scores = predict_scores(list(traces), cfg, params, batch_size=batch_size)
+def predictions_for(traces: Sequence, cfg: ModelConfig, params: ModelParams) -> list:
+    scores = predict_scores(list(traces), cfg, params, batch_size=PREDICT_BATCH)
     return [Prediction(t.trace_id, float(s), t.label, t.days_to_delivery)
             for t, s in zip(traces, scores)]
 
@@ -205,10 +205,14 @@ def fit(cfg: ModelConfig, train_cfg: TrainConfig, train_traces: Sequence,
     if train_ids & {t.trace_id for t in val_traces}:
         raise TrainError("train and validation sets overlap")
 
+    stacked = stack_traces(list(train_traces))
+    if stacked["fhr"].shape[1] != cfg.seq_len:
+        raise TrainError(f"config seq_len {cfg.seq_len} does not match the "
+                         f"{stacked['fhr'].shape[1]}-sample traces")
+
     seeds = np.random.SeedSequence(train_cfg.seed).generate_state(2).tolist()
     params = init if init is not None else init_params(cfg, seed=int(seeds[0]))
     rng = np.random.default_rng(int(seeds[1]))
-    stacked = stack_traces(list(train_traces))
     optimizer = Adam(named_tensors(params), lr=train_cfg.learning_rate)
 
     log = TrainLog()

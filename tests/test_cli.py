@@ -74,6 +74,32 @@ def test_non_finite_rate_fails_cleanly(tmp_path, cohort_file, capsys, argv, modu
     assert stderr.startswith(f"error[{module}]: ") and "must be finite" in stderr
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["generate", "--n-per-class", "0", "--out", "newdir/c.csv"], "error[data]: "),
+    (["train", "--data", "cohort.csv", "--learning-rate", "nan", "--out-dir", "run"]
+     + SMALL_MODEL, "error[train]: learning_rate must be finite"),
+    (["train", "--data", "nope.csv", "--out-dir", "run"],
+     "error[cli]: cohort file not found"),
+    (["train", "--data", "cohort.csv", "--preset", "nope", "--out-dir", "run"],
+     "error[hpo]: unknown preset 'nope'; available: ['paper-best']"),
+    (["finetune", "--from", "nope.ckpt", "--data", "cohort.csv", "--out-dir", "run"],
+     "error[cli]: checkpoint not found"),
+    (["eval", "--preds", "nope.csv", "--out-dir", "run"],
+     "error[cli]: predictions file not found"),
+    (["hpo", "--data", "nope.csv", "--out-dir", "run"], "error[cli]: cohort file not found"),
+], ids=["generate_zero_per_class", "train_learning_rate_nan", "train_missing_data",
+        "train_unknown_preset", "finetune_missing_from", "eval_missing_preds",
+        "hpo_missing_data"])
+def test_rejected_run_writes_nothing(tmp_path, cohort_file, capsys, monkeypatch,
+                                     argv, message):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    code, _, stderr = run(argv, capsys)
+    assert code == 1
+    assert stderr.startswith(message)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestPreprocess:
     def test_windows_raw_traces(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -157,6 +183,16 @@ class TestTrain:
         assert cfg["model"]["d_ff"] == 24           # flag beats config file
         assert cfg["model"]["d_model"] == 16        # config file beats default
 
+    def test_config_seq_len_mismatch_rejected(self, tmp_path, cohort_file, capsys):
+        cfg_file = tmp_path / "short.json"
+        cfg_file.write_text(json.dumps({"seq_len": 480}))
+        code, _, stderr = run(["train", "--data", str(cohort_file), "--config", str(cfg_file),
+                               "--max-epochs", "1", "--out-dir", str(tmp_path / "r")]
+                              + SMALL_MODEL, capsys)
+        assert code == 1
+        assert stderr.startswith("error[train]: config seq_len 480 does not match "
+                                 "the 960-sample traces")
+
     @pytest.mark.parametrize("payload", [{"d_modle": 16}, {"seed": 5}],
                              ids=["misspelt", "seed"])
     def test_unknown_config_key_rejected(self, tmp_path, cohort_file, capsys, payload):
@@ -170,6 +206,31 @@ class TestTrain:
 
 
 class TestFinetuneCli:
+    @pytest.fixture()
+    def pretrained(self, tmp_path, cohort_file, capsys):
+        code, _, _ = run(["train", "--data", str(cohort_file), "--max-epochs", "1",
+                          "--batch-size", "8", "--out-dir", str(tmp_path / "pre")]
+                         + SMALL_MODEL, capsys)
+        assert code == 0
+        return tmp_path / "pre" / "best.ckpt"
+
+    def finetune_argv(self, tmp_path, cohort_file, pretrained):
+        return ["finetune", "--from", str(pretrained), "--data", str(cohort_file),
+                "--max-epochs", "1", "--batch-size", "8", "--out-dir", str(tmp_path / "ft")]
+
+    def test_matching_model_flags_train(self, tmp_path, cohort_file, pretrained, capsys):
+        code, stdout, _ = run(self.finetune_argv(tmp_path, cohort_file, pretrained)
+                              + SMALL_MODEL, capsys)
+        assert code == 0
+        assert f"checkpoint {tmp_path / 'ft' / 'best.ckpt'}" in stdout.splitlines()
+        assert (tmp_path / "ft" / "best.ckpt").exists()
+
+    def test_differing_model_flag_rejected(self, tmp_path, cohort_file, pretrained, capsys):
+        code, _, stderr = run(self.finetune_argv(tmp_path, cohort_file, pretrained)
+                              + SMALL_MODEL + ["--d-model", "32"], capsys)
+        assert code == 1
+        assert stderr.startswith("error[train]: ") and "does not match" in stderr
+
     def test_finetune_from_checkpoint(self, tmp_path, cohort_file, capsys):
         train_dir = tmp_path / "pre"
         code, _, _ = run(["train", "--data", str(cohort_file), "--seed", "1",

@@ -222,6 +222,21 @@ class TestLeaderboard:
         assert len(lines) == 2
         assert lines[1].startswith("1,0,completed")
 
+    def test_written_rows_exact(self, tmp_path):
+        scored = self.make_trials()[0]
+        scored.model_config = ModelConfig(dropout=0.1 + 0.2, activation="gelu")
+        failed = TrialRecord(3, ModelConfig(), 5e-06, 16, status="failed", error="boom")
+        path = tmp_path / "leaderboard.csv"
+        write_leaderboard([failed, scored], path)
+        assert path.read_text().splitlines() == [
+            "rank,trial,status,best_val_auc,best_epoch,epochs_run,n_layers,n_heads,"
+            "d_model,d_ff,dropout,fc_dropout,attn_dropout,patch_len,stride,activation,"
+            "learning_rate,batch_size",
+            "1,0,completed,0.7,1,1,6,4,512,128,0.30000000000000004,0.4,0.2,16,16,gelu,"
+            "0.0001,48",
+            "2,3,failed,,,,6,4,512,128,0.1,0.4,0.2,16,16,relu,5e-06,16",
+        ]
+
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(HpoError):
             write_leaderboard([], tmp_path / "x.csv")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,6 +201,16 @@ class TestFit:
         with pytest.raises(TrainError, match="overlap"):
             fit(SMALL_CFG, TrainConfig(max_epochs=1), train_traces,
                 train_traces[:2])
+
+    def test_seq_len_mismatch_rejected_before_init(self, small_sets, monkeypatch):
+        def no_init(*args, **kwargs):
+            raise AssertionError("init_params ran")
+
+        monkeypatch.setattr("ctgformer.train.init_params", no_init)
+        train_traces, val_traces = small_sets
+        cfg = replace(SMALL_CFG, seq_len=480)
+        with pytest.raises(TrainError, match="seq_len 480 does not match the 960-sample"):
+            fit(cfg, TrainConfig(max_epochs=1), train_traces, val_traces)
 
     def test_stop_hook_prunes(self, small_sets):
         train_traces, val_traces = small_sets
