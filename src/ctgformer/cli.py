@@ -7,11 +7,15 @@ on train and finetune, where config precedence is defaults < preset <
 config file < command-line flags. Those four echo what they ran with into
 the output directory as effective_config.json. The CTG_RESULTS_DIR
 environment variable sets the default output root. train and finetune run
-one command body, finetune starting from its --from checkpoint; both print
-the path of the checkpoint they write. Settings are checked and input files
-read before the output directory is made, so a command rejected for them
-writes nothing; checks inside training run after effective_config.json is
-written.
+one command body around one train.fit call, finetune starting from its --from
+checkpoint, whose config must equal each model setting actually given (by
+preset, config file or flag; defaults are not compared). Both record the
+model config they ran under "model" in effective_config.json and print the
+path of the checkpoint they write. Settings are checked and input files read
+before the output directory is made, so a command rejected for them writes
+nothing; eval analyses and hpo searches before making theirs, so a rejected
+eval or hpo, one whose every trial failed included, writes nothing either.
+Checks inside training run after effective_config.json is written.
 
 The model runs its two channels on two threads, and both make BLAS calls, so
 each BLAS call gets half the usable cores (at least one) unless the thread
@@ -44,19 +48,12 @@ if "numpy" not in sys.modules:
 # the package imports load numpy, so they follow the thread default
 from . import data as datamod
 from . import evaluation as evalmod
-from .errors import CliError, CtgformerError
+from .errors import CliError, CtgformerError, TrainError
 from .hpo import SearchSpace, best_trial, preset_configs, run_search, write_leaderboard
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .numcore import ACTIVATIONS
 from .signal import WINDOW_LEN, preprocess
-from .train import (
-    TRAIN_KEYS,
-    TrainConfig,
-    finetune,
-    fit,
-    predictions_for,
-    write_train_log,
-)
+from .train import TRAIN_KEYS, TrainConfig, fit, predictions_for, write_train_log
 
 MODEL_KEYS = tuple(ModelConfig.__dataclass_fields__)
 
@@ -240,26 +237,36 @@ def _prepare_sets(args):
     return train_cohort.traces, val_cohort.traces
 
 
+def _from_checkpoint(path, model_kwargs: dict) -> tuple:
+    """(config, params) of the checkpoint at ``path``; each model setting given
+    must equal the checkpoint's value."""
+    params, cfg = load_checkpoint(path)
+    given = ModelConfig(**{**cfg.as_dict(), **model_kwargs}).as_dict()
+    diffs = [f"{k} {v!r} in the checkpoint, {given[k]!r} given"
+             for k, v in cfg.as_dict().items() if v != given[k]]
+    if diffs:
+        raise TrainError(f"checkpoint config does not match: {'; '.join(diffs)}")
+    return cfg, params
+
+
 def cmd_train(args) -> int:
-    """train, and finetune: the same loop started from the --from checkpoint,
-    whose config must match any model settings given."""
+    """train, and finetune: the same fit started from the --from checkpoint,
+    whose config must match the model settings given."""
     model_kwargs, train_kwargs = _settings(args)
-    finetuning = args.command == "finetune"
-    cfg = ModelConfig(**model_kwargs) if model_kwargs or not finetuning else None
+    if args.command == "finetune":
+        ckpt = _require_file(args.from_ckpt, "checkpoint")
+        cfg, init = _from_checkpoint(ckpt, model_kwargs)
+        source = {"from": str(ckpt)}
+    else:
+        cfg, init, source = ModelConfig(**model_kwargs), None, {}
     train_cfg = TrainConfig(seed=args.seed, **train_kwargs)
-    ckpt = _require_file(args.from_ckpt, "checkpoint") if finetuning else None
     train_traces, val_traces = _prepare_sets(args)
     out_dir = _resolve_out_dir(args.out_dir, args.command)
-    source = {"from": str(ckpt)} if finetuning else {"model": cfg.as_dict()}
     _echo_config(out_dir, {"command": args.command, "data": args.data, "seed": args.seed,
                            "split_fraction": args.split_fraction,
-                           "dtd_band": args.dtd_band, **source, "train": vars(train_cfg),
-                           "threads": _thread_settings()})
-    if finetuning:
-        params, log, cfg = finetune(ckpt, train_traces, val_traces, train_cfg,
-                                    expect_config=cfg, verbose=True)
-    else:
-        params, log = fit(cfg, train_cfg, train_traces, val_traces, verbose=True)
+                           "dtd_band": args.dtd_band, "model": cfg.as_dict(), **source,
+                           "train": vars(train_cfg), "threads": _thread_settings()})
+    params, log = fit(cfg, train_cfg, train_traces, val_traces, init=init, verbose=True)
     save_checkpoint(params, cfg, out_dir / "best.ckpt")
     write_train_log(log, out_dir / "train_log.csv")
     print(f"stop={log.stop_reason} best_epoch={log.best_epoch} "
@@ -283,20 +290,19 @@ def _metrics_line(name: str, rep) -> str:
 
 def cmd_eval(args) -> int:
     if args.preds:
-        preds = evalmod.read_predictions(_require_file(args.preds, "predictions file"))
-        out_dir = _resolve_out_dir(args.out_dir, "eval")
+        scored = evalmod.read_predictions(_require_file(args.preds, "predictions file"))
     elif args.ckpt and args.data:
         params, cfg = load_checkpoint(_require_file(args.ckpt, "checkpoint"))
         cohort = datamod.read_cohort(_require_file(args.data, "cohort file"))
-        preds = predictions_for(cohort.traces, cfg, params)
-        out_dir = _resolve_out_dir(args.out_dir, "eval")
-        evalmod.write_predictions(preds, out_dir / "preds.csv")
+        scored = predictions_for(cohort.traces, cfg, params)
     else:
         raise CliError("eval needs --preds, or --ckpt together with --data")
-    if args.dtd_max is not None:
-        preds = evalmod.filter_by_dtd(preds, args.dtd_max)
+    preds = scored if args.dtd_max is None else evalmod.filter_by_dtd(scored, args.dtd_max)
     analysis = evalmod.analyze(preds, sens_target=args.sens_target,
                                spec_target=args.spec_target)
+    out_dir = _resolve_out_dir(args.out_dir, "eval")
+    if not args.preds:
+        evalmod.write_predictions(scored, out_dir / "preds.csv")
     evalmod.write_report(analysis, out_dir / "report.json")
     evalmod.write_roc_points(analysis, out_dir / "roc_points.csv")
     _echo_config(out_dir, {"command": "eval", "preds": args.preds, "ckpt": args.ckpt,
@@ -315,16 +321,16 @@ def cmd_hpo(args) -> int:
     cohort = datamod.read_cohort(_require_file(args.data, "cohort file"))
     train_cohort, val_cohort = datamod.split(cohort, fraction=args.split_fraction,
                                              seed=args.seed)
-    out_dir = _resolve_out_dir(args.out_dir, "hpo")
     space = SearchSpace()
-    _echo_config(out_dir, {"command": "hpo", "data": args.data, "seed": args.seed,
-                           "trials": args.trials, "max_epochs": args.max_epochs,
-                           "patience": args.patience, "prune": args.prune,
-                           "space": vars(space), "threads": _thread_settings()})
     trials = run_search(space, train_cohort.traces, val_cohort.traces,
                         n_trials=args.trials, max_epochs=args.max_epochs,
                         patience=args.patience, seed=args.seed, prune=args.prune,
                         verbose=True)
+    out_dir = _resolve_out_dir(args.out_dir, "hpo")
+    _echo_config(out_dir, {"command": "hpo", "data": args.data, "seed": args.seed,
+                           "trials": args.trials, "max_epochs": args.max_epochs,
+                           "patience": args.patience, "prune": args.prune,
+                           "space": vars(space), "threads": _thread_settings()})
     write_leaderboard(trials, out_dir / "leaderboard.csv")
     trials_dir = out_dir / "trials"
     trials_dir.mkdir(exist_ok=True)

@@ -1,6 +1,7 @@
-"""Training: binary cross-entropy minimisation with adaptive-moment updates,
-validation-AUC early stopping, checkpointing, and the pretrain-then-finetune
-workflow.
+"""Training: binary cross-entropy minimisation with adaptive-moment updates
+and validation-AUC early stopping. ``fit`` is the one training entry point;
+finetuning is ``fit(..., init=params)`` with the parameters of
+``model.load_checkpoint``.
 
 Everything is deterministic for a fixed (seed, data, config): parameter init,
 batch shuffling and dropout all draw from streams derived from the one seed.
@@ -26,7 +27,6 @@ from .model import (
     clone_param_data,
     forward_batch,
     init_params,
-    load_checkpoint,
     load_param_data,
     named_tensors,
     predict_scores,
@@ -36,7 +36,6 @@ from .numcore import Graph, Tensor, backward, bce_with_logits
 
 PROB_CLAMP = 1e-12
 IMPROVE_DELTA = 1e-6   # val AUC must beat the best by this to reset patience
-PREDICT_BATCH = 256    # traces scored per forward pass by predictions_for
 
 
 @dataclass
@@ -141,13 +140,13 @@ class Adam:
 
 
 def predictions_for(traces: Sequence, cfg: ModelConfig, params: ModelParams) -> list:
-    scores = predict_scores(list(traces), cfg, params, batch_size=PREDICT_BATCH)
+    scores = predict_scores(list(traces), cfg, params)
     return [Prediction(t.trace_id, float(s), t.label, t.days_to_delivery)
             for t, s in zip(traces, scores)]
 
 
 def _slice_batch(stacked: dict, idx: np.ndarray) -> dict:
-    return {k: stacked[k][idx] for k in ("fhr", "fhr_mask", "toco", "toco_mask", "labels")}
+    return {k: v[idx] for k, v in stacked.items()}
 
 
 def train_epoch(params: ModelParams, cfg: ModelConfig, train_cfg: TrainConfig,
@@ -241,26 +240,8 @@ def fit(cfg: ModelConfig, train_cfg: TrainConfig, train_traces: Sequence,
         if epoch - log.best_epoch >= train_cfg.patience:
             log.stop_reason = "early_stop"
             break
-    else:
-        log.stop_reason = "max_epochs"
 
     log.best_val_auc = best_auc
     load_param_data(params, best_snapshot)
     return params, log
 
-
-def finetune(checkpoint_path, train_traces: Sequence, val_traces: Sequence,
-             train_cfg: TrainConfig, expect_config: Optional[ModelConfig] = None,
-             verbose: bool = False) -> tuple:
-    """Resume from a checkpoint with all layers trainable.
-
-    Returns (params, TrainLog, config). ``expect_config``, when given, must
-    match the checkpoint's stored config exactly.
-    """
-    params, cfg = load_checkpoint(checkpoint_path)
-    if expect_config is not None and expect_config != cfg:
-        raise TrainError(f"checkpoint config does not match: checkpoint has "
-                         f"{cfg}, caller expected {expect_config}")
-    params, log = fit(cfg, train_cfg, train_traces, val_traces, init=params,
-                      verbose=verbose)
-    return params, log, cfg

@@ -28,7 +28,7 @@ from ctgformer.model import (
     save_checkpoint,
 )
 from ctgformer.numcore import Graph, Tensor, backward, grad_check, sigmoid
-from ctgformer.train import Adam, TrainConfig, bce_loss_batch, finetune, fit, predictions_for
+from ctgformer.train import Adam, TrainConfig, bce_loss_batch, fit, predictions_for
 
 TINY = ModelConfig(seq_len=32, patch_len=8, stride=8, n_layers=1, n_heads=2,
                    d_model=8, d_ff=16, dropout=0.0, fc_dropout=0.0, attn_dropout=0.0)
@@ -347,8 +347,9 @@ def test_criterion_10_temporal_shift(tmp_path):
         zero_shot = auc(predictions_for(near_val.traces, cfg, pre_params))
         ckpt = tmp_path / f"pre{seed}.ckpt"
         save_checkpoint(pre_params, cfg, ckpt)
-        _, ft_log, _ = finetune(ckpt, near_train.traces, near_val.traces,
-                                TrainConfig(5e-4, 24, 8, 10, seed=seed))
+        init, ckpt_cfg = load_checkpoint(ckpt)
+        _, ft_log = fit(ckpt_cfg, TrainConfig(5e-4, 24, 8, 10, seed=seed),
+                        near_train.traces, near_val.traces, init=init)
         wins += ft_log.best_val_auc >= zero_shot
         outcomes.append((round(zero_shot, 3), round(ft_log.best_val_auc, 3)))
     assert wins >= 8, outcomes

@@ -10,6 +10,7 @@ import pytest
 import ctgformer
 from ctgformer.cli import main
 from ctgformer.data import GenSpec, generate_cohort, write_cohort, write_raw_traces
+from ctgformer.model import load_checkpoint
 from ctgformer.signal import MISSING, RawTrace
 
 
@@ -17,6 +18,15 @@ from ctgformer.signal import MISSING, RawTrace
 def cohort_file(tmp_path):
     path = tmp_path / "cohort.csv"
     write_cohort(generate_cohort(GenSpec(n_per_class=12, seed=3)), path)
+    return path
+
+
+@pytest.fixture()
+def preds_file(tmp_path):
+    from ctgformer.evaluation import Prediction, write_predictions
+
+    path = tmp_path / "preds.csv"
+    write_predictions([Prediction("a", 0.2, 0, 1.0), Prediction("b", 0.7, 1, 3.0)], path)
     return path
 
 
@@ -86,11 +96,20 @@ def test_non_finite_rate_fails_cleanly(tmp_path, cohort_file, capsys, argv, modu
      "error[cli]: checkpoint not found"),
     (["eval", "--preds", "nope.csv", "--out-dir", "run"],
      "error[cli]: predictions file not found"),
+    (["eval", "--preds", "preds.csv", "--dtd-max", "-1", "--out-dir", "run"],
+     "error[eval]: no positive predictions within -1.0 days of delivery"),
     (["hpo", "--data", "nope.csv", "--out-dir", "run"], "error[cli]: cohort file not found"),
+    (["hpo", "--data", "cohort.csv", "--trials", "0", "--out-dir", "run"],
+     "error[hpo]: n_trials must be at least 1"),
+    (["hpo", "--data", "cohort.csv", "--trials", "1", "--patience", "0", "--out-dir", "run"],
+     "error[train]: patience must be at least 1"),
+    (["hpo", "--data", "cohort.csv", "--trials", "1", "--max-epochs", "-1",
+      "--out-dir", "run"], "error[train]: max_epochs must be non-negative"),
 ], ids=["generate_zero_per_class", "train_learning_rate_nan", "train_missing_data",
         "train_unknown_preset", "finetune_missing_from", "eval_missing_preds",
-        "hpo_missing_data"])
-def test_rejected_run_writes_nothing(tmp_path, cohort_file, capsys, monkeypatch,
+        "eval_negative_dtd_max", "hpo_missing_data", "hpo_zero_trials", "hpo_zero_patience",
+        "hpo_negative_max_epochs"])
+def test_rejected_run_writes_nothing(tmp_path, cohort_file, preds_file, capsys, monkeypatch,
                                      argv, message):
     monkeypatch.chdir(tmp_path)
     before = sorted(tmp_path.rglob("*"))
@@ -230,6 +249,31 @@ class TestFinetuneCli:
                               + SMALL_MODEL + ["--d-model", "32"], capsys)
         assert code == 1
         assert stderr.startswith("error[train]: ") and "does not match" in stderr
+
+    def test_matching_subset_of_settings_trains(self, tmp_path, cohort_file, pretrained,
+                                                capsys):
+        code, _, stderr = run(self.finetune_argv(tmp_path, cohort_file, pretrained)
+                              + ["--d-model", "16"], capsys)
+        assert code == 0, stderr
+        assert (tmp_path / "ft" / "best.ckpt").exists()
+
+    def test_mismatch_names_keys_and_writes_nothing(self, tmp_path, cohort_file, pretrained,
+                                                    capsys):
+        before = sorted(tmp_path.rglob("*"))
+        code, _, stderr = run(self.finetune_argv(tmp_path, cohort_file, pretrained)
+                              + ["--d-model", "32", "--n-layers", "2"], capsys)
+        assert code == 1
+        assert stderr == ("error[train]: checkpoint config does not match: n_layers 1 in "
+                          "the checkpoint, 2 given; d_model 16 in the checkpoint, 32 given\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_effective_config_records_checkpoint_model(self, tmp_path, cohort_file,
+                                                       pretrained, capsys):
+        code, _, _ = run(self.finetune_argv(tmp_path, cohort_file, pretrained), capsys)
+        assert code == 0
+        echoed = json.loads((tmp_path / "ft" / "effective_config.json").read_text())
+        assert echoed["model"] == load_checkpoint(pretrained)[1].as_dict()
+        assert echoed["from"] == str(pretrained)
 
     def test_finetune_from_checkpoint(self, tmp_path, cohort_file, capsys):
         train_dir = tmp_path / "pre"

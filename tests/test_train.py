@@ -19,7 +19,6 @@ from ctgformer.train import (
     TrainConfig,
     bce_loss,
     bce_loss_batch,
-    finetune,
     fit,
     predictions_for,
     train_epoch,
@@ -233,28 +232,21 @@ class TestFinetune:
     def test_zero_epoch_finetune_equals_zero_shot(self, tmp_path, small_sets):
         train_traces, val_traces = small_sets
         ckpt = self.make_checkpoint(tmp_path, small_sets)
-        params, log, cfg = finetune(ckpt, train_traces, val_traces,
-                                    TrainConfig(max_epochs=0))
+        init, cfg = load_checkpoint(ckpt)
+        params, log = fit(cfg, TrainConfig(max_epochs=0), train_traces, val_traces,
+                          init=init)
         pre_params, pre_cfg = load_checkpoint(ckpt)
         zero_shot = auc(predictions_for(val_traces, pre_cfg, pre_params))
         assert log.best_val_auc == pytest.approx(zero_shot, abs=1e-15)
         assert log.best_epoch == 0 and not log.epochs
 
-    def test_config_mismatch_rejected(self, tmp_path, small_sets):
-        train_traces, val_traces = small_sets
-        ckpt = self.make_checkpoint(tmp_path, small_sets)
-        wrong = ModelConfig(seq_len=960, patch_len=32, stride=32, n_layers=1,
-                            n_heads=2, d_model=32, d_ff=16)
-        with pytest.raises(TrainError, match="match"):
-            finetune(ckpt, train_traces, val_traces, TrainConfig(max_epochs=1),
-                     expect_config=wrong)
-
     def test_finetune_resumes_training(self, tmp_path, small_sets):
         train_traces, val_traces = small_sets
         ckpt = self.make_checkpoint(tmp_path, small_sets)
-        params, log, cfg = finetune(ckpt, train_traces, val_traces,
-                                    TrainConfig(learning_rate=1e-3, batch_size=8,
-                                                max_epochs=2, seed=1))
+        init, cfg = load_checkpoint(ckpt)
+        params, log = fit(cfg, TrainConfig(learning_rate=1e-3, batch_size=8,
+                                           max_epochs=2, seed=1),
+                          train_traces, val_traces, init=init)
         assert len(log.epochs) == 2
         assert cfg == SMALL_CFG
 
