@@ -60,6 +60,8 @@ class GenSpec:
                 raise DataError(f"{name} must be finite and non-negative, got {value!r}")
         if self.n_per_class < 1:
             raise DataError("n_per_class must be at least 1")
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
         days = self.dtd_days
         if not (isinstance(days, (tuple, list)) and len(days) == 2
                 and all(isinstance(d, (int, np.integer)) for d in days)
@@ -317,6 +319,8 @@ def split(cohort: Cohort, fraction: float = 0.8, seed: int = 0) -> tuple:
     """Label-stratified partition into (train, val), deterministic per seed."""
     if not 0.0 < fraction < 1.0:
         raise DataError(f"fraction must lie in (0, 1), got {fraction}")
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     train, val = [], []
     for label in (0, 1):

@@ -107,16 +107,18 @@ def sample_trial(space: SearchSpace, seed: int, index: int) -> tuple:
     return cfg, float(pick(space.learning_rate)), int(pick(space.batch_size))
 
 
+PRUNE_MIN_EPOCH = 10   # the pruner never stops a trial before this epoch
+
+
 class MedianPruner:
     """Stop a trial whose validation AUC at epoch k falls below the median of
-    completed trials at that epoch; inactive before ``min_epoch``."""
+    completed trials at that epoch; inactive before ``PRUNE_MIN_EPOCH``."""
 
-    def __init__(self, min_epoch: int = 10):
-        self.min_epoch = min_epoch
+    def __init__(self):
         self._completed: list = []   # one {epoch: val_auc} per completed trial
 
     def should_prune(self, epoch: int, val_auc: float) -> bool:
-        if epoch < self.min_epoch:
+        if epoch < PRUNE_MIN_EPOCH:
             return False
         at_epoch = [h[epoch] for h in self._completed if epoch in h]
         return bool(at_epoch) and val_auc < statistics.median(at_epoch)

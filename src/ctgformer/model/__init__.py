@@ -21,7 +21,6 @@ from .net import (
     forward_batch,
     instance_normalize,
     make_patches,
-    patch_count,
     pool_channel,
     predict_scores,
     run_encoder,
@@ -49,7 +48,6 @@ __all__ = [
     "load_param_data",
     "make_patches",
     "named_tensors",
-    "patch_count",
     "pool_channel",
     "predict_scores",
     "run_encoder",

@@ -83,10 +83,6 @@ def make_patches(values: np.ndarray, mask: np.ndarray, patch_len: int, stride: i
     return patches, patch_mask
 
 
-def patch_count(seq_len: int, patch_len: int, stride: int) -> int:
-    return _patch_indices(seq_len, patch_len, stride).shape[0]
-
-
 def embed_patches(patches: np.ndarray, w_patch: Tensor, w_pos: Tensor) -> Tensor:
     """Project (B, N, P) patches, cast to the weights' dtype, into the latent
     width and add positional rows. Masked patches are embedded too; masking

@@ -1,17 +1,15 @@
-"""Trace preprocessing: range clipping, unit scaling, fixed-length windowing
-and missing-value mask construction.
+"""Trace preprocessing. ``preprocess`` is the one entry point: it clips a raw
+recording to the physiological ranges, rescales both channels to [0, 1],
+cuts it into 960-sample windows (one hour) with observation masks, and drops
+windows missing more than 30% of their heart-rate signal.
 
 Raw traces carry fetal heart rate in beats/minute and contraction pressure in
-relative units, with -1 marking missing samples. The pipeline clips to the
-physiological ranges, rescales both channels to [0, 1], cuts the recording
-into non-overlapping 960-sample windows (one hour), right-pads the final
-partial window, and drops windows missing more than 30% of their heart-rate
-signal.
+relative units, with -1 marking missing samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,85 +100,52 @@ class Trace:
         _check_days_to_delivery(self.days_to_delivery)
 
 
-def clip_ranges(raw: RawTrace) -> RawTrace:
-    """Clamp observed heart rate to [50, 250] bpm and contractions to [0, 100];
-    missing sentinels pass through untouched."""
-    fhr = np.where(raw.fhr == MISSING, MISSING, np.clip(raw.fhr, *FHR_RANGE))
-    toco = np.where(raw.toco == MISSING, MISSING, np.clip(raw.toco, *TOCO_RANGE))
-    return replace(raw, fhr=fhr, toco=toco)
-
-
-def scale_unit(raw: RawTrace) -> RawTrace:
-    """Map clipped ranges onto [0, 1]: fhr via (v - 50) / 200, toco via v / 100."""
-    for arr, (lo, hi), name in ((raw.fhr, FHR_RANGE, "fhr"), (raw.toco, TOCO_RANGE, "toco")):
-        observed = arr[arr != MISSING]
-        if observed.size and (observed.min() < lo or observed.max() > hi):
-            raise SignalError(f"unclipped {name} value outside [{lo}, {hi}]; run clip_ranges first")
-    fhr = np.where(raw.fhr == MISSING, MISSING,
-                   (raw.fhr - FHR_RANGE[0]) / (FHR_RANGE[1] - FHR_RANGE[0]))
-    toco = np.where(raw.toco == MISSING, MISSING, raw.toco / TOCO_RANGE[1])
-    return replace(raw, fhr=fhr, toco=toco)
-
-
-def build_mask(window_values: np.ndarray):
-    """Pad a window of up to 960 samples and derive its observation mask.
-
-    Mask is True where the sample is inside the original extent and not the
-    missing sentinel; every masked-out position carries value 0.0.
-    """
-    vals = np.asarray(window_values, dtype=np.float64)
-    if len(vals) > WINDOW_LEN:
-        raise SignalError(f"window longer than {WINDOW_LEN} samples")
-    padded = np.zeros(WINDOW_LEN)
-    mask = np.zeros(WINDOW_LEN, dtype=bool)
-    observed = vals != MISSING
-    padded[: len(vals)][observed] = vals[observed]
-    mask[: len(vals)] = observed
-    return padded, mask
-
-
-def window_pad(raw: RawTrace) -> list[Trace]:
-    """Cut a scaled trace into consecutive 960-sample windows.
-
-    The final partial window is right-padded with missing samples. A window is
-    dropped when more than ``MAX_MISSING_FRACTION`` (30%) of the heart-rate
-    samples inside its original (unpadded) extent are missing; padding itself
-    does not count against the window.
-    """
-    n = len(raw.fhr)
-    if n == 0:
-        raise SignalError("cannot window an empty trace")
-    for arr, name in ((raw.fhr, "fhr"), (raw.toco, "toco")):
-        observed = arr[arr != MISSING]
-        if observed.size and (observed.min() < 0.0 or observed.max() > 1.0):
-            raise SignalError(f"{name} not unit-scaled; run scale_unit first")
-
-    traces = []
-    n_windows = (n + WINDOW_LEN - 1) // WINDOW_LEN
-    for j in range(n_windows):
-        lo, hi = j * WINDOW_LEN, min((j + 1) * WINDOW_LEN, n)
-        fhr_seg, toco_seg = raw.fhr[lo:hi], raw.toco[lo:hi]
-        missing_frac = np.mean(fhr_seg == MISSING)
-        if missing_frac > MAX_MISSING_FRACTION:
-            continue
-        fhr, fhr_mask = build_mask(fhr_seg)
-        toco, toco_mask = build_mask(toco_seg)
-        trace_id = raw.trace_id if n_windows == 1 else f"{raw.trace_id}:w{j}"
-        traces.append(Trace(trace_id=trace_id, fhr=fhr, toco=toco,
-                            fhr_mask=fhr_mask, toco_mask=toco_mask,
-                            label=raw.label, days_to_delivery=raw.days_to_delivery,
-                            window_index=j))
-    return traces
+def _scaled_windows(arr: np.ndarray, bounds: tuple, n_windows: int):
+    """Clip one channel to ``bounds``, map it onto [0, 1] and right-pad it to
+    whole windows. Returns (values, mask), each (n_windows, WINDOW_LEN): the
+    mask is True where a sample lies inside the recording and is not the
+    missing sentinel, and every other position holds 0.0."""
+    lo, hi = bounds
+    padded = np.full(n_windows * WINDOW_LEN, MISSING)
+    padded[:len(arr)] = np.where(arr == MISSING, MISSING, (np.clip(arr, lo, hi) - lo) / (hi - lo))
+    mask = padded != MISSING
+    shape = (n_windows, WINDOW_LEN)
+    return np.where(mask, padded, 0.0).reshape(shape), mask.reshape(shape)
 
 
 def preprocess(raw: RawTrace) -> list[Trace]:
-    """Full pipeline: clip -> scale -> window/pad/mask."""
-    return window_pad(scale_unit(clip_ranges(raw)))
+    """Clip, unit-scale and window one recording.
+
+    Observed heart rate is clamped to [50, 250] bpm and mapped by
+    (v - 50) / 200, contractions to [0, 100] and mapped by v / 100. The
+    recording is cut into consecutive 960-sample windows and the last one is
+    right-padded. A window is dropped when more than ``MAX_MISSING_FRACTION``
+    (30%) of the heart-rate samples inside its unpadded extent are missing;
+    padding does not count against it. A recording of one window keeps its
+    id, a longer one gives ``<id>:w<j>``.
+    """
+    n = len(raw.fhr)
+    n_windows = -(-n // WINDOW_LEN)
+    fhr, fhr_mask = _scaled_windows(raw.fhr, FHR_RANGE, n_windows)
+    toco, toco_mask = _scaled_windows(raw.toco, TOCO_RANGE, n_windows)
+    extent = np.minimum(WINDOW_LEN, n - WINDOW_LEN * np.arange(n_windows))
+    missing_frac = (extent - fhr_mask.sum(axis=1)) / extent
+    return [Trace(trace_id=raw.trace_id if n_windows == 1 else f"{raw.trace_id}:w{j}",
+                  fhr=fhr[j], toco=toco[j], fhr_mask=fhr_mask[j], toco_mask=toco_mask[j],
+                  label=raw.label, days_to_delivery=raw.days_to_delivery, window_index=j)
+            for j in range(n_windows) if missing_frac[j] <= MAX_MISSING_FRACTION]
 
 
 def trace_to_raw(trace: Trace) -> RawTrace:
     """Invert unit scaling back to instrument units, writing -1 at masked
-    positions. ``preprocess(trace_to_raw(t))`` reproduces ``t`` exactly."""
+    positions.
+
+    For a window ``t`` that ``preprocess`` emitted without padding,
+    ``preprocess(trace_to_raw(t))`` is one window with ``t``'s id and masks,
+    values within 1 ulp of ``t``'s (equal from the second round trip on) and
+    ``window_index`` 0. A tail window's padding comes back as missing heart
+    rate, so the 30% rule can drop it: the tail of a 1460-sample recording
+    comes back as ``[]``."""
     fhr = np.where(trace.fhr_mask,
                    trace.fhr * (FHR_RANGE[1] - FHR_RANGE[0]) + FHR_RANGE[0], MISSING)
     toco = np.where(trace.toco_mask, trace.toco * TOCO_RANGE[1], MISSING)

@@ -56,6 +56,8 @@ class TrainConfig:
             raise TrainError(f"patience must be at least 1, got {self.patience}")
         if self.max_epochs < 0:
             raise TrainError(f"max_epochs must be non-negative, got {self.max_epochs}")
+        if self.seed < 0:
+            raise TrainError(f"seed must be non-negative, got {self.seed}")
 
 
 # TrainConfig fields a preset, a config file or a command-line flag may set.

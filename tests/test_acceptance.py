@@ -20,8 +20,8 @@ from ctgformer.model import (
     init_params,
     instance_normalize,
     load_checkpoint,
+    make_patches,
     named_tensors,
-    patch_count,
     pool_channel,
     predict_scores,
     run_encoder,
@@ -77,20 +77,25 @@ def test_criterion_02_patch_count_oracle():
             j += 1
         return count
 
+    def model_counts(seq, p, s):
+        # the count that sizes the positional table, and the count make_patches cuts
+        cut = make_patches(np.zeros((1, seq)), np.ones((1, seq), dtype=bool), p, s)[0].shape[1]
+        return ModelConfig(seq_len=seq, patch_len=p, stride=s).n_patches, cut
+
     checked = 0
     for seq in range(1, 65):          # exhaustive small grid
         for p in range(1, seq + 1):
             for s in range(1, p + 1):
-                assert patch_count(seq, p, s) == brute(seq, p, s)
+                assert model_counts(seq, p, s) == (brute(seq, p, s),) * 2
                 checked += 1
     rng = np.random.default_rng(0)    # random triples across the full range
     for _ in range(2000):
         seq = int(rng.integers(1, 2001))
         p = int(rng.integers(1, seq + 1))
         s = int(rng.integers(1, p + 1))
-        assert patch_count(seq, p, s) == brute(seq, p, s)
+        assert model_counts(seq, p, s) == (brute(seq, p, s),) * 2
         checked += 1
-    assert patch_count(960, 16, 16) == 60
+    assert model_counts(960, 16, 16) == (60, 60)
     report(2, f"{checked} (L,P,S) triples match enumeration; paper-best N=60")
 
 

@@ -105,10 +105,17 @@ def test_non_finite_rate_fails_cleanly(tmp_path, cohort_file, capsys, argv, modu
      "error[train]: patience must be at least 1"),
     (["hpo", "--data", "cohort.csv", "--trials", "1", "--max-epochs", "-1",
       "--out-dir", "run"], "error[train]: max_epochs must be non-negative"),
+    (["generate", "--n-per-class", "2", "--seed", "-1", "--out", "newdir/c.csv"],
+     "error[data]: seed must be non-negative, got -1"),
+    (["train", "--data", "cohort.csv", "--seed", "-1", "--out-dir", "run"] + SMALL_MODEL,
+     "error[train]: seed must be non-negative, got -1"),
+    (["hpo", "--data", "cohort.csv", "--trials", "1", "--seed", "-1", "--out-dir", "run"],
+     "error[data]: seed must be non-negative, got -1"),
 ], ids=["generate_zero_per_class", "train_learning_rate_nan", "train_missing_data",
         "train_unknown_preset", "finetune_missing_from", "eval_missing_preds",
         "eval_negative_dtd_max", "hpo_missing_data", "hpo_zero_trials", "hpo_zero_patience",
-        "hpo_negative_max_epochs"])
+        "hpo_negative_max_epochs", "generate_negative_seed", "train_negative_seed",
+        "hpo_negative_seed"])
 def test_rejected_run_writes_nothing(tmp_path, cohort_file, preds_file, capsys, monkeypatch,
                                      argv, message):
     monkeypatch.chdir(tmp_path)

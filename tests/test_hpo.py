@@ -123,12 +123,12 @@ class TestMedianPruner:
         return log
 
     def test_inactive_before_min_epoch(self):
-        p = MedianPruner(min_epoch=10)
+        p = MedianPruner()
         p.record_completed(self.log_with([0.9] * 12))
         assert not p.should_prune(9, 0.0)
 
     def test_prunes_below_median(self):
-        p = MedianPruner(min_epoch=10)
+        p = MedianPruner()
         for top in (0.8, 0.85, 0.9):
             p.record_completed(self.log_with([top] * 12))
         assert p.should_prune(10, 0.84)
@@ -136,7 +136,7 @@ class TestMedianPruner:
         assert not p.should_prune(10, 0.9)
 
     def test_no_history_never_prunes(self):
-        p = MedianPruner(min_epoch=10)
+        p = MedianPruner()
         assert not p.should_prune(15, 0.0)
 
 

@@ -23,7 +23,6 @@ from ctgformer.model import (
     load_checkpoint,
     make_patches,
     named_tensors,
-    patch_count,
     pool_channel,
     predict_scores,
     save_checkpoint,
@@ -123,12 +122,19 @@ class TestInstanceNormalize:
             instance_normalize(np.zeros((1, 960)), mask[None])
 
 
+def model_patch_counts(seq_len, patch_len, stride):
+    """The count that sizes the positional table and the count make_patches cuts."""
+    ones = np.ones((1, seq_len), dtype=bool)
+    cut = make_patches(np.zeros((1, seq_len)), ones, patch_len, stride)[0].shape[1]
+    return ModelConfig(seq_len=seq_len, patch_len=patch_len, stride=stride).n_patches, cut
+
+
 class TestMakePatches:
     def test_paper_best_sixty(self):
-        assert patch_count(960, 16, 16) == 60
+        assert model_patch_counts(960, 16, 16) == (60, 60)
 
     def test_overlapping_stride(self):
-        assert patch_count(960, 16, 8) == 119
+        assert model_patch_counts(960, 16, 8) == (119, 119)
 
     def test_single_whole_patch(self):
         patches, _ = make_patches(np.arange(32.0)[None], np.ones((1, 32), dtype=bool), 32, 32)
@@ -147,14 +153,14 @@ class TestMakePatches:
             for p in range(1, seq + 1):
                 for s in range(1, p + 1):
                     brute = sum(1 for j in range(seq) if j * s + p <= seq)
-                    assert patch_count(seq, p, s) == brute
+                    assert model_patch_counts(seq, p, s) == (brute, brute)
         # random larger triples
         for _ in range(300):
             seq = int(rng.integers(1, 2001))
             p = int(rng.integers(1, seq + 1))
             s = int(rng.integers(1, p + 1))
             brute = sum(1 for j in range(seq) if j * s + p <= seq)
-            assert patch_count(seq, p, s) == brute
+            assert model_patch_counts(seq, p, s) == (brute, brute)
 
     def test_mask_majority_rule(self):
         mask = np.ones(32, dtype=bool)

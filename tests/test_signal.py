@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctgformer.errors import SignalError
 from ctgformer.signal import (
+    FHR_RANGE,
     MISSING,
     RawTrace,
+    TOCO_RANGE,
     Trace,
     WINDOW_LEN,
-    build_mask,
-    clip_ranges,
     preprocess,
-    scale_unit,
     trace_to_raw,
-    window_pad,
 )
 
 
@@ -44,43 +43,41 @@ class TestRawTraceValidation:
             make_raw(dtd=dtd)
 
 
+def scaled_window(fhr, toco):
+    """The single window preprocess makes of a recording of at most 960 samples."""
+    (window,) = preprocess(RawTrace("x", np.asarray(fhr, dtype=float),
+                                    np.asarray(toco, dtype=float), 0, 1.0))
+    return window
+
+
 class TestClipRanges:
     def test_fhr_upper_clamp(self):
-        raw = make_raw(4, fhr_value=300.0)
-        assert np.all(clip_ranges(raw).fhr == 250.0)
+        assert np.all(preprocess(make_raw(4, fhr_value=300.0))[0].fhr[:4] == 1.0)  # 250 bpm
 
     def test_missing_preserved(self):
-        raw = RawTrace("x", np.array([MISSING, 40.0]), np.array([MISSING, 120.0]), 0, 1.0)
-        out = clip_ranges(raw)
-        assert out.fhr[0] == MISSING and out.toco[0] == MISSING
-        assert out.fhr[1] == 50.0  # below range clamps up
-        assert out.toco[1] == 100.0
+        t = scaled_window([MISSING, 40.0, 150.0, 150.0], [MISSING, 120.0, 50.0, 50.0])
+        assert not t.fhr_mask[0] and not t.toco_mask[0]
+        assert t.fhr[0] == 0.0 and t.toco[0] == 0.0
+        assert t.fhr[1] == 0.0  # below range clamps up to 50 bpm
+        assert t.toco[1] == 1.0  # above range clamps down to 100
 
 
 class TestScaleUnit:
     def test_midpoint(self):
-        raw = clip_ranges(make_raw(4, fhr_value=150.0))
-        assert np.allclose(scale_unit(raw).fhr, 0.5)
+        assert np.allclose(preprocess(make_raw(4, fhr_value=150.0))[0].fhr[:4], 0.5)
 
     def test_endpoints(self):
-        raw = RawTrace("x", np.array([50.0, 250.0]), np.array([0.0, 100.0]), 0, 1.0)
-        out = scale_unit(clip_ranges(raw))
-        assert np.array_equal(out.fhr, [0.0, 1.0])
-        assert np.array_equal(out.toco, [0.0, 1.0])
+        t = scaled_window([50.0, 250.0], [0.0, 100.0])
+        assert np.array_equal(t.fhr[:2], [0.0, 1.0])
+        assert np.array_equal(t.toco[:2], [0.0, 1.0])
 
     def test_toco_hand_value(self):
-        raw = clip_ranges(make_raw(4, toco_value=37.0))
-        assert np.allclose(scale_unit(raw).toco, 0.37)
-
-    def test_unclipped_rejected(self):
-        raw = make_raw(4, fhr_value=300.0)  # never clipped
-        with pytest.raises(SignalError, match="clip"):
-            scale_unit(raw)
+        assert np.allclose(preprocess(make_raw(4, toco_value=37.0))[0].toco[:4], 0.37)
 
     def test_missing_stays_missing(self):
-        raw = RawTrace("x", np.array([MISSING, 150.0]), np.array([MISSING, 50.0]), 0, 1.0)
-        out = scale_unit(raw)
-        assert out.fhr[0] == MISSING and out.toco[0] == MISSING
+        t = scaled_window([MISSING, 150.0, 150.0, 150.0], [MISSING, 50.0, 50.0, 50.0])
+        assert list(t.fhr_mask[:2]) == [False, True] and list(t.toco_mask[:2]) == [False, True]
+        assert t.fhr[1] == 0.5 and t.toco[1] == 0.5
 
 
 class TestWindowPad:
@@ -117,27 +114,24 @@ class TestWindowPad:
         assert len(traces) == 1
         assert traces[0].fhr_mask.sum() == 480
 
-    def test_rejects_unscaled(self):
-        with pytest.raises(SignalError, match="scale"):
-            window_pad(make_raw(10))
-
 
 class TestBuildMask:
     def test_all_observed(self):
-        vals, mask = build_mask(np.linspace(0, 1, WINDOW_LEN))
-        assert mask.all()
+        t = scaled_window(np.linspace(50, 250, WINDOW_LEN), np.linspace(0, 100, WINDOW_LEN))
+        assert t.fhr_mask.all() and t.toco_mask.all()
 
     def test_missing_position(self):
-        w = np.full(10, 0.5)
-        w[5] = MISSING
-        vals, mask = build_mask(w)
-        assert not mask[5] and vals[5] == 0.0
-        assert mask[:5].all()
+        fhr = np.full(10, 150.0)
+        fhr[5] = MISSING
+        t = scaled_window(fhr, np.full(10, 50.0))
+        assert not t.fhr_mask[5] and t.fhr[5] == 0.0
+        assert t.fhr_mask[:5].all() and t.toco_mask[:10].all()
 
     def test_padding_extent(self):
-        vals, mask = build_mask(np.full(480, 0.25))
-        assert mask[:480].all() and not mask[480:].any()
-        assert np.all(vals[480:] == 0.0)
+        t = scaled_window(np.full(480, 100.0), np.full(480, 25.0))
+        for vals, mask in ((t.fhr, t.fhr_mask), (t.toco, t.toco_mask)):
+            assert mask[:480].all() and not mask[480:].any()
+            assert np.all(vals[:480] == 0.25) and np.all(vals[480:] == 0.0)
 
 
 class TestPipelineProperties:
@@ -187,13 +181,12 @@ class TestPipelineProperties:
             miss = rng.random(n) < rng.uniform(0, 0.5)
             fhr[miss] = MISSING
             raw = RawTrace("c", fhr, rng.uniform(0, 100, n), 0, 1.0)
-            scaled = scale_unit(clip_ranges(raw))
-            kept = window_pad(scaled)
+            kept = preprocess(raw)
             n_windows = -(-n // WINDOW_LEN)  # ceil
             # count how many windows the 30% rule drops, by direct scan
             dropped = 0
             for j in range(n_windows):
-                seg = scaled.fhr[j * WINDOW_LEN:(j + 1) * WINDOW_LEN]
+                seg = raw.fhr[j * WINDOW_LEN:(j + 1) * WINDOW_LEN]
                 if np.mean(seg == MISSING) > 0.30:
                     dropped += 1
             assert len(kept) == n_windows - dropped
@@ -203,9 +196,76 @@ class TestPipelineProperties:
             kept_idx = {t.window_index for t in kept}
             for j in range(n_windows):
                 if j not in kept_idx:
-                    seg = scaled.fhr[j * WINDOW_LEN:(j + 1) * WINDOW_LEN]
+                    seg = raw.fhr[j * WINDOW_LEN:(j + 1) * WINDOW_LEN]
                     observed_in_dropped += int(np.sum(seg != MISSING))
-            assert observed_in_kept + observed_in_dropped == int(np.sum(scaled.fhr != MISSING))
+            assert observed_in_kept + observed_in_dropped == int(np.sum(raw.fhr != MISSING))
+
+    def test_padded_tail_window_does_not_come_back(self):
+        # 500 samples in the tail, 460 of padding: the round trip reads the
+        # padding as missing heart rate and drops the window
+        tail = preprocess(make_raw(1460))[1]
+        assert tail.trace_id == "t0:w1" and tail.fhr_mask.sum() == 500
+        assert preprocess(trace_to_raw(tail)) == []
+
+    def test_round_trip_resets_window_index(self):
+        rng = np.random.default_rng(3)
+        n = 2 * WINDOW_LEN
+        fhr = rng.uniform(40, 260, n)  # continuous values, some clipped
+        fhr[rng.random(n) < 0.1] = MISSING
+        second = preprocess(RawTrace("x", fhr, rng.uniform(0, 100, n), 1, 2.0))[1]
+        (once,) = preprocess(trace_to_raw(second))
+        assert (once.trace_id, once.window_index) == ("x:w1", 0)
+        assert np.array_equal(once.fhr_mask, second.fhr_mask)
+        assert np.array_equal(once.toco_mask, second.toco_mask)
+        for back, orig in ((once.fhr, second.fhr), (once.toco, second.toco)):
+            assert np.all(np.abs(back - orig) <= np.spacing(orig))  # within 1 ulp
+        (twice,) = preprocess(trace_to_raw(once))
+        assert np.array_equal(twice.fhr, once.fhr) and np.array_equal(twice.toco, once.toco)
+
+
+def clip_scaled(v, lo, hi):
+    return (min(max(v, lo), hi) - lo) / (hi - lo)
+
+
+@st.composite
+def raw_recordings(draw):
+    """Lengths 1-4000, biased toward 960k + 1..15, with out-of-range values,
+    integer or continuous samples, and bursts of missing samples."""
+    n = draw(st.one_of(st.integers(1, 4000),
+                       st.builds(lambda k, r: WINDOW_LEN * k + r,
+                                 st.integers(0, 4), st.integers(1, 15))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fhr, toco = rng.uniform(0, 400, n), rng.uniform(0, 150, n)
+    if draw(st.booleans()):
+        fhr, toco = fhr.round(), toco.round()
+    for arr in (fhr, toco):
+        for start, length in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                     st.integers(1, 600)), max_size=4)):
+            arr[start:start + length] = MISSING
+    return RawTrace("p", fhr, toco, 1, 3.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_recordings())
+def test_preprocess_matches_sample_by_sample_oracle(raw):
+    n = len(raw.fhr)
+    n_windows = -(-n // WINDOW_LEN)
+    kept = []
+    for j in range(n_windows):
+        extent = slice(j * WINDOW_LEN, min((j + 1) * WINDOW_LEN, n))
+        if np.mean(raw.fhr[extent] == MISSING) <= 0.30:
+            kept.append((j, extent))
+    windows = preprocess(raw)
+    assert [(t.trace_id, t.window_index) for t in windows] == \
+        [("p" if n_windows == 1 else f"p:w{j}", j) for j, _ in kept]
+    for t, (_, extent) in zip(windows, kept):
+        for vals, mask, raw_vals, (lo, hi) in ((t.fhr, t.fhr_mask, raw.fhr[extent], FHR_RANGE),
+                                                (t.toco, t.toco_mask, raw.toco[extent], TOCO_RANGE)):
+            observed = raw_vals != MISSING
+            assert np.array_equal(mask[:len(raw_vals)], observed) and not mask[len(raw_vals):].any()
+            expected = [clip_scaled(v, lo, hi) if o else 0.0 for v, o in zip(raw_vals, observed)]
+            assert vals[:len(raw_vals)].tolist() == expected
+            assert not vals[len(raw_vals):].any()
 
 
 class TestTraceValidation:
