@@ -52,7 +52,7 @@ from .errors import CliError, CtgformerError, TrainError
 from .hpo import SearchSpace, best_trial, preset_configs, run_search, write_leaderboard
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .numcore import ACTIVATIONS
-from .signal import WINDOW_LEN, preprocess
+from .signal import preprocess, window_count
 from .train import TRAIN_KEYS, TrainConfig, fit, predictions_for, write_train_log
 
 MODEL_KEYS = tuple(ModelConfig.__dataclass_fields__)
@@ -218,8 +218,7 @@ def cmd_preprocess(args) -> int:
     dropped = 0
     for raw in raws:
         windows = preprocess(raw)
-        n_candidates = -(-len(raw.fhr) // WINDOW_LEN)
-        dropped += n_candidates - len(windows)
+        dropped += window_count(len(raw.fhr)) - len(windows)
         traces.extend(windows)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

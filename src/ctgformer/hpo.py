@@ -79,6 +79,8 @@ class TrialRecord:
 def sample_trial(space: SearchSpace, seed: int, index: int) -> tuple:
     """One independent uniform draw per dimension, deterministic per
     (seed, index). Head/width pairs violating divisibility are resampled."""
+    if seed < 0:
+        raise HpoError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng([seed, index])
 
     def pick(options):

@@ -32,7 +32,6 @@ from ..numcore import (
     activation,
     dropout,
     layer_norm,
-    masked_fill,
     matmul,
     parallel_concat,
     reshape,
@@ -112,9 +111,8 @@ def attention(e: Tensor, layer: LayerParams, patch_mask: np.ndarray, n_heads: in
         return transpose(reshape(x, (b, n, n_heads, dk)), (0, 2, 1, 3))
 
     q, k, v = heads(matmul(e, layer.w_q)), heads(matmul(e, layer.w_k)), heads(matmul(e, layer.w_v))
-    scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dk))
     key_gone = (~patch_mask)[:, None, None, :]     # broadcast over heads and query rows
-    weights = softmax(masked_fill(scores, key_gone, -np.inf), axis=-1)
+    weights = softmax(matmul(q, transpose(k, (0, 1, 3, 2))), key_gone, 1.0 / math.sqrt(dk))
     weights = dropout(weights, attn_dropout, rng)
     ctx = reshape(transpose(matmul(weights, v), (0, 2, 1, 3)), (b, n, d))
     return matmul(ctx, layer.w_o)
@@ -130,11 +128,9 @@ def encoder_layer(e: Tensor, layer: LayerParams, patch_mask: np.ndarray, cfg: Mo
     """Post-norm block: LN(e + Drop(Attn(e))) then LN(. + Drop(FFN(.)));
     dropout is on only with a generator ``rng``."""
     a = attention(e, layer, patch_mask, cfg.n_heads, cfg.attn_dropout, rng)
-    e1 = layer_norm(e + dropout(a, cfg.dropout, rng),
-                    layer.ln1_gain, layer.ln1_bias, eps=LAYER_NORM_EPS)
+    e1 = layer_norm(e, layer.ln1_gain, layer.ln1_bias, LAYER_NORM_EPS, a, cfg.dropout, rng)
     f = ffn(e1, layer, cfg.activation)
-    return layer_norm(e1 + dropout(f, cfg.dropout, rng),
-                      layer.ln2_gain, layer.ln2_bias, eps=LAYER_NORM_EPS)
+    return layer_norm(e1, layer.ln2_gain, layer.ln2_bias, LAYER_NORM_EPS, f, cfg.dropout, rng)
 
 
 def run_encoder(e: Tensor, backbone: Backbone, patch_mask: np.ndarray, cfg: ModelConfig,
@@ -215,7 +211,7 @@ def max_forward_chunk(cfg: ModelConfig) -> int:
     token-sized ones (N x width) in ``TRAIN_DTYPE``, for one channel. It is
     a sizing rule, not a bound on the tape: what the tape holds is what the
     adjoint rules read, for both channels. At paper-best's 32-trace chunk
-    that measured 470 MiB after the forward pass (tracemalloc) against the
+    that measured 469 MiB after the forward pass (tracemalloc) against the
     384 MiB budget. Changing the rule would change the chunks and so the
     bits of every seeded run. Depends only on the config, so chunked runs
     stay deterministic.

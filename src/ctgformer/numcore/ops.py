@@ -264,48 +264,100 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _record((a,), out, bw)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax; tolerates -inf entries (they get weight 0)."""
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, keeping it, as one GEMV against ones."""
+    n = a.shape[-1]
+    return (a.reshape(-1, n) @ np.ones(n, dtype=a.dtype)).reshape(a.shape[:-1] + (1,))
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products of matching rows along the last axis, keeping it."""
+    return np.vecdot(a, b)[..., None]
+
+
+def softmax(a, key_gone=None, scale: float = 1.0) -> Tensor:
+    """Softmax over the last axis of ``scale * a``; entries where the
+    boolean ``key_gone`` (broadcast to ``a``) is True are set to -inf first
+    and get weight 0, as do -inf entries of ``a``.
+
+    One output buffer: scale, fill, subtract the row max, exp in place,
+    divide by the row sum (a GEMV). The adjoint reads only the output:
+    ``scale * out * (g - sum(g * out))``.
+    """
     a = as_tensor(a)
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = np.multiply(a.data, np.asarray(scale, dtype=a.data.dtype))
+    if key_gone is not None:
+        np.copyto(out, -np.inf, where=key_gone)
+    out -= np.max(out, axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= _row_sum(out)
 
     def bw(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
+        gx = g - _row_dot(g, out)
+        gx *= out
+        if scale != 1.0:
+            gx *= np.asarray(scale, dtype=gx.dtype)
+        return (gx,)
 
     return _record((a,), out, bw)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Zero mean / unit variance along the last axis, then affine gain/bias."""
+def layer_norm(x, gain, bias, eps: float = 1e-5, branch=None, rate: float = 0.0,
+               rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Zero mean / unit variance along the last axis, then affine gain/bias,
+    of ``x``, or of the residual sum ``x + dropout(branch, rate, rng)`` when
+    a ``branch`` is given (dropout is on only with a generator and a
+    positive rate). The adjoint gives ``gx`` to ``x`` and
+    ``gx * keep / (1 - rate)`` to ``branch``."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.shape[-1]
     if d < 1:
         raise ShapeError("layer_norm needs a non-empty feature axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu              # centred here, scaled in place below
-    var = np.mean(xhat * xhat, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inputs, keep, scale = (x, gain, bias), None, 1.0
+    if branch is None:
+        xhat = x.data - _row_sum(x.data) / d
+    else:
+        branch = as_tensor(branch)
+        if branch.shape != x.shape:
+            raise ShapeError(f"layer_norm branch {branch.shape} does not match x {x.shape}")
+        inputs += (branch,)
+        keep = _keep_mask(rng, branch.shape, rate)
+        if keep is None:
+            xhat = x.data + branch.data
+        else:
+            scale = 1.0 / (1.0 - rate)
+            xhat = branch.data * keep
+            xhat *= scale
+            xhat += x.data
+        xhat -= _row_sum(xhat) / d
+    # xhat is centred now and scaled in place below
+    inv = 1.0 / np.sqrt(_row_dot(xhat, xhat) / d + eps)
     xhat *= inv
     out = xhat * gain.data
     out += bias.data
     gain_data, bias_shape = gain.data, bias.shape   # x itself is not read
+    has_branch = branch is not None
 
     def bw(g):
         gx = g * gain_data
-        m1 = gx.mean(axis=-1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        m1 = _row_sum(gx) / d
+        m2 = _row_dot(gx, xhat) / d
         gx -= m1
         gx -= xhat * m2
         gx *= inv
         lead = tuple(range(g.ndim - gain_data.ndim))
         ggain = (g * xhat).sum(axis=lead) if lead else g * xhat
         gbias = g.sum(axis=lead) if lead else g.copy()
-        return gx, _unbroadcast(ggain, gain_data.shape), _unbroadcast(gbias, bias_shape)
+        grads = (gx, _unbroadcast(ggain, gain_data.shape), _unbroadcast(gbias, bias_shape))
+        if not has_branch:
+            return grads
+        if keep is None:
+            return grads + (gx,)
+        gb = gx * keep
+        gb *= scale
+        return grads + (gb,)
 
-    return _record((x, gain, bias), out, bw)
+    return _record(inputs, out, bw)
 
 
 def relu(a) -> Tensor:
@@ -398,28 +450,32 @@ def bce_with_logits(z, labels) -> Tensor:
     return _record((z,), out, bw)
 
 
-def masked_fill(a, mask, value: float) -> Tensor:
-    """Set entries where ``mask`` is True to ``value``; their gradient is zero."""
-    a = as_tensor(a)
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
-    out = np.where(mask, value, a.data)
+def _keep_mask(rng: Optional[np.random.Generator], shape: tuple, rate: float):
+    """The boolean keep-mask of every dropout, or None when dropout is off
+    (no generator, or rate 0).
 
-    def bw(g):
-        return (np.where(mask, 0.0, g),)
-
-    return _record((a,), out, bw)
+    One uniform uint16 per element, cut from the generator's raw 64-bit
+    output, is kept when it is at least ``round(rate * 65536)``: the drop
+    rate is exact to 2**-17 and the mask does not depend on the
+    activations' dtype.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise NumcoreError(f"dropout rate must be in [0, 1), got {rate}")
+    if rng is None or rate == 0.0:
+        return None
+    n = math.prod(shape)
+    bits = rng.bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n]
+    return (bits >= round(rate * 65536)).reshape(shape)
 
 
 def dropout(x, rate: float, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors by
-    1/(1-rate), drawing the mask from ``rng`` only, in ``x``'s dtype.
-    Identity without a generator (inference) or at rate 0."""
+    1/(1-rate), drawing the mask from ``rng`` only. Identity without a
+    generator (inference) or at rate 0."""
     x = as_tensor(x)
-    if not 0.0 <= rate < 1.0:
-        raise NumcoreError(f"dropout rate must be in [0, 1), got {rate}")
-    if rng is None or rate == 0.0:
+    keep = _keep_mask(rng, x.shape, rate)
+    if keep is None:
         return x
-    keep = rng.random(x.shape, dtype=x.data.dtype) >= rate   # bool
     scale = 1.0 / (1.0 - rate)
     out = x.data * keep
     out *= scale

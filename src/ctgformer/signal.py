@@ -100,6 +100,12 @@ class Trace:
         _check_days_to_delivery(self.days_to_delivery)
 
 
+def window_count(n_samples: int) -> int:
+    """Windows an ``n_samples``-long recording is cut into, the last one
+    right-padded; ``preprocess`` keeps those that pass the 30% rule."""
+    return -(-n_samples // WINDOW_LEN)
+
+
 def _scaled_windows(arr: np.ndarray, bounds: tuple, n_windows: int):
     """Clip one channel to ``bounds``, map it onto [0, 1] and right-pad it to
     whole windows. Returns (values, mask), each (n_windows, WINDOW_LEN): the
@@ -125,7 +131,7 @@ def preprocess(raw: RawTrace) -> list[Trace]:
     id, a longer one gives ``<id>:w<j>``.
     """
     n = len(raw.fhr)
-    n_windows = -(-n // WINDOW_LEN)
+    n_windows = window_count(n)
     fhr, fhr_mask = _scaled_windows(raw.fhr, FHR_RANGE, n_windows)
     toco, toco_mask = _scaled_windows(raw.toco, TOCO_RANGE, n_windows)
     extent = np.minimum(WINDOW_LEN, n - WINDOW_LEN * np.arange(n_windows))

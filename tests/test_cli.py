@@ -145,6 +145,15 @@ class TestPreprocess:
         assert len(cohort.traces) == 3
         assert [t.window_index for t in cohort.traces] == [0, 1, 2]
 
+    def test_reports_windows_dropped_by_the_thirty_percent_rule(self, tmp_path, capsys):
+        fhr = np.full(2400, 140.0)
+        fhr[960:1300] = MISSING   # the middle window misses 340 of 960 samples
+        raw_path, out = tmp_path / "raw.csv", tmp_path / "cohort.csv"
+        write_raw_traces([RawTrace("r", fhr, np.full(2400, 20.0), 0, 1.0)], raw_path)
+        code, stdout, _ = run(["preprocess", "--raw", str(raw_path), "--out", str(out)], capsys)
+        assert code == 0
+        assert f"wrote 2 windows to {out} (1 dropped by the 30% rule)" in stdout
+
 
 class TestTrain:
     def test_artifacts_and_rerun_determinism(self, tmp_path, cohort_file, capsys):

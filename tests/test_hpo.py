@@ -42,6 +42,10 @@ def tiny_sets():
 
 
 class TestSampleTrial:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(HpoError, match="seed must be non-negative, got -1"):
+            sample_trial(SearchSpace(), -1, 0)
+
     def test_values_in_published_grids(self):
         space = SearchSpace()
         for i in range(200):
@@ -141,6 +145,17 @@ class TestMedianPruner:
 
 
 class TestRunSearch:
+    def test_negative_seed_rejected_before_any_trial(self, tiny_sets, monkeypatch):
+        import ctgformer.hpo as hpo
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(hpo, "fit", no_fit)
+        train_traces, val_traces = tiny_sets
+        with pytest.raises(HpoError, match="seed must be non-negative, got -3"):
+            run_search(FAST_SPACE, train_traces, val_traces, n_trials=2, seed=-3)
+
     def test_single_trial_is_best(self, tiny_sets):
         train_traces, val_traces = tiny_sets
         trials = run_search(FAST_SPACE, train_traces, val_traces, n_trials=1,

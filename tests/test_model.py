@@ -592,6 +592,17 @@ def tape_nodes(nodes):
                 yield from tape_nodes(tape._nodes)
 
 
+def test_training_forward_records_137_tape_nodes():
+    # per layer and channel the encoder records one softmax and two layer
+    # norms for its scaled masked attention and residual-dropout-norm steps
+    cfg = acceptance_config()
+    batch = batch_dict(np.random.default_rng(3), b=2, seq_len=cfg.seq_len)
+    with Graph() as g:
+        forward_batch(batch, cfg, init_params(cfg, 1), training=True,
+                      rng=np.random.default_rng(2))
+    assert len(g) == 137
+
+
 class TestMixedPrecision:
     """A training pass computes in float32 against float64 master weights."""
 

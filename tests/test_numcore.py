@@ -145,15 +145,67 @@ class TestSoftmax:
         rng = np.random.default_rng(11)
         for _ in range(50):
             x = rng.normal(scale=3.0, size=(4, 7))
-            out = nc.softmax(Tensor(x), axis=-1)
+            out = nc.softmax(Tensor(x))
             assert np.all(np.abs(out.data.sum(axis=-1) - 1.0) <= 1e-12)
-            shifted = nc.softmax(Tensor(x + rng.normal()), axis=-1)
+            shifted = nc.softmax(Tensor(x + rng.normal()))
             assert np.allclose(out.data, shifted.data, atol=1e-12)
 
     def test_minus_inf_gets_zero_weight(self):
         out = nc.softmax(Tensor([0.0, -np.inf, 1.0]))
         assert out.data[1] == 0.0
         assert np.isclose(out.data.sum(), 1.0)
+
+    def test_gone_keys_get_zero_weight_and_scale_applies(self):
+        x = np.array([[0.0, 5.0, 1.0], [2.0, -1.0, 0.5]])
+        gone = np.array([False, True, False])
+        out = nc.softmax(Tensor(x), gone, 0.5).data
+        assert np.all(out[:, 1] == 0.0)
+        kept = np.exp(0.5 * x[:, [0, 2]])
+        assert np.allclose(out[:, [0, 2]], kept / kept.sum(axis=1, keepdims=True), atol=1e-15)
+
+    def test_key_gone_and_scale_gradients(self):
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        gone = np.array([[[True, False, True, False, True]],
+                         [[True, True, False, True, True]]])   # batch 1: one attended key
+        w = Tensor(rng.normal(size=(2, 3, 5)))
+        report = grad_check(lambda: scalar_loss(nc.mul(nc.softmax(x, gone, 0.7), w)),
+                            [x], eps=1e-6, tol=1e-6)
+        assert report.passed, report.max_rel_err
+
+    def test_single_attended_key_gets_weight_one_and_no_gradient(self):
+        x = Tensor(np.array([[3.0, -2.0, 0.5]]), requires_grad=True)
+        with Graph() as g:
+            out = nc.softmax(x, np.array([True, False, True]), 0.25)
+            loss = nc.tsum(nc.mul(out, Tensor([[1.0, 2.0, 3.0]])))
+        assert np.array_equal(out.data, [[0.0, 1.0, 0.0]])
+        backward(loss, g)
+        assert np.array_equal(x.grad, np.zeros((1, 3)))
+
+    def test_float32_matches_float64_reference_of_old_chain(self):
+        # attention-sized block at the model's score scale: the old chain was
+        # mul(scale), masked_fill(-inf), softmax, here in float64
+        rng = np.random.default_rng(12)
+        scale = 1.0 / np.sqrt(32)
+        s32 = rng.normal(size=(4, 4, 60, 60)).astype(np.float32)
+        gone = rng.random((4, 1, 1, 60)) < 0.3
+        g32 = rng.normal(size=s32.shape).astype(np.float32)
+        x = Tensor(s32, requires_grad=True)
+        with Graph() as g:
+            out = nc.softmax(x, gone, scale)
+            loss = nc.tsum(nc.mul(out, g32))
+        backward(loss, g)
+        a = np.where(gone, -np.inf, s32.astype(np.float64) * scale)
+        e = np.exp(a - a.max(axis=-1, keepdims=True))
+        ref = e / e.sum(axis=-1, keepdims=True)
+        g64 = g32.astype(np.float64)
+        gref = ref * (g64 - (g64 * ref).sum(axis=-1, keepdims=True)) * scale
+        assert out.data.dtype == np.float32 and x.grad.dtype == np.float32
+        assert np.abs(out.data - ref).max() <= 2e-8
+        assert np.linalg.norm(x.grad - gref) / np.linalg.norm(gref) <= 1e-7
+        # the float64 form of the fused op against the same reference
+        out64 = nc.softmax(Tensor(s32.astype(np.float64)), gone, scale).data
+        assert np.abs(out64 - ref).max() <= 2e-15
 
 
 class TestLayerNorm:
@@ -197,6 +249,78 @@ class TestLayerNorm:
         report = grad_check(lambda: scalar_loss(nc.mul(nc.layer_norm(x, g, b), w)),
                             [x, g, b], eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
+
+    def test_branch_with_dropout_gradients(self):
+        rng = np.random.default_rng(19)
+        x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+        branch = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+        g = Tensor(rng.normal(size=8), requires_grad=True)
+        b = Tensor(rng.normal(size=8), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 8)))
+
+        def f():   # a fresh generator per evaluation: the same mask every time
+            out = nc.layer_norm(x, g, b, 1e-5, branch, 0.4, np.random.default_rng(5))
+            return scalar_loss(nc.mul(out, w))
+
+        report = grad_check(f, [x, branch, g, b], eps=1e-6, tol=1e-5)
+        assert report.passed, report.max_rel_err
+
+    def test_branch_without_dropout_is_the_residual_sum(self):
+        rng = np.random.default_rng(8)
+        x, branch = rng.normal(size=(2, 4, 8)), rng.normal(size=(2, 4, 8))
+        g, b = self.gb(8)
+        fused = nc.layer_norm(Tensor(x), g, b, 1e-5, Tensor(branch), 0.3)   # no generator
+        assert np.array_equal(fused.data, nc.layer_norm(Tensor(x + branch), g, b, 1e-5).data)
+
+    def test_branch_dropout_zeroes_branch_where_dropped(self):
+        x = Tensor(np.arange(64.0).reshape(8, 8), requires_grad=True)
+        branch = Tensor(np.ones((8, 8)), requires_grad=True)
+        g, b = self.gb(8)
+        with Graph() as tape:
+            loss = nc.tsum(nc.mul(nc.layer_norm(x, g, b, 1e-5, branch, 0.5,
+                                                np.random.default_rng(2)), x.data))
+        backward(loss, tape)
+        keep = nc.dropout(Tensor(np.ones((8, 8))), 0.5, np.random.default_rng(2)).data != 0.0
+        assert 0 < keep.sum() < 64
+        assert np.array_equal(branch.grad, np.where(keep, x.grad * 2.0, 0.0))
+
+    def test_branch_shape_must_match(self):
+        g, b = self.gb(4)
+        with pytest.raises(ShapeError, match="branch"):
+            nc.layer_norm(Tensor(np.ones((2, 4))), g, b, 1e-5, Tensor(np.ones((1, 4))))
+
+    def test_float32_matches_float64_reference_of_old_chain(self):
+        # the old chain was layer_norm(x + dropout(branch)), here in float64
+        rng = np.random.default_rng(14)
+        x32 = (rng.normal(size=(4, 60, 128)) * 2.0 + 0.5).astype(np.float32)
+        br32 = rng.normal(size=x32.shape).astype(np.float32)
+        gain32 = rng.normal(1.0, 0.1, size=128).astype(np.float32)
+        bias32 = rng.normal(0.0, 0.1, size=128).astype(np.float32)
+        g32 = rng.normal(size=x32.shape).astype(np.float32)
+        ts = [Tensor(a, requires_grad=True) for a in (x32, gain32, bias32, br32)]
+        with Graph() as tape:
+            out = nc.layer_norm(*ts[:3], 1e-5, ts[3], 0.1, np.random.default_rng(4))
+            loss = nc.tsum(nc.mul(out, g32))
+        backward(loss, tape)
+        keep = nc.dropout(Tensor(np.ones(x32.shape)), 0.1, np.random.default_rng(4)).data != 0.0
+        s = x32.astype(np.float64) + br32.astype(np.float64) * keep / 0.9
+        xc = s - s.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat, gain, g64 = xc * inv, gain32.astype(np.float64), g32.astype(np.float64)
+        ref = xhat * gain + bias32
+        gx = g64 * gain
+        gx = (gx - gx.mean(axis=-1, keepdims=True)
+              - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) * inv
+        refs = (gx, (g64 * xhat).sum(axis=(0, 1)), g64.sum(axis=(0, 1)), gx * keep / 0.9)
+        assert np.abs(out.data - ref).max() <= 1e-6
+        for t, r in zip(ts, refs):
+            assert t.grad.dtype == np.float32
+            assert np.linalg.norm(t.grad - r) / np.linalg.norm(r) <= 5e-7
+        # the float64 form of the fused op against the same reference
+        out64 = nc.layer_norm(Tensor(x32.astype(np.float64)), Tensor(gain32), Tensor(bias32),
+                              1e-5, Tensor(br32.astype(np.float64)), 0.1,
+                              np.random.default_rng(4)).data
+        assert np.abs(out64 - ref).max() <= 2e-15
 
 
 class TestActivations:
@@ -259,6 +383,39 @@ class TestDropout:
         a = nc.dropout(x, 0.3, np.random.default_rng(7)).data
         b = nc.dropout(x, 0.3, np.random.default_rng(7)).data
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("rate", [0.1, 0.2, 0.4, 0.5])
+    def test_mask_keeps_uint16_draws_at_or_above_threshold(self, rate):
+        n = 1_000_001   # not a multiple of 4: the last raw word is cut short
+        kept = nc.dropout(Tensor(np.ones(n)), rate, np.random.default_rng(3)).data != 0.0
+        bits = np.random.default_rng(3).bit_generator.random_raw(250_001).view(np.uint16)[:n]
+        threshold = round(rate * 65536)
+        assert np.any(bits == threshold)   # a draw on the threshold is kept
+        assert np.array_equal(kept, bits >= threshold)
+
+    @pytest.mark.parametrize("rate", [0.1, 0.2, 0.4])
+    def test_kept_share_within_binomial_tolerance(self, rate):
+        n = 10 ** 6
+        kept = nc.dropout(Tensor(np.ones(n, dtype=np.float32)), rate,
+                          np.random.default_rng(11)).data != 0.0
+        p = 1.0 - round(rate * 65536) / 65536
+        assert abs(p - (1.0 - rate)) <= 2.0 ** -17
+        assert abs(kept.mean() - p) <= 5.0 * np.sqrt(p * (1.0 - p) / n)
+
+    def test_mask_does_not_depend_on_dtype(self):
+        masks = [nc.dropout(Tensor(np.ones((6, 50), dtype=dtype)), 0.2,
+                            np.random.default_rng(13)).data != 0.0
+                 for dtype in (np.float32, np.float64)]
+        assert np.array_equal(masks[0], masks[1])
+
+    def test_layer_norm_branch_draws_the_same_mask(self):
+        # the fused residual dropout and dropout share one mask rule
+        x = np.linspace(0.0, 1.0, 40).reshape(5, 8)
+        gain, bias = Tensor(np.ones(8)), Tensor(np.zeros(8))
+        fused = nc.layer_norm(Tensor(x), gain, bias, 1e-5, Tensor(x), 0.3,
+                              np.random.default_rng(6)).data
+        dropped = nc.dropout(Tensor(x), 0.3, np.random.default_rng(6))
+        assert np.array_equal(fused, nc.layer_norm(nc.add(x, dropped), gain, bias, 1e-5).data)
 
 
     def test_float32_mask_reused_by_backward(self):
@@ -660,7 +817,7 @@ class TestGradCheck:
         v = Tensor(rng.normal(size=(1, 5)))
 
         def f():
-            h = nc.softmax(nc.matmul(v, w), axis=-1)
+            h = nc.softmax(nc.matmul(v, w))
             return nc.tsum(nc.mul(h, h))
 
         report = grad_check(f, [w], eps=1e-5, tol=1e-4)
@@ -708,7 +865,7 @@ class TestGradCheck:
 
 @pytest.mark.parametrize("op_name", ["add", "mul", "softmax", "sigmoid",
                                      "reshape", "transpose", "concat",
-                                     "bce_with_logits", "masked_fill"])
+                                     "bce_with_logits"])
 def test_every_op_matches_finite_differences(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))   # same inputs every run
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -722,13 +879,12 @@ def test_every_op_matches_finite_differences(op_name):
     builders = {
         "add": lambda: nc.add(a, b),
         "mul": lambda: nc.mul(a, b),
-        "softmax": lambda: nc.softmax(a, axis=-1),
+        "softmax": lambda: nc.softmax(a),
         "sigmoid": lambda: nc.sigmoid(a),
         "reshape": lambda: nc.reshape(a, (4, 3)),
         "transpose": lambda: nc.transpose(a, (1, 0)),
         "concat": lambda: nc.concat([a, b], axis=1),
         "bce_with_logits": lambda: nc.bce_with_logits(nc.mul(a, logit_scale), labels),
-        "masked_fill": lambda: nc.masked_fill(a, a.data > 0.5, -1.0),
     }
 
     def f():

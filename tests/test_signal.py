@@ -12,6 +12,7 @@ from ctgformer.signal import (
     WINDOW_LEN,
     preprocess,
     trace_to_raw,
+    window_count,
 )
 
 
@@ -81,6 +82,11 @@ class TestScaleUnit:
 
 
 class TestWindowPad:
+    @pytest.mark.parametrize("n", [1, 959, 960, 961, 1920, 2400])
+    def test_window_count_is_what_preprocess_cuts(self, n):
+        assert window_count(n) == len(range(0, n, WINDOW_LEN))
+        assert len(preprocess(make_raw(n))) == window_count(n)   # nothing missing
+
     def test_exact_length_single_window(self):
         traces = preprocess(make_raw(WINDOW_LEN))
         assert len(traces) == 1
