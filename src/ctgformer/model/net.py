@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..data import stack_traces
 from ..errors import ModelError
 from ..numcore import (
     Tensor,
@@ -226,8 +227,6 @@ def predict_scores(traces, cfg: ModelConfig, params: ModelParams,
                    batch_size: int = 256) -> np.ndarray:
     """Inference probabilities (sigmoid of the logits) for a list of traces,
     batched, no tape."""
-    from ..data import stack_traces
-
     step = min(batch_size, max_forward_chunk(cfg))
     scores = np.empty(len(traces))
     for lo in range(0, len(traces), step):

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import erf
 
 from ..errors import NumcoreError, ShapeError
-from .tensor import BranchNode, Graph, Node, Tensor, as_tensor, fork_join, _active_graph
+from .tensor import Graph, Node, Tensor, as_tensor, fork_join, _active_graph
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -224,12 +224,13 @@ def parallel_concat(branches: Sequence[Callable[[], Tensor]], axis: int = -1) ->
     numcore's worker thread.
 
     Inside a graph each branch records on its own sub-tape and the op records
-    one ``BranchNode``. Its backward splits the adjoint, walks the two
-    sub-tapes on two threads again and sums the adjoints of the tensors the
-    branches read (shared weights) in branch order, so a tensor that each
-    branch reads once gets the same bits as from ``concat`` of the branches
-    run in sequence. Outside a graph the branches only run concurrently.
-    Branches must not read each other's outputs.
+    one node holding both sub-tapes. Its backward splits the adjoint, walks
+    the two sub-tapes on two threads again and sums the adjoints of the
+    tensors the branches read (shared weights) in branch order, so a tensor
+    that each branch reads once gets the same bits as from ``concat`` of the
+    branches run in sequence. Its closure holds the branch outputs that seed
+    the walks until it runs. Outside a graph the branches only run
+    concurrently. Branches must not read each other's outputs.
     """
     if len(branches) != 2:
         raise NumcoreError(f"parallel_concat takes two branches, got {len(branches)}")
@@ -244,10 +245,29 @@ def parallel_concat(branches: Sequence[Callable[[], Tensor]], axis: int = -1) ->
         for t in (*tape.leaves(), head):
             if t.requires_grad and not tape.produced(t):
                 reads.setdefault(t.key, t)
-    if reads:
-        out.requires_grad = True
-        inputs = tuple(reads.values())
-        graph.record(BranchNode(inputs, out, _split_adjoint(heads, axis), tapes, heads), inputs)
+    if not reads:
+        return out
+    keys, split = tuple(reads), _split_adjoint(heads, axis)
+
+    def bw(g):
+        nonlocal heads
+        walks = [partial(tape.propagate, head, part)
+                 for tape, head, part in zip(tapes, heads, split(g))]
+        heads = ()
+        found = fork_join(*walks)
+        grads = []
+        for key in keys:
+            total = None
+            for leaves in found:
+                hit = leaves.get(key)
+                if hit is not None:
+                    total = hit[1] if total is None else total + hit[1]
+            grads.append(total)
+        return tuple(grads)
+
+    out.requires_grad = True
+    inputs = tuple(reads.values())
+    graph.record(Node(inputs, out, bw, tapes), inputs)
     return out
 
 

@@ -22,8 +22,8 @@ to the leaves only.
 
 A tape belongs to the thread that opened it. ``fork_join`` runs two callables
 on two threads (the caller and one worker thread per process); a fork/join
-op gives each branch its own sub-``Graph`` and records one ``BranchNode``
-whose adjoint walks the sub-tapes on two threads again.
+op gives each branch its own sub-``Graph`` and records one ``Node`` that
+holds the sub-tapes and whose adjoint walks them on two threads again.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -118,53 +117,23 @@ class Node:
 
     A node holds no tensor. ``inputs`` are the input keys, ``needs_grad``
     their ``requires_grad`` flags at record time; ``key`` names the output,
-    and ``shape`` and ``dtype`` are its shape and dtype.
+    and ``shape`` and ``dtype`` are its shape and dtype. ``tapes`` are the
+    sub-``Graph``s a fork/join op's branches recorded on (see
+    ``ops.parallel_concat``), empty for every other op.
     """
 
-    __slots__ = ("inputs", "needs_grad", "key", "shape", "dtype", "backward_fn")
+    __slots__ = ("inputs", "needs_grad", "key", "shape", "dtype", "backward_fn", "tapes")
 
     def __init__(self, inputs: Sequence[Tensor], output: Tensor,
-                 backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]):
+                 backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]],
+                 tapes: tuple = ()):
         self.inputs = tuple(t.key for t in inputs)
         self.needs_grad = tuple(t.requires_grad for t in inputs)
         self.key = output.key
         self.shape = output.data.shape
         self.dtype = output.data.dtype
         self.backward_fn = backward_fn
-
-
-class BranchNode(Node):
-    """The node of a fork/join op (see ``ops.parallel_concat``).
-
-    Each branch recorded its operations on its own sub-``Graph`` (``tapes``)
-    ending at its output (``heads``, dropped once the sub-tapes are walked).
-    ``inputs`` are the tensors the sub-tapes read but did not produce, and
-    ``backward_fn`` splits the output adjoint into one adjoint per branch.
-    """
-
-    __slots__ = ("tapes", "heads")
-
-    def __init__(self, inputs, output, backward_fn, tapes, heads):
-        super().__init__(inputs, output, backward_fn)
-        self.tapes = tuple(tapes)
-        self.heads = tuple(heads)
-
-    def adjoints(self, g: np.ndarray) -> tuple:
-        """Walk each sub-tape on its own thread, then sum every input's
-        adjoints in branch order."""
-        walks = [partial(tape.propagate, head, part)
-                 for tape, head, part in zip(self.tapes, self.heads, self.backward_fn(g))]
-        self.heads = ()
-        found = fork_join(*walks)
-        grads = []
-        for key in self.inputs:
-            total = None
-            for leaves in found:
-                hit = leaves.get(key)
-                if hit is not None:
-                    total = hit[1] if total is None else total + hit[1]
-            grads.append(total)
-        return tuple(grads)
+        self.tapes = tapes
 
 
 class Graph:
@@ -175,8 +144,8 @@ class Graph:
     not produce, and releases each node as the walk passes it. After it the
     graph is consumed, and both recording and a second backward raise
     ``GraphError``. The tape is confined to the thread that opened it.
-    ``len`` counts the recorded operations, those on the sub-tapes of branch
-    nodes included.
+    ``len`` counts the recorded operations, those on the sub-tapes of
+    fork/join nodes included.
     """
 
     def __init__(self):
@@ -206,9 +175,7 @@ class Graph:
                 self._leaves.setdefault(t.key, t)
         self._nodes.append(node)
         self._out_keys.add(node.key)
-        self._size += 1
-        if isinstance(node, BranchNode):
-            self._size += sum(len(tape) for tape in node.tapes)
+        self._size += 1 + sum(map(len, node.tapes))
 
     def __len__(self) -> int:
         return self._size
@@ -241,10 +208,7 @@ class Graph:
             out_adj = adjoints.pop(node.key, None)
             if out_adj is None:
                 continue
-            if isinstance(node, BranchNode):
-                grads = node.adjoints(out_adj)
-            else:
-                grads = node.backward_fn(out_adj)
+            grads = node.backward_fn(out_adj)
             for key, needs, g in zip(node.inputs, node.needs_grad, grads):
                 if g is None or not needs:
                     continue
@@ -277,22 +241,14 @@ def backward(loss: Tensor, graph: Graph, retain_intermediate_grads: bool = False
 
 # ------------------------------------------------------------------ fork/join
 
-_worker: Optional[ThreadPoolExecutor] = None
-_worker_lock = threading.Lock()
-
-
 def _mark_branch_thread() -> None:
     _local.in_branch = True
 
 
-def _branch_worker() -> ThreadPoolExecutor:
-    """The one worker thread of the process, started on first use."""
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="numcore-branch",
-                                         initializer=_mark_branch_thread)
-        return _worker
+# The one worker thread of the process; the executor starts it on its first
+# ``submit``, so importing numcore starts no thread.
+_branch_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="numcore-branch",
+                                  initializer=_mark_branch_thread)
 
 
 def fork_join(first: Callable[[], Any], second: Callable[[], Any]) -> tuple:
@@ -305,7 +261,7 @@ def fork_join(first: Callable[[], Any], second: Callable[[], Any]) -> tuple:
     """
     if getattr(_local, "in_branch", False):
         return first(), second()
-    pending = _branch_worker().submit(second)
+    pending = _branch_pool.submit(second)
     _local.in_branch = True
     try:
         r0 = first()

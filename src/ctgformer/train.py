@@ -205,6 +205,10 @@ def fit(cfg: ModelConfig, train_cfg: TrainConfig, train_traces: Sequence,
     train_ids = {t.trace_id for t in train_traces}
     if train_ids & {t.trace_id for t in val_traces}:
         raise TrainError("train and validation sets overlap")
+    for label in (0, 1):
+        if all(t.label != label for t in val_traces):
+            raise TrainError(f"validation set has no trace with label {label}; "
+                             f"its AUC needs both classes")
 
     stacked = stack_traces(list(train_traces))
     if stacked["fhr"].shape[1] != cfg.seq_len:

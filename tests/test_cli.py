@@ -184,6 +184,18 @@ class TestTrain:
         assert len(lines) == 2  # header + one epoch
         int(lines[1].split(",")[0])
 
+    def test_separate_backbones_flag(self, tmp_path, cohort_file, capsys):
+        out_dir = tmp_path / "sep"
+        code, _, _ = run(["train", "--data", str(cohort_file), "--max-epochs", "1",
+                          "--batch-size", "8", "--separate-backbones",
+                          "--out-dir", str(out_dir)] + SMALL_MODEL, capsys)
+        assert code == 0
+        cfg = json.loads((out_dir / "effective_config.json").read_text())
+        assert cfg["model"]["share_backbone"] is False
+        params, ckpt_cfg = load_checkpoint(out_dir / "best.ckpt")
+        assert ckpt_cfg.share_backbone is False
+        assert len(params.backbones) == 2
+
     def test_missing_data_file(self, tmp_path, capsys):
         code, _, stderr = run(["train", "--data", str(tmp_path / "nope.csv"),
                                "--out-dir", str(tmp_path / "r")], capsys)

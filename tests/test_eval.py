@@ -248,6 +248,18 @@ class TestTargetThreshold:
         with pytest.raises(EvalError):
             target_threshold(preds_from([0.5, 0.6], [0, 1]), "balanced")
 
+    def test_high_specificity_falls_back_above_the_top_score(self):
+        # a negative holds the top score, so no cut reaches specificity 1
+        p = preds_from([0.9, 0.8, 0.2], [0, 1, 0])
+        t = target_threshold(p, "high_specificity", target=1.0)
+        assert t == pytest.approx(0.95)
+        m = metrics(confusion_at(p, t))
+        assert m.specificity == 1.0 and m.sensitivity == 0.0
+
+    def test_high_specificity_none_when_top_score_is_one(self):
+        p = preds_from([1.0, 0.5], [0, 1])
+        assert target_threshold(p, "high_specificity", target=1.0) is None
+
 
 class TestAnalyze:
     def test_four_thresholds_present(self):

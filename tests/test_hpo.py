@@ -5,6 +5,7 @@ from ctgformer.data import GenSpec, generate_cohort, split
 from ctgformer.model import ModelConfig
 from ctgformer.hpo import (
     PAPER_BEST,
+    PRUNE_MIN_EPOCH,
     MedianPruner,
     SearchSpace,
     TrialRecord,
@@ -200,6 +201,34 @@ class TestRunSearch:
         only_pruned = [TrialRecord(0, ModelConfig(), 1e-4, 48, status="pruned",
                                    best_val_auc=0.7)]
         assert best_trial(only_pruned).index == 0
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_completed_history_prunes_a_later_trial(self, monkeypatch, prune):
+        import ctgformer.hpo as hpo
+
+        # each trial's validation AUC by epoch; trial 1 falls below trial 0's
+        # AUC at the pruner's first epoch, trial 2 stays above it
+        k = PRUNE_MIN_EPOCH
+        curves = iter([[0.8] * (k + 2), [0.9] * (k - 1) + [0.5] * 3,
+                       [0.6] * (k - 1) + [0.85] * 3])
+
+        def scripted_fit(cfg, train_cfg, train, val, stop_hook=None):
+            log = TrainLog()
+            for epoch, val_auc in enumerate(next(curves), start=1):
+                log.epochs.append(EpochRecord(epoch, 0.5, val_auc, 0.0))
+                if stop_hook is not None and stop_hook(epoch, val_auc):
+                    log.stop_reason = "pruned"
+                    break
+            log.best_val_auc = max(e.val_auc for e in log.epochs)
+            return None, log
+
+        monkeypatch.setattr(hpo, "fit", scripted_fit)
+        trials = run_search(FAST_SPACE, [], [], n_trials=3, prune=prune)
+        if prune:
+            assert [t.status for t in trials] == ["completed", "pruned", "completed"]
+            assert len(trials[1].log.epochs) == k
+        else:
+            assert [t.status for t in trials] == ["completed"] * 3
 
     def test_all_failed_raises(self, tiny_sets):
         train_traces, _ = tiny_sets

@@ -30,7 +30,6 @@ from ctgformer.model import (
 from ctgformer.model.net import TRAIN_DTYPE, max_forward_chunk
 from ctgformer.model.params import clone_param_data, load_param_data
 from ctgformer.hpo import preset_configs
-from ctgformer.numcore.tensor import BranchNode
 from ctgformer.train import Adam, bce_loss_batch
 from ctgformer.data import GenSpec, generate_cohort
 
@@ -584,12 +583,11 @@ def acceptance_config(**overrides) -> ModelConfig:
 
 
 def tape_nodes(nodes):
-    """Every node of a tape, those on the sub-tapes of branch nodes included."""
+    """Every node of a tape, those on the sub-tapes of fork/join nodes included."""
     for node in nodes:
         yield node
-        if isinstance(node, BranchNode):
-            for tape in node.tapes:
-                yield from tape_nodes(tape._nodes)
+        for tape in node.tapes:
+            yield from tape_nodes(tape._nodes)
 
 
 def test_training_forward_records_137_tape_nodes():
@@ -617,7 +615,7 @@ class TestMixedPrecision:
             logits = forward_batch(batch, cfg, params, training=True,
                                    rng=np.random.default_rng(1))
         nodes = list(tape_nodes(g._nodes))
-        assert any(isinstance(node, BranchNode) for node in nodes)
+        assert any(node.tapes for node in nodes)
         assert len(nodes) == len(g)
         assert {node.dtype for node in nodes} == {np.dtype(np.float32)}
         with g:
@@ -713,20 +711,58 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
 
+    @staticmethod
+    def _edit_header(blob, edit):
+        """``blob`` with its JSON header passed through ``edit`` in place."""
+        (n,) = struct.unpack_from("<Q", blob, 8)
+        header = json.loads(blob[16:16 + n])
+        edit(header)
+        head = json.dumps(header).encode()
+        return blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + n:]
+
     @pytest.mark.parametrize("damage", ["entry_not_object", "entry_without_shape"])
     def test_malformed_manifest_rejected(self, tmp_path, damage):
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_params(TINY, 1), TINY, path)
+
+        def edit(header):
+            if damage == "entry_not_object":
+                header["tensors"] = [m["name"] for m in header["tensors"]]
+            else:
+                del header["tensors"][-1]["shape"]
+
+        path.write_bytes(self._edit_header(path.read_bytes(), edit))
+        with pytest.raises(CheckpointError, match="malformed header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        ("version", "format version 2 unsupported"),
+        ("short_header", "truncated header"),
+        ("renamed_tensor", "manifest does not match the stored config"),
+        ("reshaped_tensor", r"tensor head.b has shape \(2,\), config implies \(1,\)"),
+        ("trailing_bytes", "8 trailing bytes"),
+    ])
+    def test_damaged_checkpoint_rejected(self, tmp_path, damage, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(TINY, 1), TINY, path)
         blob = path.read_bytes()
         (n,) = struct.unpack_from("<Q", blob, 8)
-        header = json.loads(blob[16:16 + n])
-        if damage == "entry_not_object":
-            header["tensors"] = [m["name"] for m in header["tensors"]]
-        else:
-            del header["tensors"][-1]["shape"]
-        head = json.dumps(header).encode()
-        path.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + n:])
-        with pytest.raises(CheckpointError, match="malformed header"):
+
+        def rename(header):
+            header["tensors"][0]["name"] = "backbone9.w_patch"
+
+        def reshape(header):
+            header["tensors"][-1]["shape"] = [2]
+
+        damaged = {
+            "version": lambda: blob[:4] + struct.pack("<I", 2) + blob[8:],
+            "short_header": lambda: blob[:16 + n // 2],
+            "renamed_tensor": lambda: self._edit_header(blob, rename),
+            "reshaped_tensor": lambda: self._edit_header(blob, reshape),
+            "trailing_bytes": lambda: blob + bytes(8),
+        }[damage]()
+        path.write_bytes(damaged)
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
     def test_load_then_forward_matches(self, tmp_path):
@@ -749,6 +785,20 @@ class TestCheckpoint:
         load_param_data(params, snap)
         for name, t in named_tensors(params).items():
             assert np.array_equal(t.data, snap[name])
+
+    def test_snapshot_name_mismatch_rejected(self):
+        params = init_params(TINY, 7)
+        snap = clone_param_data(params)
+        snap["head.bias"] = snap.pop("head.b")
+        with pytest.raises(ModelError, match="parameter name mismatch"):
+            load_param_data(params, snap)
+
+    def test_snapshot_shape_mismatch_rejected(self):
+        params = init_params(TINY, 7)
+        snap = clone_param_data(params)
+        snap["head.w"] = snap["head.w"][:-1]
+        with pytest.raises(ModelError, match="shape mismatch for head.w"):
+            load_param_data(params, snap)
 
     def test_separate_backbone_round_trip(self, tmp_path):
         cfg = ModelConfig(seq_len=32, patch_len=8, stride=8, n_layers=1, n_heads=2,

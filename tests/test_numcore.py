@@ -1,12 +1,16 @@
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import weakref
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctgformer
 from ctgformer.errors import GradCheckError, GraphError, NumcoreError, ShapeError
 from ctgformer import numcore as nc
 from ctgformer.numcore import Graph, Tensor, backward, grad_check, param_init
@@ -801,6 +805,24 @@ class TestParallelConcat:
         assert not t.is_alive(), "nested parallel_concat deadlocked"
         assert result["len"] == 2 * (2 + 1) + 1 + 1
         assert np.array_equal(result["grad"], [[10.0, 10.0, 10.0]])
+
+    def test_worker_thread_starts_on_first_use(self):
+        # a fresh interpreter, so no earlier test has started the worker
+        script = (
+            "import threading\n"
+            "before = set(threading.enumerate())\n"
+            "import numpy as np\n"
+            "import ctgformer.numcore as nc\n"
+            "print(len(set(threading.enumerate()) - before))\n"
+            "one = lambda: nc.Tensor(np.ones((1, 1)))\n"
+            "nc.parallel_concat([one, one])\n"
+            "print(sorted(t.name for t in set(threading.enumerate()) - before))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ctgformer.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0", "['numcore-branch_0']"]
 
 
 class TestGradCheck:

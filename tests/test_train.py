@@ -201,6 +201,21 @@ class TestFit:
             fit(SMALL_CFG, TrainConfig(max_epochs=1), train_traces,
                 train_traces[:2])
 
+    @pytest.mark.parametrize("missing", [0, 1])
+    def test_one_class_validation_set_rejected_before_training(self, small_sets, missing,
+                                                               monkeypatch):
+        def no_epoch(*args, **kwargs):
+            raise AssertionError("train_epoch ran")
+
+        monkeypatch.setattr("ctgformer.train.train_epoch", no_epoch)
+        epochs = []
+        train_traces, val_traces = small_sets
+        one_class = [t for t in val_traces if t.label != missing]
+        with pytest.raises(TrainError, match=f"no trace with label {missing}"):
+            fit(SMALL_CFG, TrainConfig(max_epochs=2), train_traces, one_class,
+                stop_hook=lambda epoch, val_auc: epochs.append(epoch))
+        assert epochs == []
+
     def test_seq_len_mismatch_rejected_before_init(self, small_sets, monkeypatch):
         def no_init(*args, **kwargs):
             raise AssertionError("init_params ran")
