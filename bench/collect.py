@@ -8,12 +8,13 @@ repository. For every workload in the change's ``BENCHMARK.json``, pair ``i``
 checkout, the parent first in even pairs and the change first in odd ones,
 and one more pair with ``--trace 1`` gives the per-layer metrics. Runs are
 sequential, so the two sides never share the machine. The file, written into
-the change's checkout, holds every run (metrics, gate results, exit code),
+the change's checkout, holds every run (metrics, gate results, exit code,
+and the user seconds, system seconds and minor page faults the run cost),
 each end-to-end metric's median, quartiles and pair wins per side, each
-side's failed share of the attempted fits, each side's environment block as
-perfbench records it, and both git revisions with a digest of each side's
-``src/``. It is rewritten after every run, so a cut-short collection keeps
-what ran.
+side's failed share of the attempted fits and median run cost, each side's
+environment block as perfbench records it, and both git revisions with a
+digest of each side's ``src/``. It is rewritten after every run, so a
+cut-short collection keeps what ran.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -30,6 +32,7 @@ from pathlib import Path
 SIDES = ("parent", "change")
 PAIRS = 10          # the fewest alternating pairs a gain may be claimed from
 NOT_SOURCE = {"__pycache__", "out"}   # bytecode, and perfbench's run output
+RUSAGE = ("utime_s", "stime_s", "minflt")   # what a run cost, from getrusage
 
 
 def tree_digest(root: Path, parts) -> str:
@@ -56,11 +59,20 @@ def revision(root: Path) -> dict:
             "src_sha256": tree_digest(root, ["src"])}
 
 
+def children_usage() -> tuple:
+    """The ``RUSAGE`` totals of every finished child of this process."""
+    ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return ru.ru_utime, ru.ru_stime, ru.ru_minflt
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    before = children_usage()
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-    run = {"workload": workload, "seed": seed, "trace": trace, "returncode": proc.returncode}
+    cost = (b - a for a, b in zip(before, children_usage()))
+    run = {"workload": workload, "seed": seed, "trace": trace, "returncode": proc.returncode,
+           "rusage": dict(zip(RUSAGE, cost))}
     try:
         run.update(json.loads(proc.stdout.strip().splitlines()[-1]))
     except (IndexError, json.JSONDecodeError):
@@ -156,6 +168,17 @@ def failure_summary(runs: list) -> dict:
     return out
 
 
+def rusage_summary(runs: list) -> dict:
+    """Per side over the untraced runs: the median of each ``RUSAGE``
+    field, and ``n``, the runs counted."""
+    out = {}
+    for side in SIDES:
+        costs = [r["rusage"] for r in runs if r["side"] == side and r["trace"] == 0]
+        out[side] = {k: statistics.median(c[k] for c in costs) if costs else None for k in RUSAGE}
+        out[side]["n"] = len(costs)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -199,7 +222,8 @@ def main(argv=None) -> int:
                     doc["env"].setdefault(side, env)
                 runs.append(run)
                 entry.update(end_to_end=summarize(spec, runs), per_layer=traced_layers(runs),
-                             gates=gate_summary(runs), failures=failure_summary(runs))
+                             gates=gate_summary(runs), failures=failure_summary(runs),
+                             rusage=rusage_summary(runs))
                 save()
                 print(f"{workload} pair {pair} {side} trace {trace}: exit {run['returncode']}, "
                       f"{json.dumps(run.get('metrics', {}).get('throughput_per_s'))}", flush=True)

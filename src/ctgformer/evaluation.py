@@ -137,10 +137,9 @@ def roc_points(preds: Sequence[Prediction]) -> list:
 
 
 def trapezoid_auc(points: Sequence) -> float:
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return area
+    """Area under the polygon through ``points``, (x, y) pairs in order."""
+    xy = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    return float(np.trapezoid(xy[:, 1], xy[:, 0]))
 
 
 def confusion_at(preds: Sequence[Prediction], threshold: float) -> Confusion:

@@ -297,17 +297,22 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def softmax(a, key_gone=None, scale: float = 1.0) -> Tensor:
     """Softmax over the last axis of ``scale * a``; entries where the
-    boolean ``key_gone`` (broadcast to ``a``) is True are set to -inf first
-    and get weight 0, as do -inf entries of ``a``.
+    boolean ``key_gone`` (broadcast to ``a``) is True get weight 0, as do
+    -inf entries of ``a``.
 
-    One output buffer: scale, fill, subtract the row max, exp in place,
-    divide by the row sum (a GEMV). The adjoint reads only the output:
-    ``scale * out * (g - sum(g * out))``.
+    The mask is applied by adding a 0 / -inf bias of ``key_gone``'s shape,
+    which gives the bits of setting those entries to -inf for every finite
+    score. A non-finite score in a masked column (+inf or NaN) yields NaN
+    instead, which ``fit``'s non-finite-loss check then reports.
+
+    One output buffer: scale, add the bias, subtract the row max, exp in
+    place, divide by the row sum (a GEMV). The adjoint reads only the
+    output: ``scale * out * (g - sum(g * out))``.
     """
     a = as_tensor(a)
     out = np.multiply(a.data, np.asarray(scale, dtype=a.data.dtype))
     if key_gone is not None:
-        np.copyto(out, -np.inf, where=key_gone)
+        out += np.where(key_gone, -np.inf, 0.0).astype(out.dtype, copy=False)
     out -= np.max(out, axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= _row_sum(out)

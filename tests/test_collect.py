@@ -1,6 +1,8 @@
 """The pair statistics of ``bench/collect.py`` on hand-made runs."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +74,26 @@ def test_failures_summed_per_side_over_untraced_runs():
     assert collect.failure_summary(runs)["more_failures"]
     empty = collect.failure_summary([])
     assert empty["parent"]["share"] == 0.0 and not empty["more_failures"]
+
+
+def test_rusage_medians_per_side_over_untraced_runs():
+    def run(side, user, system, faults, trace=0):
+        return {"side": side, "trace": trace,
+                "rusage": {"utime_s": user, "stime_s": system, "minflt": faults}}
+
+    runs = [run("parent", 40.0, 6.0, 900_000), run("change", 41.0, 0.5, 20_000),
+            run("parent", 39.0, 7.0, 800_000), run("change", 40.0, 0.3, 30_000),
+            run("parent", 38.0, 5.0, 700_000), run("change", 39.0, 0.4, 10_000),
+            run("parent", 1.0, 1.0, 1, trace=1), run("change", 99.0, 99.0, 99, trace=1)]
+    out = collect.rusage_summary(runs)
+    assert out["parent"] == {"utime_s": 39.0, "stime_s": 6.0, "minflt": 800_000, "n": 3}
+    assert out["change"] == {"utime_s": 40.0, "stime_s": 0.4, "minflt": 20_000, "n": 3}
+    assert collect.rusage_summary([])["change"] == {"utime_s": None, "stime_s": None,
+                                                    "minflt": None, "n": 0}
+
+
+def test_children_usage_counts_a_finished_child():
+    before = collect.children_usage()
+    subprocess.run([sys.executable, "-c", "bytearray(64 << 20)"], check=True)
+    cost = [b - a for a, b in zip(before, collect.children_usage())]
+    assert cost[0] + cost[1] > 0 and cost[2] > 1000   # 64 MiB touched: many pages

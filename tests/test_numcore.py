@@ -1,3 +1,4 @@
+import ctypes
 import os
 import subprocess
 import sys
@@ -18,6 +19,11 @@ from ctgformer.numcore import Graph, Tensor, backward, grad_check, param_init
 
 def scalar_loss(t):
     return nc.tsum(t)
+
+
+def src_env() -> dict:
+    """The environment of a fresh interpreter that imports this ctgformer."""
+    return {**os.environ, "PYTHONPATH": str(Path(ctgformer.__file__).resolve().parents[1])}
 
 
 class TestParamInit:
@@ -166,6 +172,22 @@ class TestSoftmax:
         assert np.all(out[:, 1] == 0.0)
         kept = np.exp(0.5 * x[:, [0, 2]])
         assert np.allclose(out[:, [0, 2]], kept / kept.sum(axis=1, keepdims=True), atol=1e-15)
+
+    def test_mask_bias_gives_the_bits_of_filling_minus_inf(self):
+        rng = np.random.default_rng(13)
+        for dtype in (np.float32, np.float64):
+            a = rng.normal(scale=4.0, size=(6, 4, 9, 9)).astype(dtype)
+            a[rng.random(a.shape) < 0.1] = -np.inf
+            gone = rng.random((6, 1, 1, 9)) < 0.3
+            gone[0] = True            # a batch row with every key gone
+            with np.errstate(invalid="ignore"):   # -inf - -inf in the all-gone row
+                out = a * np.asarray(0.3, dtype=dtype)
+                np.copyto(out, -np.inf, where=gone)
+                out -= np.max(out, axis=-1, keepdims=True)
+                np.exp(out, out=out)
+                out /= (out.reshape(-1, 9) @ np.ones(9, dtype=dtype)).reshape(out.shape[:-1] + (1,))
+                got = nc.softmax(Tensor(a), gone, 0.3).data
+            assert got.dtype == dtype and got.tobytes() == out.tobytes()
 
     def test_key_gone_and_scale_gradients(self):
         rng = np.random.default_rng(31)
@@ -818,11 +840,31 @@ class TestParallelConcat:
             "nc.parallel_concat([one, one])\n"
             "print(sorted(t.name for t in set(threading.enumerate()) - before))\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(ctgformer.__file__).resolve().parents[1])}
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=60)
+                              env=src_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["0", "['numcore-branch_0']"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_a_working_worker(self):
+        # the parent's worker has run once; the child must not wait on it
+        script = (
+            "import os, signal\n"
+            "import numpy as np\n"
+            "import ctgformer.numcore as nc\n"
+            "one = lambda: nc.Tensor(np.ones((1, 1)))\n"
+            "nc.parallel_concat([one, one])\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(10)\n"
+            "    out = nc.parallel_concat([one, lambda: nc.Tensor(np.full((1, 1), 2.0))])\n"
+            "    os._exit(0 if out.data.tolist() == [[1.0, 2.0]] else 1)\n"
+            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=src_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0"]
 
 
 class TestGradCheck:
@@ -930,3 +972,34 @@ def test_forward_values_finite_on_finite_inputs():
     ]
     for out in checks:
         assert np.all(np.isfinite(out.data))
+
+
+def _glibc() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "gnu_get_libc_version")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the allocator policy applies on glibc only")
+def test_freed_activations_stay_in_the_process():
+    # 64 activations of a (48, 60, 128) float32 block, about 90 MiB, made
+    # and dropped per round: after two warm rounds the heap keeps the pages
+    script = (
+        "import resource\n"
+        "import numpy as np\n"
+        "import ctgformer.numcore\n"
+        "def step():\n"
+        "    acts = [np.ones((48, 60, 128), np.float32) for _ in range(64)]\n"
+        "    del acts\n"
+        "for _ in range(2):\n"
+        "    step()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(5):\n"
+        "    step()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000
