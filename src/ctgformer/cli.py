@@ -50,10 +50,10 @@ from . import data as datamod
 from . import evaluation as evalmod
 from .errors import CliError, CtgformerError, TrainError
 from .hpo import SearchSpace, best_trial, preset_configs, run_search, write_leaderboard
-from .model import ModelConfig, load_checkpoint, save_checkpoint
+from .model import ModelConfig, load_checkpoint, predict_scores, save_checkpoint
 from .numcore import ACTIVATIONS
 from .signal import preprocess, window_count
-from .train import TRAIN_KEYS, TrainConfig, fit, predictions_for, write_train_log
+from .train import TRAIN_KEYS, TrainConfig, fit, write_train_log
 
 MODEL_KEYS = tuple(ModelConfig.__dataclass_fields__)
 
@@ -293,7 +293,9 @@ def cmd_eval(args) -> int:
     elif args.ckpt and args.data:
         params, cfg = load_checkpoint(_require_file(args.ckpt, "checkpoint"))
         cohort = datamod.read_cohort(_require_file(args.data, "cohort file"))
-        scored = predictions_for(cohort.traces, cfg, params)
+        scores = predict_scores(cohort.traces, cfg, params)
+        scored = [evalmod.Prediction(t.trace_id, float(s), t.label, t.days_to_delivery)
+                  for t, s in zip(cohort.traces, scores)]
     else:
         raise CliError("eval needs --preds, or --ckpt together with --data")
     preds = scored if args.dtd_max is None else evalmod.filter_by_dtd(scored, args.dtd_max)

@@ -8,12 +8,13 @@ linear head that emits one logit from the two concatenated channel summaries;
 only ``predict_scores`` applies the sigmoid. The two channels share no
 activation before the head, so ``forward_batch`` runs them on two threads.
 
-The parameters are float64 and so is inference. A training pass computes in
-float32 (``TRAIN_DTYPE``) on a working copy of the parameters cast once at
-its top, after Micikevicius et al., "Mixed Precision Training"
-(arXiv:1710.03740): the gradients reach the float64 parameters, which the
-optimizer updates in float64. Below ``forward_batch`` every function
-computes in the dtype of the weights it is given.
+The parameters are float64. A training pass computes in float32
+(``TRAIN_DTYPE``) on a working copy of the parameters cast once at its top,
+after Micikevicius et al., "Mixed Precision Training" (arXiv:1710.03740):
+the gradients reach the float64 parameters, which the optimizer updates in
+float64. Inference computes in the dtype of the parameters it is given, and
+so does every function below ``forward_batch``; ``predict_scores`` takes
+the sigmoid in float64 either way.
 
 Every operation takes a leading batch axis; one trace is a batch of one.
 """
@@ -31,6 +32,7 @@ from ..errors import ModelError
 from ..numcore import (
     Tensor,
     activation,
+    astype,
     dropout,
     layer_norm,
     matmul,
@@ -178,10 +180,11 @@ def forward_batch(batch: dict, cfg: ModelConfig, params: ModelParams,
     ``parallel_concat``. A training pass computes in ``TRAIN_DTYPE`` on one
     working copy of ``params`` (``cast_params``) that both channels read,
     draws every dropout mask from ``rng`` and raises ``ModelError`` without
-    one; inference computes in float64 and ignores ``rng``. With encoder
-    dropout each channel draws its masks from its own generator, seeded
-    from two draws on ``rng`` (no draw without encoder dropout); the head's
-    dropout draws from ``rng``.
+    one. Inference runs in the dtype of the ``params`` given (float64 for
+    the master parameters, float32 for a ``cast_params`` copy) and ignores
+    ``rng``. With encoder dropout each channel draws its masks from its own
+    generator, seeded from two draws on ``rng`` (no draw without encoder
+    dropout); the head's dropout draws from ``rng``.
     """
     if not training:
         rng = None
@@ -226,10 +229,13 @@ def max_forward_chunk(cfg: ModelConfig) -> int:
 def predict_scores(traces, cfg: ModelConfig, params: ModelParams,
                    batch_size: int = 256) -> np.ndarray:
     """Inference probabilities (sigmoid of the logits) for a list of traces,
-    batched, no tape."""
+    batched, no tape. The logits come in the dtype of ``params`` and the
+    sigmoid is taken in float64: a float32 sigmoid rounds to exactly 1.0
+    from a logit of about 16.6 (a float64 one from about 36.7), and such
+    ties would change an AUC."""
     step = min(batch_size, max_forward_chunk(cfg))
     scores = np.empty(len(traces))
     for lo in range(0, len(traces), step):
         chunk = stack_traces(traces[lo:lo + step])
-        scores[lo:lo + step] = sigmoid(forward_batch(chunk, cfg, params)).data
+        scores[lo:lo + step] = sigmoid(astype(forward_batch(chunk, cfg, params), np.float64)).data
     return scores

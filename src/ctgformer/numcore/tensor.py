@@ -296,7 +296,7 @@ def fork_join(first: Callable[[], Any], second: Callable[[], Any]) -> tuple:
 
 # ------------------------------------------------------------------ allocator
 
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # mallopt(3) parameter numbers
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8   # mallopt(3) parameter numbers
 _MMAP_THRESHOLD = 32 << 20   # the highest glibc's dynamic threshold reaches on 64-bit
 
 
@@ -305,7 +305,10 @@ def _keep_freed_memory() -> None:
     so the next training step reuses the pages the last one freed. Setting
     either threshold switches off glibc's dynamic one, and trimming alone
     makes an epoch slower, so the trim threshold is set only when the mmap
-    threshold took. Anywhere else, do nothing."""
+    threshold took. Threads started later allocate from the main heap too:
+    a thread's own arena grows in mapped sub-heaps that glibc unmaps
+    whenever one empties, whatever the trim threshold. Anywhere else, do
+    nothing."""
     try:
         libc = ctypes.CDLL(None)
     except (OSError, TypeError):   # no process symbol table to search
@@ -314,6 +317,7 @@ def _keep_freed_memory() -> None:
         return
     if libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
         libc.mallopt(_M_TRIM_THRESHOLD, -1)
+        libc.mallopt(_M_ARENA_MAX, 1)
 
 
 _keep_freed_memory()

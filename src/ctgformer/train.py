@@ -24,6 +24,7 @@ from .data import stack_traces
 from .model import (
     ModelConfig,
     ModelParams,
+    cast_params,
     clone_param_data,
     forward_batch,
     init_params,
@@ -31,7 +32,7 @@ from .model import (
     named_tensors,
     predict_scores,
 )
-from .model.net import max_forward_chunk
+from .model.net import TRAIN_DTYPE, max_forward_chunk
 from .numcore import Graph, Tensor, backward, bce_with_logits
 
 PROB_CLAMP = 1e-12
@@ -142,7 +143,11 @@ class Adam:
 
 
 def predictions_for(traces: Sequence, cfg: ModelConfig, params: ModelParams) -> list:
-    scores = predict_scores(list(traces), cfg, params)
+    """Validation predictions as ``fit`` scores them after every epoch: the
+    logits of a ``TRAIN_DTYPE`` copy of ``params`` (``cast_params``), the
+    sigmoid in float64 (``predict_scores``). Scores of the float64
+    parameters themselves come from ``predict_scores``."""
+    scores = predict_scores(list(traces), cfg, cast_params(params, TRAIN_DTYPE))
     return [Prediction(t.trace_id, float(s), t.label, t.days_to_delivery)
             for t, s in zip(traces, scores)]
 

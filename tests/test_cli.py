@@ -376,6 +376,27 @@ class TestEvalCli:
         assert (out_dir / "preds.csv").exists()
         assert "auc=" in stdout
 
+    def test_eval_scores_are_float64_predict_scores(self, tmp_path, cohort_file, capsys):
+        import csv
+
+        from ctgformer.data import read_cohort
+        from ctgformer.model import (ModelConfig, cast_params, init_params, predict_scores,
+                                     save_checkpoint)
+
+        cfg = ModelConfig(patch_len=32, stride=32, n_layers=1, n_heads=2, d_model=16, d_ff=16)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(cfg, 4), cfg, ckpt)
+        out_dir = tmp_path / "e"
+        code, _, _ = run(["eval", "--ckpt", str(ckpt), "--data", str(cohort_file),
+                          "--out-dir", str(out_dir)], capsys)
+        assert code == 0
+        params, cfg = load_checkpoint(ckpt)
+        traces = read_cohort(cohort_file).traces
+        with open(out_dir / "preds.csv", newline="") as fh:
+            written = [row["score"] for row in csv.DictReader(fh)]
+        assert written == [repr(float(s)) for s in predict_scores(traces, cfg, params)]
+        float32 = predict_scores(traces, cfg, cast_params(params, np.float32))
+        assert written != [repr(float(s)) for s in float32]
 
     def test_eval_empty_cohort_reports_error(self, tmp_path, capsys):
         from ctgformer.data import Cohort

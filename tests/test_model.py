@@ -455,6 +455,18 @@ class TestForward:
         assert np.allclose(scores, singles, atol=1e-12)
         assert np.all((scores >= 0.0) & (scores <= 1.0))
 
+    def test_predict_scores_float64_bytes_are_pinned(self):
+        # The float64 scoring path (eval, held-out scores) must not move: these
+        # are its bytes (x86-64, numpy's bundled OpenBLAS) before fit's
+        # validation pass moved to float32, and after.
+        cohort = generate_cohort(GenSpec(n_per_class=3, seed=2))
+        cfg = ModelConfig(d_model=16, n_heads=2, n_layers=1, d_ff=16)
+        scores = predict_scores(cohort.traces, cfg, init_params(cfg, 3))
+        assert scores.dtype == np.float64
+        assert [float(s).hex() for s in scores] == [
+            "0x1.09966503d3a08p-1", "0x1.fb2602b0acb25p-2", "0x1.019bc434e8d00p-1",
+            "0x1.f9fe344850abcp-2", "0x1.058e41ea46459p-1", "0x1.ebdaeedaa4f5ep-2"]
+
     def test_predict_scores_empty_list(self):
         scores = predict_scores([], TINY, init_params(TINY, 3))
         assert scores.shape == (0,)

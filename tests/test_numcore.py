@@ -1003,3 +1003,30 @@ def test_freed_activations_stay_in_the_process():
                           env=src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 1000
+
+
+@pytest.mark.skipif(not _glibc(), reason="the allocator policy applies on glibc only")
+def test_worker_thread_keeps_freed_memory():
+    # The same rounds on the fork/join worker thread, counting that thread's
+    # own faults: a thread arena's emptied sub-heaps are unmapped whatever
+    # the trim threshold, so the worker must allocate from the main heap
+    script = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from ctgformer.numcore.tensor import fork_join\n"
+        "def step():\n"
+        "    acts = [np.ones((48, 60, 128), np.float32) for _ in range(64)]\n"
+        "    del acts\n"
+        "def on_worker():\n"
+        "    for _ in range(2):\n"
+        "        step()\n"
+        "    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt\n"
+        "    for _ in range(5):\n"
+        "        step()\n"
+        "    return resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before\n"
+        "print(fork_join(lambda: None, on_worker)[1])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000

@@ -6,14 +6,17 @@ import pytest
 
 from ctgformer.errors import TrainError
 from ctgformer.data import GenSpec, generate_cohort, split
-from ctgformer.evaluation import auc
+from ctgformer.evaluation import Prediction, auc
 from ctgformer.model import (
     ModelConfig,
+    cast_params,
     init_params,
     load_checkpoint,
     named_tensors,
+    predict_scores,
     save_checkpoint,
 )
+from ctgformer.model.net import TRAIN_DTYPE
 from ctgformer.train import (
     Adam,
     TrainConfig,
@@ -233,6 +236,65 @@ class TestFit:
                      stop_hook=lambda epoch, val_auc: epoch >= 2)
         assert log.stop_reason == "pruned"
         assert len(log.epochs) == 2
+
+
+class TestValidationDtype:
+    """``fit`` scores validation in ``TRAIN_DTYPE`` through ``predictions_for``;
+    ``predict_scores`` of the float64 parameters is the float64 path."""
+
+    @staticmethod
+    def per_epoch_aucs(seed: int) -> list:
+        """(logged val_auc, AUC of predictions_for, float64 AUC, positives,
+        negatives) after every epoch of a short seeded fit, read through
+        ``stop_hook`` on the parameters that epoch left."""
+        cohort = generate_cohort(GenSpec(n_per_class=24, seed=seed))
+        train, val = split(cohort, 0.5, seed=seed)
+        params = init_params(SMALL_CFG, seed)
+        n_pos = sum(t.label for t in val.traces)
+        rows = []
+
+        def hook(epoch, val_auc):
+            scores64 = predict_scores(val.traces, SMALL_CFG, params)
+            auc64 = auc([Prediction(t.trace_id, float(s), t.label, t.days_to_delivery)
+                         for t, s in zip(val.traces, scores64)])
+            rows.append((val_auc, auc(predictions_for(val.traces, SMALL_CFG, params)),
+                         auc64, n_pos, len(val.traces) - n_pos))
+            return False
+
+        tc = TrainConfig(learning_rate=3e-3, batch_size=8, max_epochs=4, patience=10, seed=seed)
+        _, log = fit(SMALL_CFG, tc, train.traces, val.traces, init=params, stop_hook=hook)
+        assert [e.val_auc for e in log.epochs] == [r[0] for r in rows]
+        return rows
+
+    def test_predictions_for_scores_a_train_dtype_copy(self, small_sets):
+        _, val_traces = small_sets
+        params = init_params(SMALL_CFG, 5)
+        got = np.array([p.score for p in predictions_for(val_traces, SMALL_CFG, params)])
+        want = predict_scores(val_traces, SMALL_CFG, cast_params(params, TRAIN_DTYPE))
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() != predict_scores(val_traces, SMALL_CFG, params).tobytes()
+
+    def test_every_epoch_val_auc_is_predictions_for_auc(self):
+        for logged, rescored, *_ in self.per_epoch_aucs(seed=3):
+            assert logged == rescored
+
+    def test_float32_validation_auc_gap_on_trained_params(self):
+        # Seeds 0-7 of this set-up, 4 epochs each, all gave a gap of 0 (the
+        # largest probability difference was 3e-8): float32 moved no pair of
+        # scores past each other. The bound allows one flipped pair.
+        for seed in range(5):
+            for _, auc32, auc64, n_pos, n_neg in self.per_epoch_aucs(seed):
+                assert abs(auc32 - auc64) <= 1.0 / (n_pos * n_neg)
+
+    def test_float32_logit_of_twenty_scores_below_one(self, small_sets):
+        _, val_traces = small_sets
+        params = cast_params(init_params(SMALL_CFG, 0), np.float32)
+        params.w_head.data[:] = 0.0
+        params.b_head.data[:] = 20.0
+        scores = predict_scores(val_traces, SMALL_CFG, params)
+        assert np.float32(1.0) / (np.float32(1.0) + np.exp(np.float32(-20.0))) == 1.0
+        assert np.all(scores < 1.0)
+        assert np.all(scores == 1.0 / (1.0 + math.exp(-20.0)))
 
 
 class TestFinetune:
