@@ -27,13 +27,13 @@ holds the sub-tapes and whose adjoint walks them on two threads again. A
 child made by ``os.fork`` gets a fresh, unstarted worker.
 
 Importing numcore sets glibc's allocator policy once for the process:
-blocks under 32 MiB come from the heap, and freed heap memory is never
-handed back to the kernel. A training step frees about a hundred
-activations of a few MiB each; by default glibc unmaps or trims them after
-every backward pass and the next forward pass faults them in again. On
-glibc 2.36 an acceptance-config epoch took about 75,000 minor faults that
-way and takes at most a few hundred now. Other C libraries are left as
-they are.
+blocks under 32 MiB come from the heap, freed heap memory is never handed
+back to the kernel, and every thread allocates from that one heap. A
+training step frees about a hundred activations of a few MiB each; by
+default glibc unmaps or trims them after every backward pass and the next
+forward pass faults them in again. On glibc 2.36 an acceptance-config
+epoch took about 75,000 minor faults that way and takes at most a few
+hundred now. Other C libraries are left as they are.
 """
 
 from __future__ import annotations

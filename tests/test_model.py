@@ -456,9 +456,9 @@ class TestForward:
         assert np.all((scores >= 0.0) & (scores <= 1.0))
 
     def test_predict_scores_float64_bytes_are_pinned(self):
-        # The float64 scoring path (eval, held-out scores) must not move: these
-        # are its bytes (x86-64, numpy's bundled OpenBLAS) before fit's
-        # validation pass moved to float32, and after.
+        # The bytes of the float64 scoring path that eval and the held-out
+        # scores use, on x86-64 with numpy's bundled OpenBLAS: a float32 step
+        # anywhere in it moves every one of them.
         cohort = generate_cohort(GenSpec(n_per_class=3, seed=2))
         cfg = ModelConfig(d_model=16, n_heads=2, n_layers=1, d_ff=16)
         scores = predict_scores(cohort.traces, cfg, init_params(cfg, 3))
