@@ -17,6 +17,7 @@ from ctgformer.model import (
     save_checkpoint,
 )
 from ctgformer.model.net import TRAIN_DTYPE
+import ctgformer.train as train_module
 from ctgformer.train import (
     Adam,
     TrainConfig,
@@ -274,8 +275,18 @@ class TestValidationDtype:
         assert got.tobytes() == want.tobytes()
         assert got.tobytes() != predict_scores(val_traces, SMALL_CFG, params).tobytes()
 
-    def test_every_epoch_val_auc_is_predictions_for_auc(self):
-        for logged, rescored, *_ in self.per_epoch_aucs(seed=3):
+    def test_every_epoch_val_auc_is_predictions_for_auc(self, monkeypatch):
+        fit_scored = []
+
+        def spy(traces, cfg, params):
+            preds = predictions_for(traces, cfg, params)
+            fit_scored.append(auc(preds))
+            return preds
+
+        monkeypatch.setattr(train_module, "predictions_for", spy)
+        rows = self.per_epoch_aucs(seed=3)
+        assert fit_scored == [logged for logged, *_ in rows]
+        for logged, rescored, *_ in rows:
             assert logged == rescored
 
     def test_float32_validation_auc_gap_on_trained_params(self):
