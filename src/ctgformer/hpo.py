@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import CtgformerError, HpoError
 from .model import ModelConfig
+from .signal import WINDOW_LEN
 from .train import TRAIN_KEYS, TrainConfig, TrainLog, fit
 
 # Winning configuration of the published 100-trial search; kernel_size is
@@ -51,7 +52,7 @@ def preset_configs(name: str) -> tuple:
 
 @dataclass
 class SearchSpace:
-    seq_len: int = 960
+    seq_len: int = WINDOW_LEN
     n_layers: tuple = (3, 4, 5, 6)
     n_heads: tuple = (4, 8, 16, 32)
     d_model: tuple = (64, 128, 192, 256, 384, 512, 640)

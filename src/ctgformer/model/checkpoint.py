@@ -14,7 +14,6 @@ import struct
 import numpy as np
 
 from ..errors import CheckpointError
-from ..numcore import Tensor
 from .config import ModelConfig
 from .params import ModelParams, build_params, named_tensors
 
@@ -60,8 +59,8 @@ def load_checkpoint(path) -> tuple:
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
 
-    # every value is overwritten below, so the weights need no random draws
-    params = build_params(cfg, lambda shape: Tensor(np.empty(shape), requires_grad=True))
+    # every value is overwritten below, so no tensor needs a draw or a fill
+    params = build_params(cfg, lambda shape, fill: np.empty(shape))
     named = named_tensors(params)
     if [name for name, _ in manifest] != list(named.keys()):
         raise CheckpointError(f"{path}: tensor manifest does not match the stored config")

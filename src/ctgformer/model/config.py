@@ -2,11 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 from ..errors import ModelError
 from ..numcore import ACTIVATIONS
 from ..signal import WINDOW_LEN
+
+
+# declared field type -> (what a value must be an instance of, its name)
+_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
+                "bool": (bool, "true or false"), "str": (str, "a string")}
+
+
+def check_field_types(obj, error) -> None:
+    """Raise ``error`` naming the first field of dataclass ``obj`` whose value
+    is not of its declared type. A bool counts only in a bool field."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kind, noun = _FIELD_KINDS[f.type]
+        if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+            raise error(f"{f.name} must be {noun}, got {value!r}")
 
 
 @dataclass
@@ -29,12 +45,12 @@ class ModelConfig:
     kernel_size: int = 15
 
     def __post_init__(self):
+        check_field_types(self, ModelError)
         if not 1 <= self.patch_len <= self.seq_len:
             raise ModelError(f"patch_len must lie in [1, seq_len], got {self.patch_len}")
-        if self.stride < 1:
-            raise ModelError(f"stride must be at least 1, got {self.stride}")
-        if self.n_layers < 1 or self.n_heads < 1:
-            raise ModelError("n_layers and n_heads must be at least 1")
+        for name in ("stride", "n_layers", "n_heads", "d_model", "d_ff"):
+            if getattr(self, name) < 1:
+                raise ModelError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ModelError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         for name in ("dropout", "fc_dropout", "attn_dropout"):

@@ -86,13 +86,13 @@ def make_patches(values: np.ndarray, mask: np.ndarray, patch_len: int, stride: i
 
 
 def embed_patches(patches: np.ndarray, w_patch: Tensor, w_pos: Tensor) -> Tensor:
-    """Project (B, N, P) patches, cast to the weights' dtype, into the latent
+    """Project (B, N, P) patches, in the weights' dtype, into the latent
     width and add positional rows. Masked patches are embedded too; masking
     is enforced inside attention."""
     n = patches.shape[-2]
     if w_pos.shape[0] != n:
         raise ModelError(f"positional table has {w_pos.shape[0]} rows, need {n}")
-    return matmul(Tensor(patches.astype(w_patch.data.dtype, copy=False)), w_patch) + w_pos
+    return matmul(patches, w_patch) + w_pos
 
 
 def attention(e: Tensor, layer: LayerParams, patch_mask: np.ndarray, n_heads: int,
@@ -159,7 +159,6 @@ def pool_channel(e: Tensor, patch_mask: np.ndarray) -> Tensor:
     if np.any(counts == 0):
         raise ModelError("cannot pool a sequence with every patch masked")
     weights = (patch_mask / counts[:, None])[:, None, :]   # (B, 1, N)
-    weights = Tensor(weights.astype(e.data.dtype, copy=False))
     return reshape(matmul(weights, e), (e.shape[0], e.shape[2]))
 
 

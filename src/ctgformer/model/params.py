@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ModelError
-from ..numcore import Tensor, astype, param_init
+from ..numcore import Tensor, astype
 from .config import ModelConfig
 
 
@@ -45,37 +46,48 @@ class ModelParams:
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
-    """Fan-scaled uniform init for weight matrices; zeros for biases and the
-    positional table; ones for layer-norm gains. Deterministic per seed."""
-    counter = iter(np.random.SeedSequence(seed).generate_state(1 + 4096).tolist())
-    return build_params(cfg, lambda shape: param_init(shape, "uniform_fan", seed=next(counter)))
+    """Each weight matrix drawn from U(-b, b), b = 1/sqrt(rows), by its own
+    generator; zeros for biases and the positional table; ones for
+    layer-norm gains. Deterministic per seed."""
+    seeds = iter(np.random.SeedSequence(seed).generate_state(1 + 4096).tolist())
+
+    def make(shape, fill):
+        if fill is not None:
+            return np.full(shape, fill)
+        bound = 1.0 / math.sqrt(shape[0])
+        return np.random.default_rng(next(seeds)).uniform(-bound, bound, size=shape)
+
+    return build_params(cfg, make)
 
 
-def build_params(cfg: ModelConfig, uni) -> ModelParams:
-    """Every tensor ``cfg`` implies, with the weight matrices made by
-    ``uni(shape)`` in a fixed order and the constant fills of ``init_params``."""
+def build_params(cfg: ModelConfig, make) -> ModelParams:
+    """Every tensor ``cfg`` implies, in a fixed order, each a leaf holding
+    ``make(shape, fill)``: ``fill`` is None for a weight matrix and the
+    starting value (0.0 or 1.0) of a bias, gain or the positional table."""
     d, dff = cfg.d_model, cfg.d_ff
+
+    def leaf(shape, fill=None):
+        return Tensor(make(shape, fill), requires_grad=True)
 
     def make_backbone():
         layers = [
             LayerParams(
-                w_q=uni((d, d)), w_k=uni((d, d)), w_v=uni((d, d)), w_o=uni((d, d)),
-                w_ffn1=uni((d, dff)), b_ffn1=param_init((dff,), "zeros"),
-                w_ffn2=uni((dff, d)), b_ffn2=param_init((d,), "zeros"),
-                ln1_gain=param_init((d,), "ones"), ln1_bias=param_init((d,), "zeros"),
-                ln2_gain=param_init((d,), "ones"), ln2_bias=param_init((d,), "zeros"),
+                w_q=leaf((d, d)), w_k=leaf((d, d)), w_v=leaf((d, d)), w_o=leaf((d, d)),
+                w_ffn1=leaf((d, dff)), b_ffn1=leaf((dff,), 0.0),
+                w_ffn2=leaf((dff, d)), b_ffn2=leaf((d,), 0.0),
+                ln1_gain=leaf((d,), 1.0), ln1_bias=leaf((d,), 0.0),
+                ln2_gain=leaf((d,), 1.0), ln2_bias=leaf((d,), 0.0),
             )
             for _ in range(cfg.n_layers)
         ]
-        return Backbone(w_patch=uni((cfg.patch_len, d)),
-                        w_pos=param_init((cfg.n_patches, d), "zeros"),
+        return Backbone(w_patch=leaf((cfg.patch_len, d)), w_pos=leaf((cfg.n_patches, d), 0.0),
                         layers=layers)
 
     n_backbones = 1 if cfg.share_backbone else cfg.channels
     return ModelParams(
         backbones=[make_backbone() for _ in range(n_backbones)],
-        w_head=uni((cfg.channels * d, 1)),
-        b_head=param_init((1,), "zeros"),
+        w_head=leaf((cfg.channels * d, 1)),
+        b_head=leaf((1,), 0.0),
     )
 
 

@@ -27,7 +27,6 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 ACTIVATIONS = ("relu", "gelu", "elu")
-INIT_SCHEMES = ("uniform_fan", "zeros", "ones")
 
 
 def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tensor:
@@ -50,33 +49,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
-
-
-def param_init(shape: Sequence[int], scheme: str, seed: int = 0) -> Tensor:
-    """Create a trainable parameter tensor.
-
-    ``uniform_fan`` draws from U(-1/sqrt(fan_in), 1/sqrt(fan_in)) where
-    fan_in is the product of all but the last extent (the input width of the
-    linear map the tensor implements). ``zeros``/``ones`` are constant fills.
-    Deterministic for a fixed (shape, scheme, seed).
-    """
-    shape = tuple(int(s) for s in shape)
-    if len(shape) == 0:
-        raise ShapeError("param_init needs a non-empty shape")
-    if any(s <= 0 for s in shape):
-        raise ShapeError(f"param_init extents must be positive, got {shape}")
-    if scheme == "zeros":
-        data = np.zeros(shape)
-    elif scheme == "ones":
-        data = np.ones(shape)
-    elif scheme == "uniform_fan":
-        fan_in = shape[0] if len(shape) == 1 else int(np.prod(shape[:-1]))
-        bound = 1.0 / math.sqrt(fan_in)
-        rng = np.random.default_rng(seed)
-        data = rng.uniform(-bound, bound, size=shape)
-    else:
-        raise NumcoreError(f"unknown init scheme {scheme!r}; expected one of {INIT_SCHEMES}")
-    return Tensor(data, requires_grad=True)
 
 
 def _operands(a, b) -> tuple:
@@ -141,7 +113,7 @@ def matmul(a, b) -> Tensor:
     require gradients gets no adjoint computed, and the tape keeps each
     operand's data only when the other operand's adjoint reads it.
     """
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:

@@ -32,6 +32,7 @@ from .model import (
     named_tensors,
     predict_scores,
 )
+from .model.config import check_field_types
 from .model.net import TRAIN_DTYPE, max_forward_chunk
 from .numcore import Graph, Tensor, backward, bce_with_logits
 
@@ -48,6 +49,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self, TrainError)
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise TrainError(f"learning_rate must be finite and non-negative, "
                              f"got {self.learning_rate}")

@@ -111,16 +111,38 @@ def test_non_finite_rate_fails_cleanly(tmp_path, cohort_file, capsys, argv, modu
      "error[train]: seed must be non-negative, got -1"),
     (["hpo", "--data", "cohort.csv", "--trials", "1", "--seed", "-1", "--out-dir", "run"],
      "error[data]: seed must be non-negative, got -1"),
+    (["train", "--data", "cohort.csv", "--d-ff", "0", "--out-dir", "run"],
+     "error[model]: d_ff must be at least 1, got 0"),
+    (["train", "--data", "cohort.csv", "--d-model", "0", "--out-dir", "run"],
+     "error[model]: d_model must be at least 1, got 0"),
 ], ids=["generate_zero_per_class", "train_learning_rate_nan", "train_missing_data",
         "train_unknown_preset", "finetune_missing_from", "eval_missing_preds",
         "eval_negative_dtd_max", "hpo_missing_data", "hpo_zero_trials", "hpo_zero_patience",
         "hpo_negative_max_epochs", "generate_negative_seed", "train_negative_seed",
-        "hpo_negative_seed"])
+        "hpo_negative_seed", "train_zero_d_ff", "train_zero_d_model"])
 def test_rejected_run_writes_nothing(tmp_path, cohort_file, preds_file, capsys, monkeypatch,
                                      argv, message):
     monkeypatch.chdir(tmp_path)
     before = sorted(tmp_path.rglob("*"))
     code, _, stderr = run(argv, capsys)
+    assert code == 1
+    assert stderr.startswith(message)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"patch_len": 16.5}, "error[model]: patch_len must be an integer, got 16.5"),
+    ({"batch_size": 4.0}, "error[train]: batch_size must be an integer, got 4.0"),
+    ({"share_backbone": "false"},
+     "error[model]: share_backbone must be true or false, got 'false'"),
+], ids=["float_patch_len", "float_batch_size", "string_share_backbone"])
+def test_mistyped_config_file_writes_nothing(tmp_path, cohort_file, capsys, monkeypatch,
+                                             overrides, message):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(overrides))
+    before = sorted(tmp_path.rglob("*"))
+    code, _, stderr = run(["train", "--data", "cohort.csv", "--config", "cfg.json",
+                           "--out-dir", "run"], capsys)
     assert code == 1
     assert stderr.startswith(message)
     assert sorted(tmp_path.rglob("*")) == before

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import threading
@@ -74,6 +75,58 @@ class TestConfig:
     def test_round_trip_dict(self):
         cfg = ModelConfig(d_model=64, n_heads=4, n_layers=3)
         assert ModelConfig.from_dict(cfg.as_dict()) == cfg
+
+    @pytest.mark.parametrize("field", ["d_model", "d_ff", "stride", "n_layers", "n_heads"])
+    def test_widths_and_counts_must_be_positive(self, field):
+        with pytest.raises(ModelError, match=f"^{field} must be at least 1, got 0$"):
+            ModelConfig(**{field: 0})
+
+    @pytest.mark.parametrize("field,value,noun", [
+        ("patch_len", 16.5, "an integer"), ("d_model", True, "an integer"),
+        ("seq_len", "960", "an integer"), ("dropout", True, "a number"),
+        ("share_backbone", "false", "true or false"), ("share_backbone", 0, "true or false"),
+        ("activation", 1, "a string"),
+    ])
+    def test_fields_hold_their_declared_types(self, field, value, noun):
+        with pytest.raises(ModelError, match=f"^{field} must be {noun}, got "):
+            ModelConfig(**{field: value})
+
+    def test_numpy_numbers_and_ints_for_floats_are_accepted(self):
+        cfg = ModelConfig(d_model=np.int64(64), dropout=0, attn_dropout=np.float64(0.1))
+        assert cfg.d_model == 64 and cfg.dropout == 0
+
+
+def param_digest(params) -> str:
+    """sha256 over every tensor's name and bytes, in ``named_tensors`` order."""
+    h = hashlib.sha256()
+    for name, t in named_tensors(params).items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(t.data).tobytes())
+    return h.hexdigest()
+
+
+class TestInitParams:
+    @pytest.mark.parametrize("share,seed,digest", [
+        (True, 0, "298f0c3578612be10f51c087b0d4bf943108cb8ab75e64b007e296f810a0cde9"),
+        (True, 7, "6f85d083e6a2807344c4e38f677112069e3e2e7efd198c2a5a9933cf696345f7"),
+        (False, 0, "c6f973246d5b7586dafe5bb4df0f1414d139bf642018d7eaa2d91ea4b3b7a437"),
+        (False, 7, "6cbadd71e27efe01b6190a47a525c54b61e11eff8d73ac0ead389bbc217b40dd"),
+    ])
+    def test_bytes_are_pinned(self, share, seed, digest):
+        # every seeded run starts here, so these bytes must not move
+        assert param_digest(init_params(acceptance_config(share_backbone=share), seed)) == digest
+
+    def test_fan_bound_zeros_and_ones(self):
+        for name, t in named_tensors(init_params(acceptance_config(share_backbone=False), 1)).items():
+            assert t.requires_grad and t.data.dtype == np.float64, name
+            if name.endswith("gain"):
+                assert np.all(t.data == 1.0), name
+            elif t.data.ndim == 1 or name.endswith("w_pos"):
+                assert np.all(t.data == 0.0), name
+            else:
+                bound = 1.0 / np.sqrt(t.data.shape[0])
+                assert np.all(np.abs(t.data) <= bound), name
+                assert np.max(np.abs(t.data)) > bound / 2, name   # actually spread out
 
 
 class TestInstanceNormalize:

@@ -14,7 +14,7 @@ import pytest
 import ctgformer
 from ctgformer.errors import GradCheckError, GraphError, NumcoreError, ShapeError
 from ctgformer import numcore as nc
-from ctgformer.numcore import Graph, Tensor, backward, grad_check, param_init
+from ctgformer.numcore import Graph, Tensor, backward, grad_check
 
 
 def scalar_loss(t):
@@ -24,32 +24,6 @@ def scalar_loss(t):
 def src_env() -> dict:
     """The environment of a fresh interpreter that imports this ctgformer."""
     return {**os.environ, "PYTHONPATH": str(Path(ctgformer.__file__).resolve().parents[1])}
-
-
-class TestParamInit:
-    def test_zeros(self):
-        t = param_init([2, 2], "zeros", seed=0)
-        assert np.array_equal(t.data, np.zeros((2, 2)))
-        assert t.requires_grad
-
-    def test_deterministic(self):
-        a = param_init([4, 4], "uniform_fan", seed=7)
-        b = param_init([4, 4], "uniform_fan", seed=7)
-        assert np.array_equal(a.data, b.data)
-
-    def test_fan_bound(self):
-        # fan_in = 64 so every draw must land in [-1/8, 1/8]
-        t = param_init([64, 64], "uniform_fan", seed=1)
-        assert np.all(np.abs(t.data) <= 1.0 / 8.0)
-        assert np.max(np.abs(t.data)) > 1.0 / 16.0  # actually spread out
-
-    def test_empty_shape_rejected(self):
-        with pytest.raises(ShapeError):
-            param_init([], "zeros", seed=0)
-
-    def test_unknown_scheme(self):
-        with pytest.raises(NumcoreError):
-            param_init([2], "xavier", seed=0)
 
 
 class TestMatmul:
@@ -479,7 +453,10 @@ class TestPrecision:
     @pytest.mark.parametrize("build", [
         lambda t: t * 0.125, lambda t: 0.125 * t, lambda t: nc.add(1.0, t), lambda t: t + 1,
         lambda t: t + np.float64(2.0), lambda t: nc.mul(t, np.ones(3)),
-    ], ids=["mul", "rmul", "add_const_left", "add_int", "add_np_scalar", "mul_array"])
+        lambda t: nc.matmul(np.ones((2, 1)), nc.reshape(t, (1, 3))),
+        lambda t: nc.matmul(nc.reshape(t, (1, 3)), np.ones((3, 2))),
+    ], ids=["mul", "rmul", "add_const_left", "add_int", "add_np_scalar", "mul_array",
+            "matmul_const_left", "matmul_const_right"])
     def test_constants_do_not_promote(self, build):
         t = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         with Graph() as g:

@@ -132,6 +132,14 @@ class TestAdamAndEpoch:
         with pytest.raises(TrainError, match="learning_rate must be finite"):
             TrainConfig(learning_rate=rate)
 
+    @pytest.mark.parametrize("field,value,noun", [
+        ("batch_size", 4.0, "an integer"), ("seed", True, "an integer"),
+        ("learning_rate", False, "a number"), ("max_epochs", "2", "an integer"),
+    ])
+    def test_fields_hold_their_declared_types(self, field, value, noun):
+        with pytest.raises(TrainError, match=f"^{field} must be {noun}, got "):
+            TrainConfig(**{field: value})
+
     def test_empty_dataset_rejected(self, small_sets):
         _, val_traces = small_sets
         tc = TrainConfig(max_epochs=1)
