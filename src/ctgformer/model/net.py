@@ -194,35 +194,68 @@ def forward_batch(batch: dict, cfg: ModelConfig, params: ModelParams,
     rngs = (None, None)
     if rng is not None and (cfg.dropout > 0 or cfg.attn_dropout > 0):
         rngs = [np.random.default_rng(s) for s in rng.integers(2 ** 63, size=2)]
+    fused = fuse_channels(batch, cfg, params, rngs)
+    return classify(fused, params.w_head, params.b_head, cfg.fc_dropout, rng)
 
+
+def fuse_channels(batch: dict, cfg: ModelConfig, params: ModelParams,
+                  rngs=(None, None)) -> Tensor:
+    """(B, 2d) pooled summaries of a stacked batch, FHR then TOCO, encoded
+    on two threads by ``parallel_concat``; channel ``c`` draws its dropout
+    masks from ``rngs[c]``."""
     def channel(c: int, vals: str, mask: str) -> Tensor:
         e, patch_mask = encode_channel(batch[vals], batch[mask], cfg,
                                        params.backbone_for(c), rngs[c])
         return pool_channel(e, patch_mask)
 
-    fused = parallel_concat([partial(channel, 0, "fhr", "fhr_mask"),
-                             partial(channel, 1, "toco", "toco_mask")], axis=-1)
-    return classify(fused, params.w_head, params.b_head, cfg.fc_dropout, rng)
+    return parallel_concat([partial(channel, 0, "fhr", "fhr_mask"),
+                            partial(channel, 1, "toco", "toco_mask")], axis=-1)
+
+
+_FFN_HIDDEN_ARRAYS = {"relu": 1, "gelu": 3, "elu": 3}   # (N, d_ff) arrays the activation's adjoint reads
+
+
+def tape_bytes(cfg: ModelConfig) -> tuple:
+    """(per_trace, fixed): a training forward pass of ``cfg`` on B traces
+    leaves exactly ``per_trace * B + fixed`` bytes on its tape, as
+    ``Graph.held_bytes`` counts them.
+
+    Per trace, for each layer and channel: eight token-sized (N, d) arrays
+    (the layer input, q, k, v, ctx, the two layer norms' ``xhat`` and the
+    FFN input), the FFN hidden array (relu keeps its output; gelu and elu
+    keep their input and one more), the softmax output and the dropped-out
+    attention weights (one array without attention dropout), the layer
+    norms' (N, 1) inverse deviations, all in ``TRAIN_DTYPE``, and the bool
+    dropout masks. Then per channel the patches, the pooling weights and the
+    pooled summary, and in the head the fused summaries and their dropout
+    mask. Fixed: the ``TRAIN_DTYPE`` weight copies that the matmul and layer
+    norm adjoints read, one set per backbone, and the head weight. The loss
+    (``bce_with_logits``) and ``train_epoch``'s chunk weighting add 16 bytes
+    a trace and 8 more.
+    """
+    n, d, dff, heads = cfg.n_patches, cfg.d_model, cfg.d_ff, cfg.n_heads
+    item = np.dtype(TRAIN_DTYPE).itemsize
+    attn_drop, drop = cfg.attn_dropout > 0, cfg.dropout > 0
+    layer = (item * (8 * n * d + _FFN_HIDDEN_ARRAYS[cfg.activation] * n * dff
+                     + (1 + attn_drop) * heads * n * n + 2 * n)
+             + attn_drop * heads * n * n + drop * 2 * n * d)
+    channel = cfg.n_layers * layer + item * (n * cfg.patch_len + n + d)
+    fused = cfg.channels * d
+    per_trace = cfg.channels * channel + fused * (item + (cfg.fc_dropout > 0))
+    n_backbones = 1 if cfg.share_backbone else cfg.channels
+    weights = cfg.n_layers * (4 * d * d + 2 * d * dff + 2 * d)
+    return per_trace, item * (n_backbones * weights + fused)
 
 
 def max_forward_chunk(cfg: ModelConfig) -> int:
-    """Largest trace count one training forward pass may carry, sized from
-    ``FORWARD_BUDGET_BYTES``.
-
-    The estimate counts, per trace and layer, roughly six
-    attention-score-sized arrays (heads x N x N) plus about fourteen
-    token-sized ones (N x width) in ``TRAIN_DTYPE``, for one channel. It is
-    a sizing rule, not a bound on the tape: what the tape holds is what the
-    adjoint rules read, for both channels. At paper-best's 32-trace chunk
-    that measured 469 MiB after the forward pass (tracemalloc) against the
-    384 MiB budget. Changing the rule would change the chunks and so the
-    bits of every seeded run. Depends only on the config, so chunked runs
-    stay deterministic.
+    """Largest trace count one training forward pass may carry: the most
+    traces whose tape (``tape_bytes``) fits ``FORWARD_BUDGET_BYTES``, at
+    least 1. ``paper-best`` gets 25 traces (13.8 MiB a trace plus 27.0 MiB
+    of weight copies, 372 MiB in all), the acceptance config 236. Depends
+    only on the config, so chunked runs stay deterministic.
     """
-    n = cfg.n_patches
-    per_layer = 6 * cfg.n_heads * n * n + 14 * n * max(cfg.d_model, cfg.d_ff)
-    per_trace = cfg.n_layers * per_layer * np.dtype(TRAIN_DTYPE).itemsize
-    return max(1, FORWARD_BUDGET_BYTES // per_trace)
+    per_trace, fixed = tape_bytes(cfg)
+    return max(1, (FORWARD_BUDGET_BYTES - fixed) // per_trace)
 
 
 def predict_scores(traces, cfg: ModelConfig, params: ModelParams,
@@ -231,10 +264,22 @@ def predict_scores(traces, cfg: ModelConfig, params: ModelParams,
     batched, no tape. The logits come in the dtype of ``params`` and the
     sigmoid is taken in float64: a float32 sigmoid rounds to exactly 1.0
     from a logit of about 16.6 (a float64 one from about 36.7), and such
-    ties would change an AUC."""
+    ties would change an AUC.
+
+    The channels are encoded ``min(batch_size, max_forward_chunk(cfg))``
+    traces at a time and the head runs once over all the summaries. The
+    head is a one-column product, and BLAS computes its rows in blocks: run
+    per chunk, a trace's logit would depend on its place in its chunk (with
+    OpenBLAS 0.3.31 a 25 + 7 split of 32 traces moved the last bits of
+    about one logit in twenty). So on one BLAS thread a score does not
+    depend on the step. On more, BLAS splits the rows of the layer norms'
+    row sums between threads at a row set by the chunk's size, and a trace
+    at a chunk's end can still move by an ulp.
+    """
+    if not traces:
+        return np.empty(0)
     step = min(batch_size, max_forward_chunk(cfg))
-    scores = np.empty(len(traces))
-    for lo in range(0, len(traces), step):
-        chunk = stack_traces(traces[lo:lo + step])
-        scores[lo:lo + step] = sigmoid(astype(forward_batch(chunk, cfg, params), np.float64)).data
-    return scores
+    fused = np.concatenate([fuse_channels(stack_traces(traces[lo:lo + step]), cfg, params).data
+                            for lo in range(0, len(traces), step)])
+    logits = classify(Tensor(fused), params.w_head, params.b_head)
+    return sigmoid(astype(logits, np.float64)).data

@@ -48,8 +48,18 @@ class ModelParams:
 def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
     """Each weight matrix drawn from U(-b, b), b = 1/sqrt(rows), by its own
     generator; zeros for biases and the positional table; ones for
-    layer-norm gains. Deterministic per seed."""
-    seeds = iter(np.random.SeedSequence(seed).generate_state(1 + 4096).tolist())
+    layer-norm gains. Deterministic per seed: the i-th weight matrix gets
+    the i-th word of ``SeedSequence(seed).generate_state``, and a shorter
+    state is a prefix of a longer one, so sizing the state to the
+    config's weight count leaves every matrix's seed where it was."""
+    fills = []
+
+    def count(shape, fill):
+        fills.append(fill)
+        return 0.0
+
+    build_params(cfg, count)
+    seeds = iter(np.random.SeedSequence(seed).generate_state(fills.count(None)).tolist())
 
     def make(shape, fill):
         if fill is not None:

@@ -13,6 +13,7 @@ array alive that backward does not read.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -170,7 +171,7 @@ def transpose(a, axes) -> Tensor:
 
 def _split_adjoint(parts: Sequence[Tensor], axis: int):
     """Adjoint of concatenating ``parts``: one slice of ``g`` per part."""
-    splits = np.cumsum([t.shape[axis] for t in parts])[:-1]
+    splits = list(itertools.accumulate(t.shape[axis] for t in parts))[:-1]
 
     def bw(g):
         return tuple(np.split(g, splits, axis=axis))

@@ -42,6 +42,7 @@ import ctypes
 import itertools
 import os
 import threading
+import types
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Optional, Sequence
 
@@ -200,6 +201,23 @@ class Graph:
         but did not produce."""
         return self._leaves.values()
 
+    def held_bytes(self) -> int:
+        """Bytes of the distinct arrays the recorded adjoint rules hold, the
+        sub-tapes of fork/join nodes included: what backward will read.
+
+        Each array counts once, at the array that owns its memory, so a view
+        and the array it views, or a weight both branches read, count once.
+        The leaves are not counted (the caller owns them), nor is anything
+        that is not a numpy array. A consumed graph holds 0 bytes.
+        """
+        found, seen, graphs = {}, set(), [self]
+        while graphs:
+            for node in graphs.pop()._nodes:
+                if node is not None:
+                    graphs.extend(node.tapes)
+                    _find_arrays(node.backward_fn, found, seen)
+        return sum(a.nbytes for a in found.values())
+
     def propagate(self, head: Tensor, adjoint: np.ndarray) -> dict:
         """Walk the tape in reverse, seeding ``head`` with ``adjoint``, and
         return the adjoints that reach its leaves as {key: (leaf, adjoint)}.
@@ -230,6 +248,25 @@ class Graph:
         self._leaves = {}
         self._size = 0
         return {key: (t, adjoints[key]) for key, t in leaves.items() if key in adjoints}
+
+
+def _find_arrays(obj, found: dict, seen: set) -> None:
+    """Add to ``found`` (id -> array) the owning array of every numpy array
+    ``obj`` reaches: itself, a ``Tensor``'s data, the items of a tuple or
+    list, or the closure cells of a function."""
+    if isinstance(obj, Tensor):
+        obj = obj.data
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        found[id(obj)] = obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _find_arrays(item, found, seen)
+    elif isinstance(obj, types.FunctionType) and id(obj) not in seen:
+        seen.add(id(obj))
+        for cell in obj.__closure__ or ():
+            _find_arrays(cell.cell_contents, found, seen)
 
 
 def backward(loss: Tensor, graph: Graph, retain_intermediate_grads: bool = False) -> None:

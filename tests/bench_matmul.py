@@ -11,12 +11,18 @@ import numpy as np
 import pytest
 
 from ctgformer import numcore as nc
+from ctgformer.hpo import preset_configs
+from ctgformer.model import ModelConfig
+from ctgformer.model.net import max_forward_chunk
 from ctgformer.numcore import Graph, Tensor, backward
 
+WIDE = ModelConfig(**preset_configs("paper-best")[0])
+WIDE_CHUNK = max_forward_chunk(WIDE)
+
 SHAPES = {
-    # paper-best (d_model 512, d_ff 128), 32-trace forward chunk, 60 patches
-    "wide-qkvo": ((32, 60, 512), (512, 512)),
-    "wide-ffn1": ((32, 60, 512), (512, 128)),
+    # paper-best (d_model 512, d_ff 128), one full forward chunk of 60 patches
+    "wide-qkvo": ((WIDE_CHUNK, WIDE.n_patches, WIDE.d_model), (WIDE.d_model, WIDE.d_model)),
+    "wide-ffn1": ((WIDE_CHUNK, WIDE.n_patches, WIDE.d_model), (WIDE.d_model, WIDE.d_ff)),
     # acceptance config (d_model 128), one 48-trace batch per chunk
     "small-qkvo": ((48, 60, 128), (128, 128)),
 }

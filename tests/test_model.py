@@ -28,7 +28,7 @@ from ctgformer.model import (
     predict_scores,
     save_checkpoint,
 )
-from ctgformer.model.net import TRAIN_DTYPE, max_forward_chunk
+from ctgformer.model.net import FORWARD_BUDGET_BYTES, TRAIN_DTYPE, max_forward_chunk, tape_bytes
 from ctgformer.model.params import clone_param_data, load_param_data
 from ctgformer.hpo import preset_configs
 from ctgformer.train import Adam, bce_loss_batch
@@ -115,6 +115,16 @@ class TestInitParams:
     def test_bytes_are_pinned(self, share, seed, digest):
         # every seeded run starts here, so these bytes must not move
         assert param_digest(init_params(acceptance_config(share_backbone=share), seed)) == digest
+
+    def test_deep_separate_backbones_have_a_seed_for_every_weight(self):
+        # 342 layers on two backbones make 4107 weight matrices; the first
+        # layers keep the seeds, and so the bytes, of a shallow model's
+        small = dict(d_model=8, n_heads=2, d_ff=8, share_backbone=False)
+        deep = named_tensors(init_params(ModelConfig(n_layers=342, **small), 4))
+        shallow = named_tensors(init_params(ModelConfig(n_layers=2, **small), 4))
+        assert len(deep) == 2 * (2 + 12 * 342) + 2
+        for name in ("backbone0.layer0.w_q", "backbone0.layer1.w_ffn2"):
+            assert deep[name].data.tobytes() == shallow[name].data.tobytes()
 
     def test_fan_bound_zeros_and_ones(self):
         for name, t in named_tensors(init_params(acceptance_config(share_backbone=False), 1)).items():
@@ -508,6 +518,18 @@ class TestForward:
         assert np.allclose(scores, singles, atol=1e-12)
         assert np.all((scores >= 0.0) & (scores <= 1.0))
 
+    @pytest.mark.parametrize("dtype", [np.float64, TRAIN_DTYPE])
+    def test_predict_scores_bytes_do_not_depend_on_the_step(self, dtype):
+        # a trace's score must not depend on which traces share its chunk,
+        # so the chunk rule can move without moving a score; at this width
+        # every BLAS product runs on one thread
+        cohort = generate_cohort(GenSpec(n_per_class=4, seed=2))
+        cfg = ModelConfig(d_model=16, n_heads=2, n_layers=2, d_ff=24)
+        params = cast_params(init_params(cfg, 3), dtype)
+        whole = predict_scores(cohort.traces, cfg, params, batch_size=256)
+        stepped = predict_scores(cohort.traces, cfg, params, batch_size=3)
+        assert whole.tobytes() == stepped.tobytes()
+
     def test_predict_scores_float64_bytes_are_pinned(self):
         # The bytes of the float64 scoring path that eval and the held-out
         # scores use, on x86-64 with numpy's bundled OpenBLAS: a float32 step
@@ -718,7 +740,40 @@ class TestMixedPrecision:
 
     def test_paper_best_chunk_counts_float32_activations(self):
         model_kwargs, _ = preset_configs("paper-best")
-        assert max_forward_chunk(ModelConfig(**model_kwargs)) == 32
+        assert max_forward_chunk(ModelConfig(**model_kwargs)) == 25
+
+
+def training_tape(cfg, params, b):
+    """The graph of a training forward pass on ``b`` random traces."""
+    batch = batch_dict(np.random.default_rng(b), b=b, seq_len=cfg.seq_len)
+    with Graph() as g:
+        forward_batch(batch, cfg, params, training=True, rng=np.random.default_rng(1))
+    return g
+
+
+class TestTapeBytes:
+    @pytest.mark.parametrize("cfg", [
+        acceptance_config(),
+        ModelConfig(**preset_configs("paper-best")[0]),
+        acceptance_config(share_backbone=False),
+        acceptance_config(dropout=0.0, attn_dropout=0.0, fc_dropout=0.0),
+        acceptance_config(activation="gelu", n_heads=1, attn_dropout=0.0),
+        acceptance_config(activation="elu", dropout=0.0),
+    ], ids=["acceptance", "paper-best", "separate", "no-dropout", "gelu", "elu"])
+    def test_formula_is_what_the_tape_holds(self, cfg):
+        per_trace, fixed = tape_bytes(cfg)
+        params = init_params(cfg, 2)
+        for b in (1, 2):
+            assert training_tape(cfg, params, b).held_bytes() == per_trace * b + fixed, b
+
+    @pytest.mark.parametrize("cfg,chunk", [
+        (acceptance_config(), 236),
+        (ModelConfig(**preset_configs("paper-best")[0]), 25),
+    ], ids=["acceptance", "paper-best"])
+    def test_largest_chunk_keeps_the_budget(self, cfg, chunk):
+        per_trace, fixed = tape_bytes(cfg)
+        assert max_forward_chunk(cfg) == chunk
+        assert per_trace * chunk + fixed <= FORWARD_BUDGET_BYTES < per_trace * (chunk + 1) + fixed
 
 
 class TestTapeMemory:
@@ -740,9 +795,12 @@ class TestTapeMemory:
         finally:
             tracemalloc.stop()
         assert held <= 16 << 20, held / 2 ** 20
+        # what the adjoints hold is all but the tape's own bookkeeping
+        assert held - (1 << 19) <= g.held_bytes() <= held
         with g:
             loss = bce_loss_batch(logits, np.ones(8))
         backward(loss, g)
+        assert g.held_bytes() == 0
         assert all(t.grad is not None for t in named_tensors(params).values())
 
 

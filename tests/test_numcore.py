@@ -680,6 +680,55 @@ class TestLeanTape:
         assert report.passed, report.worst
 
 
+class TestHeldBytes:
+    """``Graph.held_bytes`` counts the distinct arrays the adjoints hold."""
+
+    def test_matmul_holds_both_operands(self):
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        with Graph() as g:
+            nc.matmul(a, b)
+        assert g.held_bytes() == a.data.nbytes + b.data.nbytes
+
+    def test_a_view_counts_at_its_base(self):
+        # two views of one (8, 4) array: 64 + 128 bytes of views, 256 of base
+        base = np.random.default_rng(1).normal(size=(8, 4))
+        a = Tensor(base[:2], requires_grad=True)
+        b = Tensor(base[4:], requires_grad=True)
+        with Graph() as g:
+            nc.matmul(a, b)
+        assert g.held_bytes() == base.nbytes
+
+    def test_a_weight_both_branches_read_counts_once(self):
+        rng = np.random.default_rng(2)
+        x0 = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        x1 = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        with Graph() as g:
+            out = nc.parallel_concat([lambda: nc.matmul(x0, w), lambda: nc.matmul(x1, w)])
+        # each branch's matmul holds its x and w; the fork/join node holds
+        # the two branch outputs that seed the sub-tape walks
+        assert g.held_bytes() == x0.data.nbytes + x1.data.nbytes + w.data.nbytes + out.data.nbytes
+
+    def test_shapes_and_scalars_are_not_counted(self):
+        x = Tensor(np.ones((64, 64)), requires_grad=True)
+        with Graph() as g:
+            nc.reshape(nc.add(x, 2.0), (4096,))
+        assert len(g) == 2 and g.held_bytes() == 0
+
+    def test_a_consumed_graph_holds_nothing(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        with Graph() as g:
+            loss = nc.tsum(nc.parallel_concat([lambda: nc.relu(nc.matmul(x, w)),
+                                               lambda: nc.matmul(x, w)]))
+        assert g.held_bytes() > 0
+        backward(loss, g)
+        assert g.held_bytes() == 0
+
+
 def two_layer_branch(x, w, c):
     """relu(x @ w) * c: w is read once, c twice."""
     return lambda: nc.mul(nc.mul(nc.relu(nc.matmul(x, w)), c), c)
