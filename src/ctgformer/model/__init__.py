@@ -10,6 +10,7 @@ from .params import (
     init_params,
     load_param_data,
     named_tensors,
+    working_copy,
 )
 from .net import (
     attention,
@@ -52,4 +53,5 @@ __all__ = [
     "predict_scores",
     "run_encoder",
     "save_checkpoint",
+    "working_copy",
 ]

@@ -9,12 +9,16 @@ only ``predict_scores`` applies the sigmoid. The two channels share no
 activation before the head, so ``forward_batch`` runs them on two threads.
 
 The parameters are float64. A training pass computes in float32
-(``TRAIN_DTYPE``) on a working copy of the parameters cast once at its top,
-after Micikevicius et al., "Mixed Precision Training" (arXiv:1710.03740):
-the gradients reach the float64 parameters, which the optimizer updates in
-float64. Inference computes in the dtype of the parameters it is given, and
-so does every function below ``forward_batch``; ``predict_scores`` takes
-the sigmoid in float64 either way.
+(``TRAIN_DTYPE``) on a working copy of them, after Micikevicius et al.,
+"Mixed Precision Training" (arXiv:1710.03740), and the optimizer updates
+the float64 parameters in float64. ``fit``'s optimizer keeps that copy
+(``model.working_copy``) and refreshes it after each step; a pass reads it
+as the leaves of its tape, and the gradients stay float32 until the step.
+Given float64 parameters, ``forward_batch`` casts a copy at its top
+instead, and the gradients reach the float64 parameters. Inference
+computes in the dtype of the parameters it is given, and so does every
+function below ``forward_batch``; ``predict_scores`` takes the sigmoid in
+float64 either way.
 
 Every operation takes a leading batch axis; one trace is a batch of one.
 """
@@ -177,11 +181,13 @@ def forward_batch(batch: dict, cfg: ModelConfig, params: ModelParams,
 
     FHR and TOCO are encoded and pooled on two threads by
     ``parallel_concat``. A training pass computes in ``TRAIN_DTYPE`` on one
-    working copy of ``params`` (``cast_params``) that both channels read,
-    draws every dropout mask from ``rng`` and raises ``ModelError`` without
-    one. Inference runs in the dtype of the ``params`` given (float64 for
-    the master parameters, float32 for a ``cast_params`` copy) and ignores
-    ``rng``. With encoder dropout each channel draws its masks from its own
+    working copy of ``params`` that both channels read: float64 ``params``
+    are cast at the top (``cast_params``), and ``TRAIN_DTYPE`` ones, such
+    as ``fit``'s working copy, are read as they are. It draws every dropout
+    mask from ``rng`` and raises ``ModelError`` without one. Inference runs
+    in the dtype of the ``params`` given (float64 for the master
+    parameters, float32 for a ``cast_params`` copy) and ignores ``rng``.
+    With encoder dropout each channel draws its masks from its own
     generator, seeded from two draws on ``rng`` (no draw without encoder
     dropout); the head's dropout draws from ``rng``.
     """

@@ -101,17 +101,32 @@ def build_params(cfg: ModelConfig, make) -> ModelParams:
     )
 
 
+def _map_params(params: ModelParams, fn) -> ModelParams:
+    """``params`` with every tensor replaced by ``fn(tensor)``."""
+    def map_backbone(bb: Backbone) -> Backbone:
+        return Backbone(w_patch=fn(bb.w_patch), w_pos=fn(bb.w_pos),
+                        layers=[LayerParams(**{k: fn(t) for k, t in vars(layer).items()})
+                                for layer in bb.layers])
+
+    return ModelParams(backbones=[map_backbone(bb) for bb in params.backbones],
+                       w_head=fn(params.w_head), b_head=fn(params.b_head))
+
+
 def cast_params(params: ModelParams, dtype) -> ModelParams:
     """A working copy of ``params`` in ``dtype``, each tensor made by one
     ``astype`` op, so on a tape the copy's gradients reach ``params`` in
-    their own dtype."""
-    def cast_backbone(bb: Backbone) -> Backbone:
-        return Backbone(w_patch=astype(bb.w_patch, dtype), w_pos=astype(bb.w_pos, dtype),
-                        layers=[LayerParams(**{k: astype(t, dtype) for k, t in vars(layer).items()})
-                                for layer in bb.layers])
+    their own dtype. Parameters already in ``dtype`` are returned as they
+    are, and a tape reads them as its leaves."""
+    if all(t.data.dtype == dtype for t in named_tensors(params).values()):
+        return params
+    return _map_params(params, lambda t: astype(t, dtype))
 
-    return ModelParams(backbones=[cast_backbone(bb) for bb in params.backbones],
-                       w_head=astype(params.w_head, dtype), b_head=astype(params.b_head, dtype))
+
+def working_copy(params: ModelParams, dtype) -> ModelParams:
+    """A copy of ``params`` in ``dtype`` whose tensors are leaves of their
+    own: a tape that reads them gives them gradients in ``dtype``, and none
+    reach ``params``. The optimizer refreshes it after each step."""
+    return _map_params(params, lambda t: Tensor(t.data.astype(dtype), requires_grad=True))
 
 
 def named_tensors(params: ModelParams) -> dict:

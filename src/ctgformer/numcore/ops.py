@@ -19,7 +19,6 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from ..errors import NumcoreError, ShapeError
 from .tensor import Graph, Node, Tensor, as_tensor, fork_join, _active_graph
@@ -370,6 +369,8 @@ def relu(a) -> Tensor:
 
 def gelu(a) -> Tensor:
     """Exact Gaussian-CDF form: x * Phi(x)."""
+    from scipy.special import erf   # loaded on first use: no other op needs scipy
+
     a = as_tensor(a)
     x = a.data
     phi_cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,10 +32,11 @@ from .model import (
     load_param_data,
     named_tensors,
     predict_scores,
+    working_copy,
 )
 from .model.config import check_field_types
 from .model.net import TRAIN_DTYPE, max_forward_chunk
-from .numcore import Graph, Tensor, backward, bce_with_logits
+from .numcore import Graph, Tensor, backward, bce_with_logits, fork_join
 
 PROB_CLAMP = 1e-12
 IMPROVE_DELTA = 1e-6   # val AUC must beat the best by this to reset patience
@@ -110,45 +112,107 @@ def bce_loss_batch(logits: Tensor, labels: np.ndarray) -> Tensor:
     return bce_with_logits(logits, labels)
 
 
-class Adam:
-    """Adaptive-moment optimizer (beta1=0.9, beta2=0.999, eps=1e-8) that also
-    zeroes gradients after applying them."""
+def take_grads(named: dict) -> dict:
+    """Each tensor's ``grad`` by name (None where it has none), which is
+    then cleared, so the next backward pass starts from nothing."""
+    grads = {name: t.grad for name, t in named.items()}
+    for t in named.values():
+        t.grad = None
+    return grads
 
-    def __init__(self, named: dict, lr: float):
+
+class Adam:
+    """Adaptive-moment optimizer (beta1=0.9, beta2=0.999, eps=1e-8) over the
+    float64 tensors ``named``. ``working``, if given, maps the same names to
+    a ``TRAIN_DTYPE`` copy of them (``model.working_copy``), which each
+    step refreshes in place.
+
+    A step runs on two threads: the tensors are cut, in ``named`` order,
+    into two runs of about equal size, one for the calling thread and one
+    for numcore's worker (``fork_join``). Each tensor's update does not
+    depend on the thread it runs on."""
+
+    def __init__(self, named: dict, lr: float, working: Optional[dict] = None):
         self.named = named
         self.lr = lr
         self.t = 0
         self.m = {name: np.zeros_like(t.data) for name, t in named.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in named.items()}
+        self.working = working
+        names, ends = list(named), np.cumsum([t.data.size for t in named.values()])
+        cut = int(np.searchsorted(ends, ends[-1] / 2)) + 1   # the first run ends past half
+        self.halves = (names[:cut], names[cut:])
 
-    def step(self) -> None:
+    def _on_both_threads(self, fn) -> tuple:
+        return fork_join(partial(fn, self.halves[0]), partial(fn, self.halves[1]))
+
+    def step(self, chunk_grads: Optional[list] = None, at: str = "") -> None:
+        """One update from the gradients of a batch's forward chunks:
+        ``chunk_grads`` holds one name -> gradient dict per chunk, in chunk
+        order (see ``take_grads``), in any float dtype; without it, each
+        tensor's ``grad``, which is then cleared. A tensor's gradient is
+        ``f64(g1) + f64(g2) + ...`` in chunk order, and a tensor without one
+        is left as it is.
+
+        A non-finite gradient raises ``TrainError`` naming the first such
+        tensor in ``named`` order and ``at`` (say, the epoch and batch),
+        before any tensor or moment changes."""
+        if chunk_grads is None:
+            chunk_grads = [take_grads(self.named)]
+
+        def gradients(names):
+            grads, bad = {}, []
+            for name in names:
+                parts = [c[name] for c in chunk_grads if c.get(name) is not None]
+                if not parts:
+                    continue
+                g = parts[0].astype(np.float64, copy=len(parts) > 1)
+                for part in parts[1:]:
+                    g += part
+                grads[name] = g
+                if not np.isfinite(g).all():
+                    bad.append(name)
+            return grads, bad
+
+        (grads, bad), (more, more_bad) = self._on_both_threads(gradients)
+        bad += more_bad
+        if bad:
+            raise TrainError(f"non-finite gradient in {bad[0]} at {at or f'step {self.t + 1}'}")
+        grads.update(more)
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for name, tensor in self.named.items():
-            g = tensor.grad
-            if g is None:
-                continue
-            # in place, with the IEEE operations of
-            # m = b1*m + (1-b1)*g; data -= lr*(m/bias1) / (sqrt(v/bias2) + eps)
-            m, v = self.m[name], self.v[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * (g * g)
-            update = m / bias1
-            update *= self.lr
-            update /= np.sqrt(v / bias2) + eps
-            tensor.data -= update
-            tensor.grad = None
+
+        def apply(names):
+            for name in names:
+                g = grads.get(name)
+                if g is None:
+                    continue
+                # in place, with the IEEE operations of
+                # m = b1*m + (1-b1)*g; data -= lr*(m/bias1) / (sqrt(v/bias2) + eps)
+                m, v = self.m[name], self.v[name]
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * (g * g)
+                update = m / bias1
+                update *= self.lr
+                update /= np.sqrt(v / bias2) + eps
+                data = self.named[name].data
+                data -= update
+                if self.working is not None:
+                    np.copyto(self.working[name].data, data, casting="same_kind")
+
+        self._on_both_threads(apply)
 
 
 def predictions_for(traces: Sequence, cfg: ModelConfig, params: ModelParams) -> list:
     """Validation predictions as ``fit`` scores them after every epoch: the
-    logits of a ``TRAIN_DTYPE`` copy of ``params`` (``cast_params``), the
-    sigmoid in float64 (``predict_scores``). Scores of the float64
-    parameters themselves come from ``predict_scores``."""
+    logits of a ``TRAIN_DTYPE`` copy of ``params`` (``cast_params``; ``fit``
+    passes its working copy, which is scored as it is), the sigmoid in
+    float64 (``predict_scores``). Scores of the float64 parameters
+    themselves come from ``predict_scores``."""
     scores = predict_scores(list(traces), cfg, cast_params(params, TRAIN_DTYPE))
     return [Prediction(t.trace_id, float(s), t.label, t.days_to_delivery)
             for t, s in zip(traces, scores)]
@@ -163,19 +227,24 @@ def train_epoch(params: ModelParams, cfg: ModelConfig, train_cfg: TrainConfig,
                 epoch: int = 1) -> float:
     """One shuffled pass over the training set; returns the mean batch loss.
 
-    A logical batch larger than the attention memory budget is split into
-    forward chunks whose gradients accumulate before the single optimizer
-    step, so the update still averages the whole batch. A non-finite chunk
-    loss raises ``TrainError`` naming ``epoch`` and the batch index."""
+    The forward passes read ``params``: the float64 parameters the
+    optimizer updates, or, as in ``fit``, the optimizer's ``TRAIN_DTYPE``
+    working copy, which ``forward_batch`` reads as it is. A logical batch
+    larger than the attention memory budget is split into forward chunks.
+    Each chunk's gradients of ``params`` are set aside in their own dtype
+    until the single optimizer step, which sums them in float64, so the
+    update still averages the whole batch. A non-finite chunk loss, or
+    gradient, raises ``TrainError`` naming ``epoch`` and the batch index."""
     n = len(stacked["labels"])
     if n == 0:
         raise TrainError("training set is empty")
     chunk = min(train_cfg.batch_size, max_forward_chunk(cfg))
+    named = named_tensors(params)
     order = rng.permutation(n)
     losses = []
     for b, lo in enumerate(range(0, n, train_cfg.batch_size)):
         batch_idx = order[lo:lo + train_cfg.batch_size]
-        batch_loss = 0.0
+        batch_loss, chunk_grads = 0.0, []
         for co in range(0, len(batch_idx), chunk):
             piece = _slice_batch(stacked, batch_idx[co:co + chunk])
             weight = len(piece["labels"]) / len(batch_idx)
@@ -186,8 +255,9 @@ def train_epoch(params: ModelParams, cfg: ModelConfig, train_cfg: TrainConfig,
             if not math.isfinite(chunk_loss):
                 raise TrainError(f"non-finite loss {chunk_loss!r} at epoch {epoch}, batch {b}")
             backward(loss, g)
+            chunk_grads.append(take_grads(named))
             batch_loss += chunk_loss
-        optimizer.step()
+        optimizer.step(chunk_grads, at=f"epoch {epoch}, batch {b}")
         losses.append(batch_loss)
     return float(np.mean(losses))
 
@@ -225,11 +295,14 @@ def fit(cfg: ModelConfig, train_cfg: TrainConfig, train_traces: Sequence,
     seeds = np.random.SeedSequence(train_cfg.seed).generate_state(2).tolist()
     params = init if init is not None else init_params(cfg, seed=int(seeds[0]))
     rng = np.random.default_rng(int(seeds[1]))
-    optimizer = Adam(named_tensors(params), lr=train_cfg.learning_rate)
+    # every forward pass, and validation, reads this copy; each step refreshes it
+    working = working_copy(params, TRAIN_DTYPE)
+    optimizer = Adam(named_tensors(params), lr=train_cfg.learning_rate,
+                     working=named_tensors(working))
 
     log = TrainLog()
     if train_cfg.max_epochs == 0:
-        log.best_val_auc = _val_auc(params, cfg, val_traces)
+        log.best_val_auc = _val_auc(working, cfg, val_traces)
         log.best_epoch = 0
         return params, log
 
@@ -237,8 +310,8 @@ def fit(cfg: ModelConfig, train_cfg: TrainConfig, train_traces: Sequence,
     best_snapshot = None
     for epoch in range(1, train_cfg.max_epochs + 1):
         tic = time.perf_counter()
-        mean_loss = train_epoch(params, cfg, train_cfg, stacked, rng, optimizer, epoch)
-        val_auc = _val_auc(params, cfg, val_traces)
+        mean_loss = train_epoch(working, cfg, train_cfg, stacked, rng, optimizer, epoch)
+        val_auc = _val_auc(working, cfg, val_traces)
         log.epochs.append(EpochRecord(epoch, mean_loss, val_auc,
                                       time.perf_counter() - tic))
         if verbose:

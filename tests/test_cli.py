@@ -473,6 +473,19 @@ def test_module_entrypoint_smoke(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("activation,loaded", [("relu", False), ("gelu", True)])
+def test_scipy_special_loads_only_for_gelu(tmp_path, cohort_file, activation, loaded):
+    argv = ["train", "--data", str(cohort_file), "--max-epochs", "1", "--batch-size", "8",
+            "--out-dir", str(tmp_path / "run"), *SMALL_MODEL, "--activation", activation]
+    script = ("import sys\nfrom ctgformer.cli import main\n"
+              f"code = main({argv!r})\nprint(code, 'scipy.special' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(ctgformer.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", str(loaded)]
+
+
 @pytest.mark.parametrize("openblas", [None, "3"])
 def test_thread_settings_recorded(tmp_path, cohort_file, openblas):
     env = {k: v for k, v in os.environ.items()

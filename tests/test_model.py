@@ -27,6 +27,7 @@ from ctgformer.model import (
     pool_channel,
     predict_scores,
     save_checkpoint,
+    working_copy,
 )
 from ctgformer.model.net import FORWARD_BUDGET_BYTES, TRAIN_DTYPE, max_forward_chunk, tape_bytes
 from ctgformer.model.params import clone_param_data, load_param_data
@@ -765,6 +766,24 @@ class TestTapeBytes:
         params = init_params(cfg, 2)
         for b in (1, 2):
             assert training_tape(cfg, params, b).held_bytes() == per_trace * b + fixed, b
+
+    @pytest.mark.parametrize("cfg", [
+        acceptance_config(),
+        ModelConfig(**preset_configs("paper-best")[0]),
+        acceptance_config(share_backbone=False),
+    ], ids=["acceptance", "paper-best", "separate"])
+    def test_formula_holds_through_the_working_copy(self, cfg):
+        # fit's forward passes read the optimizer's float32 copy as their
+        # leaves: no cast is recorded, and the tape holds the same bytes
+        params = init_params(cfg, 2)
+        work = working_copy(params, TRAIN_DTYPE)
+        per_trace, fixed = tape_bytes(cfg)
+        n_casts = len(named_tensors(params))
+        for b in (1, 2):
+            cast, leaves = training_tape(cfg, params, b), training_tape(cfg, work, b)
+            assert leaves.held_bytes() == cast.held_bytes() == per_trace * b + fixed, b
+            assert len(leaves) == len(cast) - n_casts
+            assert {t.key for t in leaves.leaves()} == {t.key for t in named_tensors(work).values()}
 
     @pytest.mark.parametrize("cfg,chunk", [
         (acceptance_config(), 236),

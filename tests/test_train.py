@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from ctgformer.model import (
     named_tensors,
     predict_scores,
     save_checkpoint,
+    working_copy,
 )
 from ctgformer.model.net import TRAIN_DTYPE
 import ctgformer.train as train_module
@@ -153,6 +155,113 @@ class TestAdamAndEpoch:
         tc = TrainConfig(batch_size=8, max_epochs=2, seed=0)
         with pytest.raises(TrainError, match="non-finite loss nan at epoch 1, batch 0"):
             fit(SMALL_CFG, tc, train_traces, val_traces, init=params)
+
+
+class TestChunkedStep:
+    """``fit`` trains on one float32 working copy, carries float32 gradients
+    between the forward chunks of a batch and steps on two threads."""
+
+    CFG = replace(SMALL_CFG, dropout=0.1, fc_dropout=0.1, attn_dropout=0.1,
+                  share_backbone=False)
+
+    @staticmethod
+    def adam_with_grads(n_chunks):
+        """An Adam over ``CFG``'s parameters, with their working copy, and
+        ``n_chunks`` float32 gradient dicts."""
+        params = init_params(TestChunkedStep.CFG, 4)
+        named = named_tensors(params)
+        copy = named_tensors(working_copy(params, TRAIN_DTYPE))
+        rng = np.random.default_rng(8)
+        chunks = [{k: rng.normal(size=t.shape).astype(np.float32) for k, t in named.items()}
+                  for _ in range(n_chunks)]
+        return Adam(named, lr=1e-3, working=copy), chunks
+
+    @staticmethod
+    def state(opt):
+        return [a.tobytes() for k in opt.named for a in
+                (opt.named[k].data, opt.m[k], opt.v[k], opt.working[k].data)]
+
+    def test_multi_chunk_fit_bytes_are_pinned(self, small_sets, monkeypatch, tmp_path):
+        # batches of 8 in forward chunks of 3, 3 and 2; the digests are
+        # those of the float64-gradient accumulation this replaced (x86-64,
+        # numpy's bundled OpenBLAS)
+        carried = []
+        step = Adam.step
+
+        def spy(self, chunk_grads=None, at=""):
+            carried.append([sum(g.nbytes for g in c.values()) for c in chunk_grads])
+            return step(self, chunk_grads, at)
+
+        monkeypatch.setattr(train_module, "max_forward_chunk", lambda cfg: 3)
+        monkeypatch.setattr(Adam, "step", spy)
+        train_traces, val_traces = small_sets
+        tc = TrainConfig(learning_rate=3e-3, batch_size=8, max_epochs=3, patience=5, seed=2)
+        params, log = fit(self.CFG, tc, train_traces, val_traces)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, self.CFG, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "e1d89fc94dff6a95353bb91ba4168fa697147d23fc64952fb689a38e251232d3")
+        assert hashlib.sha256(repr(log.key()).encode()).hexdigest() == (
+            "25ff67f812945dac391b0c20e3d0725fc683bdeb3570c5d7ab7dca2ea808940c")
+        n_params = sum(t.size for t in named_tensors(params).values())
+        assert len(carried) == 3 * 3
+        assert all(c == [4 * n_params] * 3 for c in carried)
+
+    def test_chunk_gradients_sum_in_float64_in_chunk_order(self):
+        opt, chunks = self.adam_with_grads(3)
+        named = named_tensors(init_params(self.CFG, 4))
+        for k, t in named.items():   # how backward accumulated float64 gradients
+            f64 = [c[k].astype(np.float64) for c in chunks]
+            t.grad = f64[0] + f64[1] + f64[2]
+        ref = Adam(named, lr=1e-3)
+        opt.step(chunks)
+        ref.step()
+        for k, t in opt.named.items():
+            assert t.data.tobytes() == named[k].data.tobytes(), k
+            assert opt.working[k].data.tobytes() == t.data.astype(np.float32).tobytes(), k
+
+    def test_two_thread_step_matches_inline_step(self, monkeypatch):
+        runs = []
+        for inline in (False, True):
+            if inline:
+                monkeypatch.setattr(train_module, "fork_join", lambda a, b: (a(), b()))
+            opt, chunks = self.adam_with_grads(2)
+            assert all(opt.halves) and opt.halves[0] + opt.halves[1] == list(opt.named)
+            for _ in range(3):
+                opt.step(chunks)
+            runs.append(self.state(opt))
+        assert runs[0] == runs[1]
+
+    def test_non_finite_gradient_changes_nothing(self):
+        opt, chunks = self.adam_with_grads(2)
+        opt.step(chunks)
+        before = self.state(opt)
+        last = list(opt.named)[-1]
+        chunks[1][last][0] = np.inf
+        chunks[1]["backbone1.layer0.w_v"][2, 1] = np.nan
+        with pytest.raises(TrainError, match=r"^non-finite gradient in backbone1\.layer0\.w_v "
+                                             r"at step 2$"):
+            opt.step(chunks)
+        assert self.state(opt) == before and opt.t == 1
+
+    def test_non_finite_gradient_names_epoch_batch_and_tensor(self, small_sets, monkeypatch):
+        take, calls = train_module.take_grads, []
+
+        def poisoned(named):
+            grads = take(named)
+            calls.append(None)
+            if len(calls) == 4:   # 3 batches of 2 chunks: batch 1's second chunk
+                grads["backbone0.layer0.ln2_bias"][3] = np.nan
+                grads["head.w"][0] = np.nan
+            return grads
+
+        monkeypatch.setattr(train_module, "take_grads", poisoned)
+        monkeypatch.setattr(train_module, "max_forward_chunk", lambda cfg: 4)
+        train_traces, val_traces = small_sets
+        tc = TrainConfig(batch_size=8, max_epochs=2, seed=0)
+        with pytest.raises(TrainError, match=r"^non-finite gradient in "
+                                             r"backbone0\.layer0\.ln2_bias at epoch 1, batch 1$"):
+            fit(SMALL_CFG, tc, train_traces, val_traces)
 
 
 class TestFit:
