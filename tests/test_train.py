@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -236,10 +237,11 @@ class TestChunkedStep:
         opt, chunks = self.adam_with_grads(2)
         opt.step(chunks)
         before = self.state(opt)
-        last = list(opt.named)[-1]
-        chunks[1][last][0] = np.inf
-        chunks[1]["backbone1.layer0.w_v"][2, 1] = np.nan
-        with pytest.raises(TrainError, match=r"^non-finite gradient in backbone1\.layer0\.w_v "
+        # the last tensor of the caller's run comes first in named order
+        first, later = opt.halves[0][-1], opt.halves[1][0]
+        chunks[1][later].flat[0] = np.nan
+        chunks[1][first].flat[-1] = np.inf
+        with pytest.raises(TrainError, match=rf"^non-finite gradient in {re.escape(first)} "
                                              r"at step 2$"):
             opt.step(chunks)
         assert self.state(opt) == before and opt.t == 1
