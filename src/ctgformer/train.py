@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,7 +35,7 @@ from .model import (
 )
 from .model.config import check_field_types
 from .model.net import TRAIN_DTYPE, max_forward_chunk
-from .numcore import Graph, Tensor, backward, bce_with_logits, fork_join
+from .numcore import Graph, Tensor, backward, bce_with_logits
 
 PROB_CLAMP = 1e-12
 IMPROVE_DELTA = 1e-6   # val AUC must beat the best by this to reset patience
@@ -121,16 +120,40 @@ def take_grads(named: dict) -> dict:
     return grads
 
 
+class BatchGrads:
+    """The gradients of one batch's forward chunks, added up for its
+    optimizer step. A tensor's first gradient is kept as it comes, in its
+    own dtype (float32 from ``fit``'s working copy); from its second on, it
+    is carried as one float64 sum, ``f64(g1) + f64(g2)``, then ``+= g3`` and
+    so on in chunk order. So a batch carries at most one float64 array per
+    tensor, however many chunks it has."""
+
+    def __init__(self):
+        self.grads = {}
+        self._summed = set()   # names whose gradient is a float64 sum made here
+
+    def add(self, grads: dict) -> None:
+        """Adds one chunk's gradients (see ``take_grads``), taking each out
+        of ``grads`` as it goes."""
+        for name in list(grads):
+            g = grads.pop(name)
+            acc = self.grads.get(name)
+            if g is None:
+                continue
+            if acc is None:
+                self.grads[name] = g
+            elif name in self._summed:
+                acc += g
+            else:
+                self.grads[name] = np.add(acc, g, dtype=np.float64)
+                self._summed.add(name)
+
+
 class Adam:
     """Adaptive-moment optimizer (beta1=0.9, beta2=0.999, eps=1e-8) over the
     float64 tensors ``named``. ``working``, if given, maps the same names to
     a ``TRAIN_DTYPE`` copy of them (``model.working_copy``), which each
-    step refreshes in place.
-
-    A step runs on two threads: the tensors are cut, in ``named`` order,
-    into two runs of about equal size, one for the calling thread and one
-    for numcore's worker (``fork_join``). Each tensor's update does not
-    depend on the thread it runs on."""
+    step refreshes in place."""
 
     def __init__(self, named: dict, lr: float, working: Optional[dict] = None):
         self.named = named
@@ -139,72 +162,44 @@ class Adam:
         self.m = {name: np.zeros_like(t.data) for name, t in named.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in named.items()}
         self.working = working
-        names, ends = list(named), np.cumsum([t.data.size for t in named.values()])
-        cut = int(np.searchsorted(ends, ends[-1] / 2)) + 1   # the first run ends past half
-        self.halves = (names[:cut], names[cut:])
 
-    def _on_both_threads(self, fn) -> tuple:
-        return fork_join(partial(fn, self.halves[0]), partial(fn, self.halves[1]))
-
-    def step(self, chunk_grads: Optional[list] = None, at: str = "") -> None:
-        """One update from the gradients of a batch's forward chunks:
-        ``chunk_grads`` holds one name -> gradient dict per chunk, in chunk
-        order (see ``take_grads``), in any float dtype; without it, each
-        tensor's ``grad``, which is then cleared. A tensor's gradient is
-        ``f64(g1) + f64(g2) + ...`` in chunk order, and a tensor without one
-        is left as it is.
+    def step(self, grads: Optional[dict] = None, at: str = "") -> None:
+        """One update from ``grads``, a name -> gradient dict in any float
+        dtype (``BatchGrads.grads``); without it, each tensor's ``grad``,
+        which is then cleared. A tensor's gradient is used in float64, and
+        a tensor without one is left as it is.
 
         A non-finite gradient raises ``TrainError`` naming the first such
         tensor in ``named`` order and ``at`` (say, the epoch and batch),
         before any tensor or moment changes."""
-        if chunk_grads is None:
-            chunk_grads = [take_grads(self.named)]
-
-        def gradients(names):
-            grads, bad = {}, []
-            for name in names:
-                parts = [c[name] for c in chunk_grads if c.get(name) is not None]
-                if not parts:
-                    continue
-                g = parts[0].astype(np.float64, copy=len(parts) > 1)
-                for part in parts[1:]:
-                    g += part
-                grads[name] = g
-                if not np.isfinite(g).all():
-                    bad.append(name)
-            return grads, bad
-
-        (grads, bad), (more, more_bad) = self._on_both_threads(gradients)
-        bad += more_bad
-        if bad:
-            raise TrainError(f"non-finite gradient in {bad[0]} at {at or f'step {self.t + 1}'}")
-        grads.update(more)
+        if grads is None:
+            grads = take_grads(self.named)
+        for name in self.named:
+            g = grads.get(name)
+            if g is not None and not np.isfinite(g).all():
+                raise TrainError(f"non-finite gradient in {name} at {at or f'step {self.t + 1}'}")
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-
-        def apply(names):
-            for name in names:
-                g = grads.get(name)
-                if g is None:
-                    continue
-                # in place, with the IEEE operations of
-                # m = b1*m + (1-b1)*g; data -= lr*(m/bias1) / (sqrt(v/bias2) + eps)
-                m, v = self.m[name], self.v[name]
-                m *= b1
-                m += (1 - b1) * g
-                v *= b2
-                v += (1 - b2) * (g * g)
-                update = m / bias1
-                update *= self.lr
-                update /= np.sqrt(v / bias2) + eps
-                data = self.named[name].data
-                data -= update
-                if self.working is not None:
-                    np.copyto(self.working[name].data, data, casting="same_kind")
-
-        self._on_both_threads(apply)
+        for name, t in self.named.items():
+            g = grads.get(name)
+            if g is None:
+                continue
+            g = g.astype(np.float64, copy=False)
+            # in place, with the IEEE operations of
+            # m = b1*m + (1-b1)*g; data -= lr*(m/bias1) / (sqrt(v/bias2) + eps)
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * (g * g)
+            update = m / bias1
+            update *= self.lr
+            update /= np.sqrt(v / bias2) + eps
+            t.data -= update
+            if self.working is not None:
+                np.copyto(self.working[name].data, t.data, casting="same_kind")
 
 
 def predictions_for(traces: Sequence, cfg: ModelConfig, params: ModelParams) -> list:
@@ -231,9 +226,9 @@ def train_epoch(params: ModelParams, cfg: ModelConfig, train_cfg: TrainConfig,
     optimizer updates, or, as in ``fit``, the optimizer's ``TRAIN_DTYPE``
     working copy, which ``forward_batch`` reads as it is. A logical batch
     larger than the attention memory budget is split into forward chunks.
-    Each chunk's gradients of ``params`` are set aside in their own dtype
-    until the single optimizer step, which sums them in float64, so the
-    update still averages the whole batch. A non-finite chunk loss, or
+    The chunks' gradients of ``params`` are added up in a ``BatchGrads``
+    for the single optimizer step, so the update still averages the whole
+    batch. A non-finite chunk loss, or
     gradient, raises ``TrainError`` naming ``epoch`` and the batch index."""
     n = len(stacked["labels"])
     if n == 0:
@@ -244,7 +239,7 @@ def train_epoch(params: ModelParams, cfg: ModelConfig, train_cfg: TrainConfig,
     losses = []
     for b, lo in enumerate(range(0, n, train_cfg.batch_size)):
         batch_idx = order[lo:lo + train_cfg.batch_size]
-        batch_loss, chunk_grads = 0.0, []
+        batch_loss, grads = 0.0, BatchGrads()
         for co in range(0, len(batch_idx), chunk):
             piece = _slice_batch(stacked, batch_idx[co:co + chunk])
             weight = len(piece["labels"]) / len(batch_idx)
@@ -255,9 +250,9 @@ def train_epoch(params: ModelParams, cfg: ModelConfig, train_cfg: TrainConfig,
             if not math.isfinite(chunk_loss):
                 raise TrainError(f"non-finite loss {chunk_loss!r} at epoch {epoch}, batch {b}")
             backward(loss, g)
-            chunk_grads.append(take_grads(named))
+            grads.add(take_grads(named))
             batch_loss += chunk_loss
-        optimizer.step(chunk_grads, at=f"epoch {epoch}, batch {b}")
+        optimizer.step(grads.grads, at=f"epoch {epoch}, batch {b}")
         losses.append(batch_loss)
     return float(np.mean(losses))
 

@@ -23,6 +23,7 @@ from ctgformer.model.net import TRAIN_DTYPE
 import ctgformer.train as train_module
 from ctgformer.train import (
     Adam,
+    BatchGrads,
     TrainConfig,
     bce_loss,
     bce_loss_batch,
@@ -159,8 +160,9 @@ class TestAdamAndEpoch:
 
 
 class TestChunkedStep:
-    """``fit`` trains on one float32 working copy, carries float32 gradients
-    between the forward chunks of a batch and steps on two threads."""
+    """``fit`` trains on one float32 working copy and adds up a batch's
+    chunk gradients in a ``BatchGrads``, which carries at most one float64
+    array per tensor."""
 
     CFG = replace(SMALL_CFG, dropout=0.1, fc_dropout=0.1, attn_dropout=0.1,
                   share_backbone=False)
@@ -178,72 +180,85 @@ class TestChunkedStep:
         return Adam(named, lr=1e-3, working=copy), chunks
 
     @staticmethod
+    def batch_grads(chunks):
+        grads = BatchGrads()
+        for c in chunks:
+            grads.add(dict(c))
+        return grads.grads
+
+    @staticmethod
     def state(opt):
         return [a.tobytes() for k in opt.named for a in
                 (opt.named[k].data, opt.m[k], opt.v[k], opt.working[k].data)]
 
-    def test_multi_chunk_fit_bytes_are_pinned(self, small_sets, monkeypatch, tmp_path):
-        # batches of 8 in forward chunks of 3, 3 and 2; the digests are
-        # those of the float64-gradient accumulation this replaced (x86-64,
-        # numpy's bundled OpenBLAS)
-        carried = []
-        step = Adam.step
+    # batches of 8 in forward chunks of 3, 3, 2 or of 2, 2, 2, 2; the digests
+    # are those of the float64 accumulation in ``backward`` this replaced
+    # (x86-64, numpy's bundled OpenBLAS)
+    @pytest.mark.parametrize("chunk,ckpt_sha,log_sha", [
+        (3, "e1d89fc94dff6a95353bb91ba4168fa697147d23fc64952fb689a38e251232d3",
+         "25ff67f812945dac391b0c20e3d0725fc683bdeb3570c5d7ab7dca2ea808940c"),
+        (2, "44985b62d8b87fd92c42dce9e9b4ebd394e0ed2e9d7352f36b77b83ffae9c998",
+         "c937489326af8e32d53a1c37bcd70a42dc1be9b13fe3e8df664bd28e479175b6"),
+    ])
+    def test_multi_chunk_fit_bytes_are_pinned(self, small_sets, monkeypatch, tmp_path,
+                                              chunk, ckpt_sha, log_sha):
+        carried = []   # the bytes a batch carries after each of its chunks
+        add = BatchGrads.add
 
-        def spy(self, chunk_grads=None, at=""):
-            carried.append([sum(g.nbytes for g in c.values()) for c in chunk_grads])
-            return step(self, chunk_grads, at)
+        def spy(self, grads):
+            add(self, grads)
+            carried.append(sum(g.nbytes for g in self.grads.values()))
 
-        monkeypatch.setattr(train_module, "max_forward_chunk", lambda cfg: 3)
-        monkeypatch.setattr(Adam, "step", spy)
+        monkeypatch.setattr(train_module, "max_forward_chunk", lambda cfg: chunk)
+        monkeypatch.setattr(BatchGrads, "add", spy)
         train_traces, val_traces = small_sets
         tc = TrainConfig(learning_rate=3e-3, batch_size=8, max_epochs=3, patience=5, seed=2)
         params, log = fit(self.CFG, tc, train_traces, val_traces)
         path = tmp_path / "m.ckpt"
         save_checkpoint(params, self.CFG, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "e1d89fc94dff6a95353bb91ba4168fa697147d23fc64952fb689a38e251232d3")
-        assert hashlib.sha256(repr(log.key()).encode()).hexdigest() == (
-            "25ff67f812945dac391b0c20e3d0725fc683bdeb3570c5d7ab7dca2ea808940c")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ckpt_sha
+        assert hashlib.sha256(repr(log.key()).encode()).hexdigest() == log_sha
+        # float32 until a tensor's second gradient, then one float64 sum
         n_params = sum(t.size for t in named_tensors(params).values())
-        assert len(carried) == 3 * 3
-        assert all(c == [4 * n_params] * 3 for c in carried)
+        n_chunks = -(-8 // chunk)
+        assert carried == 3 * 3 * ([4 * n_params] + [8 * n_params] * (n_chunks - 1))
 
     def test_chunk_gradients_sum_in_float64_in_chunk_order(self):
-        opt, chunks = self.adam_with_grads(3)
+        opt, chunks = self.adam_with_grads(4)
         named = named_tensors(init_params(self.CFG, 4))
         for k, t in named.items():   # how backward accumulated float64 gradients
             f64 = [c[k].astype(np.float64) for c in chunks]
-            t.grad = f64[0] + f64[1] + f64[2]
+            t.grad = f64[0] + f64[1] + f64[2] + f64[3]
         ref = Adam(named, lr=1e-3)
-        opt.step(chunks)
+        opt.step(self.batch_grads(chunks))
         ref.step()
         for k, t in opt.named.items():
             assert t.data.tobytes() == named[k].data.tobytes(), k
             assert opt.working[k].data.tobytes() == t.data.astype(np.float32).tobytes(), k
 
-    def test_two_thread_step_matches_inline_step(self, monkeypatch):
-        runs = []
-        for inline in (False, True):
-            if inline:
-                monkeypatch.setattr(train_module, "fork_join", lambda a, b: (a(), b()))
-            opt, chunks = self.adam_with_grads(2)
-            assert all(opt.halves) and opt.halves[0] + opt.halves[1] == list(opt.named)
-            for _ in range(3):
-                opt.step(chunks)
-            runs.append(self.state(opt))
-        assert runs[0] == runs[1]
+    def test_batch_grads_leave_the_chunk_gradients_as_they_were(self):
+        # backward may hand two leaves one adjoint array, so no chunk's
+        # gradient is written to
+        _, chunks = self.adam_with_grads(3)
+        shared = next(iter(chunks[0]))
+        chunks[0]["other"] = chunks[0][shared]
+        before = [{k: g.copy() for k, g in c.items()} for c in chunks]
+        grads = self.batch_grads(chunks)
+        for c, b in zip(chunks, before):
+            assert all(c[k].tobytes() == b[k].tobytes() for k in b)
+        assert grads["other"] is chunks[0][shared] and grads[shared].dtype == np.float64
 
     def test_non_finite_gradient_changes_nothing(self):
         opt, chunks = self.adam_with_grads(2)
-        opt.step(chunks)
+        opt.step(self.batch_grads(chunks))
         before = self.state(opt)
-        # the last tensor of the caller's run comes first in named order
-        first, later = opt.halves[0][-1], opt.halves[1][0]
+        names = list(opt.named)
+        first, later = names[3], names[-1]
         chunks[1][later].flat[0] = np.nan
         chunks[1][first].flat[-1] = np.inf
         with pytest.raises(TrainError, match=rf"^non-finite gradient in {re.escape(first)} "
                                              r"at step 2$"):
-            opt.step(chunks)
+            opt.step(self.batch_grads(chunks))
         assert self.state(opt) == before and opt.t == 1
 
     def test_non_finite_gradient_names_epoch_batch_and_tensor(self, small_sets, monkeypatch):
