@@ -24,6 +24,7 @@ from .net import (
     make_patches,
     pool_channel,
     predict_scores,
+    qkv_weights,
     run_encoder,
 )
 from .checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
@@ -51,6 +52,7 @@ __all__ = [
     "named_tensors",
     "pool_channel",
     "predict_scores",
+    "qkv_weights",
     "run_encoder",
     "save_checkpoint",
     "working_copy",

@@ -20,12 +20,21 @@ computes in the dtype of the parameters it is given, and so does every
 function below ``forward_batch``; ``predict_scores`` takes the sigmoid in
 float64 either way.
 
+Attention runs as one numcore op per layer and channel. The layer's
+query, key and value weights are put side by side once per backbone per
+forward pass (``qkv_weights``, before the channels fork), one product
+gives the (B, N, 3d) projection, and ``numcore.attention`` takes it to
+the (B, N, d) context: the heads are strided views of the projection, and
+the scores are exponentiated without subtracting the row max unless a row
+sum leaves [2**-64, inf), when the op takes softmax's row-max path. Its
+adjoint holds the projection, the softmax weights and, with attention
+dropout, the keep mask and the dropped-out weights.
+
 Every operation takes a leading batch axis; one trace is a batch of one.
 """
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from typing import Optional
 
@@ -36,16 +45,15 @@ from ..errors import ModelError
 from ..numcore import (
     Tensor,
     activation,
-    astype,
+    attention as attention_op,
+    concat,
     dropout,
     layer_norm,
     matmul,
     parallel_concat,
     reshape,
-    sigmoid,
-    softmax,
-    transpose,
 )
+from ..numcore.ops import _sigmoid
 from .config import ModelConfig
 from .params import Backbone, LayerParams, ModelParams, cast_params
 
@@ -99,30 +107,31 @@ def embed_patches(patches: np.ndarray, w_patch: Tensor, w_pos: Tensor) -> Tensor
     return matmul(patches, w_patch) + w_pos
 
 
-def attention(e: Tensor, layer: LayerParams, patch_mask: np.ndarray, n_heads: int,
-              attn_dropout: float = 0.0, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Multi-head self-attention with masked key columns.
+def qkv_weights(backbone: Backbone) -> list:
+    """Each layer's query, key and value weights side by side, (d, 3d):
+    one ``concat`` per layer, whose adjoint hands each its columns'
+    gradient. A forward pass builds them once per backbone (see
+    ``fuse_channels``)."""
+    return [concat([layer.w_q, layer.w_k, layer.w_v], axis=1) for layer in backbone.layers]
 
-    Masked patches receive -inf logits in every row, so their weight is
-    exactly zero and unmasked rows match what physical deletion of the
-    masked keys/values would give. ``e`` is (B, N, d), ``patch_mask`` (B, N).
+
+def attention(e: Tensor, w_qkv: Tensor, w_o: Tensor, patch_mask: np.ndarray, n_heads: int,
+              attn_dropout: float = 0.0, rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Multi-head self-attention with masked key columns: one (B, N, 3d)
+    projection by ``w_qkv`` (``qkv_weights``), numcore's ``attention`` op,
+    then the output projection ``w_o``.
+
+    Masked patches get weight exactly zero in every row, so unmasked rows
+    match what physical deletion of the masked keys/values would give.
+    ``e`` is (B, N, d), ``patch_mask`` (B, N).
     """
-    b, n, d = e.shape
+    d = e.shape[-1]
     if d % n_heads != 0:
         raise ModelError(f"width {d} not divisible by {n_heads} heads")
     if not patch_mask.any(axis=1).all():
         raise ModelError("attention saw a sequence with every patch masked")
-    dk = d // n_heads
-
-    def heads(x):
-        return transpose(reshape(x, (b, n, n_heads, dk)), (0, 2, 1, 3))
-
-    q, k, v = heads(matmul(e, layer.w_q)), heads(matmul(e, layer.w_k)), heads(matmul(e, layer.w_v))
-    key_gone = (~patch_mask)[:, None, None, :]     # broadcast over heads and query rows
-    weights = softmax(matmul(q, transpose(k, (0, 1, 3, 2))), key_gone, 1.0 / math.sqrt(dk))
-    weights = dropout(weights, attn_dropout, rng)
-    ctx = reshape(transpose(matmul(weights, v), (0, 2, 1, 3)), (b, n, d))
-    return matmul(ctx, layer.w_o)
+    ctx = attention_op(matmul(e, w_qkv), ~patch_mask, n_heads, attn_dropout, rng)
+    return matmul(ctx, w_o)
 
 
 def ffn(h: Tensor, layer: LayerParams, kind: str) -> Tensor:
@@ -130,31 +139,37 @@ def ffn(h: Tensor, layer: LayerParams, kind: str) -> Tensor:
     return matmul(activation(matmul(h, layer.w_ffn1) + layer.b_ffn1, kind), layer.w_ffn2) + layer.b_ffn2
 
 
-def encoder_layer(e: Tensor, layer: LayerParams, patch_mask: np.ndarray, cfg: ModelConfig,
-                  rng: Optional[np.random.Generator] = None) -> Tensor:
+def encoder_layer(e: Tensor, layer: LayerParams, w_qkv: Tensor, patch_mask: np.ndarray,
+                  cfg: ModelConfig, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Post-norm block: LN(e + Drop(Attn(e))) then LN(. + Drop(FFN(.)));
-    dropout is on only with a generator ``rng``."""
-    a = attention(e, layer, patch_mask, cfg.n_heads, cfg.attn_dropout, rng)
+    dropout is on only with a generator ``rng``. ``w_qkv`` is the layer's
+    fused query/key/value weight (``qkv_weights``)."""
+    a = attention(e, w_qkv, layer.w_o, patch_mask, cfg.n_heads, cfg.attn_dropout, rng)
     e1 = layer_norm(e, layer.ln1_gain, layer.ln1_bias, LAYER_NORM_EPS, a, cfg.dropout, rng)
     f = ffn(e1, layer, cfg.activation)
     return layer_norm(e1, layer.ln2_gain, layer.ln2_bias, LAYER_NORM_EPS, f, cfg.dropout, rng)
 
 
 def run_encoder(e: Tensor, backbone: Backbone, patch_mask: np.ndarray, cfg: ModelConfig,
-                rng: Optional[np.random.Generator] = None) -> Tensor:
-    for layer in backbone.layers:
-        e = encoder_layer(e, layer, patch_mask, cfg, rng)
+                rng: Optional[np.random.Generator] = None, w_qkv: Optional[list] = None) -> Tensor:
+    """The backbone's encoder layers over ``e``. ``w_qkv`` is
+    ``qkv_weights(backbone)``, built here when not given."""
+    if w_qkv is None:
+        w_qkv = qkv_weights(backbone)
+    for layer, w in zip(backbone.layers, w_qkv):
+        e = encoder_layer(e, layer, w, patch_mask, cfg, rng)
     return e
 
 
 def encode_channel(values: np.ndarray, mask: np.ndarray, cfg: ModelConfig,
-                   backbone: Backbone, rng: Optional[np.random.Generator] = None):
-    """Encode (B, L) channels to their (B, N, d) patch representations.
-    Returns (encoded, patch_mask)."""
+                   backbone: Backbone, rng: Optional[np.random.Generator] = None,
+                   w_qkv: Optional[list] = None):
+    """Encode (B, L) channels to their (B, N, d) patch representations;
+    ``w_qkv`` as for ``run_encoder``. Returns (encoded, patch_mask)."""
     normalized, _, _ = instance_normalize(values, mask)
     patches, patch_mask = make_patches(normalized, mask, cfg.patch_len, cfg.stride)
     e = embed_patches(patches, backbone.w_patch, backbone.w_pos)
-    return run_encoder(e, backbone, patch_mask, cfg, rng), patch_mask
+    return run_encoder(e, backbone, patch_mask, cfg, rng, w_qkv), patch_mask
 
 
 def pool_channel(e: Tensor, patch_mask: np.ndarray) -> Tensor:
@@ -208,10 +223,14 @@ def fuse_channels(batch: dict, cfg: ModelConfig, params: ModelParams,
                   rngs=(None, None)) -> Tensor:
     """(B, 2d) pooled summaries of a stacked batch, FHR then TOCO, encoded
     on two threads by ``parallel_concat``; channel ``c`` draws its dropout
-    masks from ``rngs[c]``."""
+    masks from ``rngs[c]``. Each backbone's fused Q/K/V weights are built
+    before the fork, so a shared backbone's channels read one copy."""
+    w_qkv = {id(bb): qkv_weights(bb) for bb in params.backbones}
+
     def channel(c: int, vals: str, mask: str) -> Tensor:
-        e, patch_mask = encode_channel(batch[vals], batch[mask], cfg,
-                                       params.backbone_for(c), rngs[c])
+        backbone = params.backbone_for(c)
+        e, patch_mask = encode_channel(batch[vals], batch[mask], cfg, backbone, rngs[c],
+                                       w_qkv[id(backbone)])
         return pool_channel(e, patch_mask)
 
     return parallel_concat([partial(channel, 0, "fhr", "fhr_mask"),
@@ -227,15 +246,18 @@ def tape_bytes(cfg: ModelConfig) -> tuple:
     ``Graph.held_bytes`` counts them.
 
     Per trace, for each layer and channel: eight token-sized (N, d) arrays
-    (the layer input, q, k, v, ctx, the two layer norms' ``xhat`` and the
-    FFN input), the FFN hidden array (relu keeps its output; gelu and elu
-    keep their input and one more), the softmax output and the dropped-out
-    attention weights (one array without attention dropout), the layer
-    norms' (N, 1) inverse deviations, all in ``TRAIN_DTYPE``, and the bool
-    dropout masks. Then per channel the patches, the pooling weights and the
-    pooled summary, and in the head the fused summaries and their dropout
-    mask. Fixed: the ``TRAIN_DTYPE`` weight copies that the matmul and layer
-    norm adjoints read, one set per backbone, and the head weight. The loss
+    (the layer input, the (N, 3d) Q/K/V projection that the ``attention``
+    op reads, the context, the two layer norms' ``xhat`` and the FFN
+    input), the FFN hidden array (relu keeps its output; gelu and elu keep
+    their input and one more), the ``attention`` op's softmax weights and
+    dropped-out weights (one array without attention dropout), the layer
+    norms' (N, 1) inverse deviations, all in ``TRAIN_DTYPE``, and the
+    one-byte dropout masks. Then per channel the patches, the pooling
+    weights and the pooled summary, and in the head the fused summaries and
+    their dropout mask. Fixed: the ``TRAIN_DTYPE`` weights that the matmul
+    and layer norm adjoints read, one set per backbone (each layer's fused
+    (d, 3d) Q/K/V weight from ``qkv_weights``, ``w_o``, the FFN weights and
+    the layer norm gains), and the head weight. The loss
     (``bce_with_logits``) and ``train_epoch``'s chunk weighting add 16 bytes
     a trace and 8 more.
     """
@@ -288,4 +310,4 @@ def predict_scores(traces, cfg: ModelConfig, params: ModelParams,
     fused = np.concatenate([fuse_channels(stack_traces(traces[lo:lo + step]), cfg, params).data
                             for lo in range(0, len(traces), step)])
     logits = classify(Tensor(fused), params.w_head, params.b_head)
-    return sigmoid(astype(logits, np.float64)).data
+    return _sigmoid(logits.data.astype(np.float64))

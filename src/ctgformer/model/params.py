@@ -125,8 +125,18 @@ def cast_params(params: ModelParams, dtype) -> ModelParams:
 def working_copy(params: ModelParams, dtype) -> ModelParams:
     """A copy of ``params`` in ``dtype`` whose tensors are leaves of their
     own: a tape that reads them gives them gradients in ``dtype``, and none
-    reach ``params``. The optimizer refreshes it after each step."""
-    return _map_params(params, lambda t: Tensor(t.data.astype(dtype), requires_grad=True))
+    reach ``params``. The optimizer refreshes it after each step.
+
+    Each layer's ``w_q``, ``w_k`` and ``w_v`` are the column blocks of one
+    (d, 3d) array, so the forward pass's fused Q/K/V weight
+    (``net.qkv_weights``) is that array and no copy of it."""
+    copy = _map_params(params, lambda t: Tensor(t.data.astype(dtype), requires_grad=True))
+    for layer in (layer for bb in copy.backbones for layer in bb.layers):
+        qkv = (layer.w_q, layer.w_k, layer.w_v)
+        fused = np.concatenate([t.data for t in qkv], axis=1)
+        for t, block in zip(qkv, np.split(fused, 3, axis=1)):
+            t.data = block
+    return copy
 
 
 def named_tensors(params: ModelParams) -> dict:

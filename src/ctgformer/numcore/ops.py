@@ -178,9 +178,31 @@ def _split_adjoint(parts: Sequence[Tensor], axis: int):
     return bw
 
 
+def _joined(arrays: Sequence[np.ndarray], axis: int):
+    """The array whose consecutive blocks along ``axis`` are ``arrays``, in
+    order and covering it, or None."""
+    base = arrays[0].base
+    if not isinstance(base, np.ndarray) or base.ndim != arrays[0].ndim:
+        return None
+    axis %= base.ndim
+    at = base.__array_interface__["data"][0]
+    for a in arrays:
+        if (a.base is not base or a.strides != base.strides
+                or a.__array_interface__["data"][0] != at
+                or a.shape[:axis] + a.shape[axis + 1:] != base.shape[:axis] + base.shape[axis + 1:]):
+            return None
+        at += a.shape[axis] * base.strides[axis]
+    return base if sum(a.shape[axis] for a in arrays) == base.shape[axis] else None
+
+
 def concat(tensors: Sequence, axis: int = -1) -> Tensor:
+    """Join along ``axis``. Parts that are the consecutive blocks of one
+    array (``model.working_copy`` lays out each layer's query, key and value
+    weights so) join without a copy: the output is that array."""
     ts = [as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in ts], axis=axis)
+    out = _joined([t.data for t in ts], axis)
+    if out is None:
+        out = np.concatenate([t.data for t in ts], axis=axis)
     return _record(tuple(ts), out, _split_adjoint(ts, axis))
 
 
@@ -262,9 +284,34 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return (a.reshape(-1, n) @ np.ones(n, dtype=a.dtype)).reshape(a.shape[:-1] + (1,))
 
 
+def _col_sum(a: np.ndarray) -> np.ndarray:
+    """Sums over every axis but the last, as one GEMV against ones."""
+    n = a.shape[-1]
+    rows = a.reshape(-1, n)
+    return np.ones(rows.shape[0], dtype=a.dtype) @ rows
+
+
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner products of matching rows along the last axis, keeping it."""
     return np.vecdot(a, b)[..., None]
+
+
+def _mask_bias(key_gone, dtype):
+    """The 0 / -inf additive bias of a boolean ``key_gone``, or None."""
+    if key_gone is None:
+        return None
+    return np.where(key_gone, -np.inf, 0.0).astype(dtype, copy=False)
+
+
+def _exp_rows(s: np.ndarray, bias, shift: bool) -> np.ndarray:
+    """Add ``bias`` (if any) to ``s``, subtract each row's max when
+    ``shift``, exponentiate in place and return the row sums (a GEMV)."""
+    if bias is not None:
+        s += bias
+    if shift:
+        s -= np.max(s, axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    return _row_sum(s)
 
 
 def softmax(a, key_gone=None, scale: float = 1.0) -> Tensor:
@@ -283,11 +330,7 @@ def softmax(a, key_gone=None, scale: float = 1.0) -> Tensor:
     """
     a = as_tensor(a)
     out = np.multiply(a.data, np.asarray(scale, dtype=a.data.dtype))
-    if key_gone is not None:
-        out += np.where(key_gone, -np.inf, 0.0).astype(out.dtype, copy=False)
-    out -= np.max(out, axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= _row_sum(out)
+    out /= _exp_rows(out, _mask_bias(key_gone, out.dtype), shift=True)
 
     def bw(g):
         gx = g - _row_dot(g, out)
@@ -299,13 +342,102 @@ def softmax(a, key_gone=None, scale: float = 1.0) -> Tensor:
     return _record((a,), out, bw)
 
 
+_ROW_SUM_FLOOR = 2.0 ** -64   # attention's unshifted row sums below this take the row max
+
+
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """A (B, N, n_heads * dk) array as a (B, n_heads, N, dk) view (a copy
+    only when ``x`` is not C-contiguous)."""
+    b, n, width = x.shape
+    return x.reshape(b, n, n_heads, width // n_heads).transpose(0, 2, 1, 3)
+
+
+def attention(qkv, key_gone, n_heads: int, rate: float = 0.0,
+              rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one op: from the
+    (B, N, 3d) projection ``qkv`` (queries, keys and values side by side,
+    each cut into ``n_heads`` heads of dk = d / n_heads) to the (B, N, d)
+    context, the heads side by side.
+
+    ``key_gone`` is None or a boolean (B, N): True where a key gets weight
+    0 in every query row. With a generator and a positive ``rate`` the
+    (B, n_heads, N, N) weights go through inverted dropout, with the mask
+    ``dropout`` would draw for them. The result is that of the chain
+    ``softmax(q @ k^T, key_gone, 1/sqrt(dk))``, ``dropout``, ``@ v`` to
+    float rounding.
+
+    The heads are strided views of ``qkv``; the context and the adjoint's
+    (B, N, 3d) gradient are written through strided views, so nothing is
+    reshaped or transposed into a copy. The scaled, masked scores are
+    exponentiated in place without subtracting the row max. When any row
+    sum is non-finite or below 2**-64 (a score beyond exp's range, such as
+    one above 88.7 in float32; a row whose every score lies below about
+    -44; a +inf or NaN score), the whole call computes the scores again and
+    takes ``softmax``'s row-max path, so a +inf or NaN score in a masked
+    column still yields NaN.
+
+    The adjoint reads ``qkv``, the softmax weights and, with dropout, the
+    keep mask and the dropped-out weights: what the chain's adjoints read.
+    """
+    qkv = as_tensor(qkv)
+    if qkv.ndim != 3 or qkv.shape[-1] % (3 * n_heads):
+        raise ShapeError(f"attention needs (B, N, 3 * {n_heads} * dk) projections, got {qkv.shape}")
+    data, dtype = qkv.data, qkv.data.dtype
+    b, n, width = data.shape
+    scale = 1.0 / math.sqrt(width // (3 * n_heads))
+
+    def split(x):
+        heads = _heads(x, 3 * n_heads)
+        return heads[:, :n_heads], heads[:, n_heads:2 * n_heads], heads[:, 2 * n_heads:]
+
+    q, k, v = split(data)
+    bias = None if key_gone is None else _mask_bias(np.asarray(key_gone)[:, None, None, :], dtype)
+    w = np.matmul(q, k.swapaxes(-1, -2))
+    w *= scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _exp_rows(w, bias, shift=False)
+    if not (total.min() >= _ROW_SUM_FLOOR and total.max() < np.inf):
+        w = np.matmul(q, k.swapaxes(-1, -2))
+        w *= scale
+        total = _exp_rows(w, bias, shift=True)
+    w /= total
+    keep = _keep_mask(rng, w.shape, rate)
+    dropped, drop_scale = w, 1.0
+    if keep is not None:
+        drop_scale = 1.0 / (1.0 - rate)
+        dropped = w * keep
+        dropped *= drop_scale
+    out = np.empty((b, n, width // 3), dtype)
+    np.matmul(dropped, v, out=_heads(out, n_heads))
+
+    def bw(g):
+        gh = _heads(g, n_heads)
+        grad = np.empty((b, n, width), dtype)
+        gq, gk, gv = split(grad)
+        np.matmul(dropped.swapaxes(-1, -2), gh, out=gv)
+        gw = np.matmul(gh, v.swapaxes(-1, -2))
+        if keep is not None:
+            gw *= keep
+            gw *= drop_scale
+        gw -= _row_dot(gw, w)
+        gw *= w
+        gw *= scale
+        np.matmul(gw, k, out=gq)
+        np.matmul(gw.swapaxes(-1, -2), q, out=gk)
+        return (grad,)
+
+    return _record((qkv,), out, bw)
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-5, branch=None, rate: float = 0.0,
                rng: Optional[np.random.Generator] = None) -> Tensor:
     """Zero mean / unit variance along the last axis, then affine gain/bias,
     of ``x``, or of the residual sum ``x + dropout(branch, rate, rng)`` when
     a ``branch`` is given (dropout is on only with a generator and a
     positive rate). The adjoint gives ``gx`` to ``x`` and
-    ``gx * keep / (1 - rate)`` to ``branch``."""
+    ``gx * keep / (1 - rate)`` to ``branch``; the gain and bias gradients
+    are sums over every row, one GEMV against ones each (``gain`` and
+    ``bias`` hold one value per feature)."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.shape[-1]
     if d < 1:
@@ -342,10 +474,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5, branch=None, rate: float = 0.0,
         gx -= m1
         gx -= xhat * m2
         gx *= inv
-        lead = tuple(range(g.ndim - gain_data.ndim))
-        ggain = (g * xhat).sum(axis=lead) if lead else g * xhat
-        gbias = g.sum(axis=lead) if lead else g.copy()
-        grads = (gx, _unbroadcast(ggain, gain_data.shape), _unbroadcast(gbias, bias_shape))
+        grads = (gx, _col_sum(g * xhat).reshape(gain_data.shape), _col_sum(g).reshape(bias_shape))
         if not has_branch:
             return grads
         if keep is None:
@@ -416,16 +545,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out = _sigmoid(a.data)
-
-    def bw(g):
-        return (g * out * (1.0 - out),)
-
-    return _record((a,), out, bw)
-
-
 def bce_with_logits(z, labels) -> Tensor:
     """Mean binary cross-entropy of logits ``z`` against 0/1 ``labels``.
 
@@ -450,13 +569,14 @@ def bce_with_logits(z, labels) -> Tensor:
 
 
 def _keep_mask(rng: Optional[np.random.Generator], shape: tuple, rate: float):
-    """The boolean keep-mask of every dropout, or None when dropout is off
-    (no generator, or rate 0).
+    """The 0/1 keep-mask of every dropout, one byte per element, or None
+    when dropout is off (no generator, or rate 0).
 
     One uniform uint16 per element, cut from the generator's raw 64-bit
     output, is kept when it is at least ``round(rate * 65536)``: the drop
     rate is exact to 2**-17 and the mask does not depend on the
-    activations' dtype.
+    activations' dtype. The mask is the boolean comparison viewed as
+    ``uint8``: a product with it has the bits of one with the boolean.
     """
     if not 0.0 <= rate < 1.0:
         raise NumcoreError(f"dropout rate must be in [0, 1), got {rate}")
@@ -464,7 +584,7 @@ def _keep_mask(rng: Optional[np.random.Generator], shape: tuple, rate: float):
         return None
     n = math.prod(shape)
     bits = rng.bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n]
-    return (bits >= round(rate * 65536)).reshape(shape)
+    return (bits >= round(rate * 65536)).view(np.uint8).reshape(shape)
 
 
 def dropout(x, rate: float, rng: Optional[np.random.Generator] = None) -> Tensor:

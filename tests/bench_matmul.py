@@ -1,5 +1,8 @@
-"""GEMM micro-benchmark: ``matmul`` forward plus backward at the model's
-weight-product shapes, in float32 as a training pass runs them.
+"""Micro-benchmarks of a training pass's layers, in float32 as it runs them:
+``matmul`` forward plus backward at the model's weight-product shapes, and
+the ``attention`` op forward plus backward (with ``paper-best``'s attention
+dropout and a quarter of the keys masked) at the acceptance config's
+48-trace batch and at ``paper-best``'s one forward chunk.
 
 Not part of the test suite (the file name does not match ``test_*.py``).
 Run it by naming the file:
@@ -27,6 +30,12 @@ SHAPES = {
     "small-qkvo": ((48, 60, 128), (128, 128)),
 }
 
+# (traces, patches, d_model, heads) of one forward chunk
+ATTENTION_SHAPES = {
+    "small": (48, WIDE.n_patches, 128, WIDE.n_heads),
+    "wide": (WIDE_CHUNK, WIDE.n_patches, WIDE.d_model, WIDE.n_heads),
+}
+
 
 @pytest.mark.parametrize("name", list(SHAPES))
 def test_matmul_forward_backward(benchmark, name):
@@ -46,3 +55,24 @@ def test_matmul_forward_backward(benchmark, name):
 
     grad_b = benchmark(step)
     assert grad_b.shape == b_shape and grad_b.dtype == np.float32
+
+
+@pytest.mark.parametrize("name", list(ATTENTION_SHAPES))
+def test_attention_forward_backward(benchmark, name):
+    b, n, d, heads = ATTENTION_SHAPES[name]
+    rng = np.random.default_rng(0)
+    qkv = Tensor(rng.normal(size=(b, n, 3 * d)).astype(np.float32), requires_grad=True)
+    g_out = Tensor(rng.normal(size=(b, n, d)).astype(np.float32))
+    key_gone = rng.random((b, n)) < 0.25
+    key_gone[:, 0] = False
+
+    def step():
+        qkv.zero_grad()
+        with Graph() as g:
+            ctx = nc.attention(qkv, key_gone, heads, WIDE.attn_dropout, np.random.default_rng(1))
+            loss = nc.tsum(nc.mul(ctx, g_out))
+        backward(loss, g)
+        return qkv.grad
+
+    grad = benchmark(step)
+    assert grad.shape == qkv.shape and grad.dtype == np.float32

@@ -27,7 +27,8 @@ from ctgformer.model import (
     run_encoder,
     save_checkpoint,
 )
-from ctgformer.numcore import Graph, Tensor, backward, grad_check, sigmoid
+from ctgformer.numcore import Graph, Tensor, backward, grad_check
+from ctgformer.numcore.ops import _sigmoid
 from ctgformer.train import Adam, TrainConfig, bce_loss_batch, fit, predictions_for
 
 TINY = ModelConfig(seq_len=32, patch_len=8, stride=8, n_layers=1, n_heads=2,
@@ -286,7 +287,7 @@ def test_criterion_07_optimisation_sanity():
             loss = bce_loss_batch(logits, piece["labels"])
         backward(loss, g)
         opt.step()
-        scores = sigmoid(forward_batch(batch, TINY, params)).data
+        scores = _sigmoid(forward_batch(batch, TINY, params).data.astype(np.float64))
         preds = [Prediction(str(i), float(s), int(l))
                  for i, (s, l) in enumerate(zip(scores, labels))]
         train_auc, epochs_used = auc(preds), epoch

@@ -26,6 +26,7 @@ from ctgformer.model import (
     named_tensors,
     pool_channel,
     predict_scores,
+    qkv_weights,
     save_checkpoint,
     working_copy,
 )
@@ -268,43 +269,46 @@ class TestEmbed:
 
 class TestAttention:
     def layer(self, d, seed=0):
+        """A one-layer backbone's layer and its fused Q/K/V weight."""
         cfg = ModelConfig(seq_len=32, patch_len=8, stride=8, n_layers=1,
                           n_heads=2, d_model=d, d_ff=16)
-        return init_params(cfg, seed).backbones[0].layers[0]
+        backbone = init_params(cfg, seed).backbones[0]
+        return backbone.layers[0], qkv_weights(backbone)[0]
 
     def test_single_patch_passthrough(self):
         rng = np.random.default_rng(1)
-        layer = self.layer(8)
+        layer, w_qkv = self.layer(8)
         e = Tensor(rng.normal(size=(1, 1, 8)))
-        out = attention(e, layer, np.array([[True]]), n_heads=2)
+        out = attention(e, w_qkv, layer.w_o, np.array([[True]]), n_heads=2)
         # softmax over one key is 1, so output is V projected by W_O
         v = e.data[0] @ layer.w_v.data
         assert np.allclose(out.data[0], v @ layer.w_o.data, atol=1e-12)
 
     def test_identical_keys_average_values(self):
         rng = np.random.default_rng(2)
-        layer = self.layer(8, seed=3)
+        layer, w_qkv = self.layer(8, seed=3)
         # identical embeddings give identical keys: attention averages values
         row = rng.normal(size=8)
         e = Tensor(np.tile(row, (1, 5, 1)))
-        out = attention(e, layer, np.ones((1, 5), dtype=bool), n_heads=2)
+        out = attention(e, w_qkv, layer.w_o, np.ones((1, 5), dtype=bool), n_heads=2)
         v_mean = (e.data[0] @ layer.w_v.data).mean(axis=0)
         assert np.allclose(out.data[0], np.tile(v_mean @ layer.w_o.data, (5, 1)), atol=1e-12)
 
     def test_masked_equals_deleted(self):
         rng = np.random.default_rng(4)
-        layer = self.layer(8, seed=5)
+        layer, w_qkv = self.layer(8, seed=5)
         e_full = rng.normal(size=(6, 8))
         keep = np.array([True, True, False, True, False, True])
-        masked_out = attention(Tensor(e_full[None]), layer, keep[None], n_heads=2)
-        deleted_out = attention(Tensor(e_full[keep][None]), layer,
+        masked_out = attention(Tensor(e_full[None]), w_qkv, layer.w_o, keep[None], n_heads=2)
+        deleted_out = attention(Tensor(e_full[keep][None]), w_qkv, layer.w_o,
                                 np.ones((1, int(keep.sum())), dtype=bool), n_heads=2)
         assert np.allclose(masked_out.data[0, keep], deleted_out.data[0], atol=1e-10)
 
     def test_all_masked_rejected(self):
-        layer = self.layer(8)
+        layer, w_qkv = self.layer(8)
         with pytest.raises(ModelError, match="masked"):
-            attention(Tensor(np.zeros((1, 3, 8))), layer, np.zeros((1, 3), dtype=bool), n_heads=2)
+            attention(Tensor(np.zeros((1, 3, 8))), w_qkv, layer.w_o,
+                      np.zeros((1, 3), dtype=bool), n_heads=2)
 
 
 class TestFfn:
@@ -353,7 +357,8 @@ class TestEncoderLayer:
                   layer.w_ffn1, layer.b_ffn1, layer.w_ffn2, layer.b_ffn2):
             t.data = np.zeros_like(t.data)
         e = Tensor(np.random.default_rng(1).normal(size=(1, 4, 8)))
-        out = encoder_layer(e, layer, np.ones((1, 4), dtype=bool), TINY)
+        out = encoder_layer(e, layer, qkv_weights(params.backbones[0])[0],
+                            np.ones((1, 4), dtype=bool), TINY)
         ln = layer_norm(layer_norm(e, layer.ln1_gain, layer.ln1_bias, eps=1e-5),
                         layer.ln2_gain, layer.ln2_bias, eps=1e-5)
         assert np.allclose(out.data, ln.data, atol=1e-12)
@@ -361,9 +366,10 @@ class TestEncoderLayer:
     def test_deterministic_without_dropout(self):
         params = init_params(TINY, 2)
         layer = params.backbones[0].layers[0]
+        w_qkv = qkv_weights(params.backbones[0])[0]
         e = np.random.default_rng(3).normal(size=(1, 4, 8))
-        a = encoder_layer(Tensor(e), layer, np.ones((1, 4), dtype=bool), TINY)
-        b = encoder_layer(Tensor(e), layer, np.ones((1, 4), dtype=bool), TINY)
+        a = encoder_layer(Tensor(e), layer, w_qkv, np.ones((1, 4), dtype=bool), TINY)
+        b = encoder_layer(Tensor(e), layer, w_qkv, np.ones((1, 4), dtype=bool), TINY)
         assert np.array_equal(a.data, b.data)
 
     def test_gradient_matches_finite_differences(self):
@@ -373,8 +379,9 @@ class TestEncoderLayer:
         mix = Tensor(np.random.default_rng(6).normal(size=(1, 3, 8)))
         tensors = [layer.w_q, layer.w_o, layer.w_ffn1, layer.ln1_gain, layer.ln2_bias]
 
-        def f():
-            out = encoder_layer(e, layer, np.array([[True, True, False]]), TINY)
+        def f():   # the fused weight is built inside, so the checked tensors reach it
+            w_qkv = qkv_weights(params.backbones[0])[0]
+            out = encoder_layer(e, layer, w_qkv, np.array([[True, True, False]]), TINY)
             return tsum(out * mix)
 
         report = grad_check(f, tensors, eps=1e-5, tol=1e-4, max_coords_per_param=20)
@@ -678,15 +685,17 @@ def tape_nodes(nodes):
             yield from tape_nodes(tape._nodes)
 
 
-def test_training_forward_records_137_tape_nodes():
-    # per layer and channel the encoder records one softmax and two layer
-    # norms for its scaled masked attention and residual-dropout-norm steps
+def test_training_forward_records_83_tape_nodes():
+    # per layer and channel the encoder records one Q/K/V product, one
+    # attention op, the output product and two layer norms for its
+    # residual-dropout-norm steps; each layer's fused Q/K/V weight is one
+    # concat, recorded once for the shared backbone
     cfg = acceptance_config()
     batch = batch_dict(np.random.default_rng(3), b=2, seq_len=cfg.seq_len)
     with Graph() as g:
         forward_batch(batch, cfg, init_params(cfg, 1), training=True,
                       rng=np.random.default_rng(2))
-    assert len(g) == 137
+    assert len(g) == 83
 
 
 class TestMixedPrecision:
@@ -784,6 +793,24 @@ class TestTapeBytes:
             assert leaves.held_bytes() == cast.held_bytes() == per_trace * b + fixed, b
             assert len(leaves) == len(cast) - n_casts
             assert {t.key for t in leaves.leaves()} == {t.key for t in named_tensors(work).values()}
+
+    def test_working_copy_holds_each_fused_qkv_weight_once(self):
+        # the working copy's w_q, w_k and w_v are the blocks of one array,
+        # which the forward pass reads as its fused weight, and the
+        # optimizer's in-place refresh reaches it
+        params = init_params(acceptance_config(), 2)
+        work = working_copy(params, TRAIN_DTYPE)
+        for bb, mb in zip(work.backbones, params.backbones):
+            for layer, master, fused in zip(bb.layers, mb.layers, qkv_weights(bb)):
+                assert all(t.data.base is fused.data for t in (layer.w_q, layer.w_k, layer.w_v))
+                assert np.array_equal(fused.data, np.concatenate(
+                    [t.data.astype(TRAIN_DTYPE) for t in (master.w_q, master.w_k, master.w_v)], 1))
+        named, copies = named_tensors(params), named_tensors(work)
+        for t in named.values():
+            t.grad = np.ones_like(t.data)
+        Adam(named, lr=1e-2, working=copies).step()
+        fused = qkv_weights(work.backbones[0])[1].data
+        assert np.array_equal(fused[:, :128], named["backbone0.layer1.w_q"].data.astype(TRAIN_DTYPE))
 
     @pytest.mark.parametrize("cfg,chunk", [
         (acceptance_config(), 236),

@@ -15,6 +15,7 @@ import ctgformer
 from ctgformer.errors import GradCheckError, GraphError, NumcoreError, ShapeError
 from ctgformer import numcore as nc
 from ctgformer.numcore import Graph, Tensor, backward, grad_check
+from ctgformer.numcore.ops import _sigmoid
 
 
 def scalar_loss(t):
@@ -206,6 +207,152 @@ class TestSoftmax:
         # the float64 form of the fused op against the same reference
         out64 = nc.softmax(Tensor(s32.astype(np.float64)), gone, scale).data
         assert np.abs(out64 - ref).max() <= 2e-15
+
+
+def attention_chain(e, w_q, w_k, w_v, key_gone, n_heads, rate=0.0, rng=None):
+    """Multi-head attention as separate ops: three projections, heads by
+    reshape and transpose, ``softmax``, ``dropout`` and the weighted values."""
+    b, n, d = e.shape
+
+    def heads(x):
+        return nc.transpose(nc.reshape(x, (b, n, n_heads, d // n_heads)), (0, 2, 1, 3))
+
+    q, k, v = heads(nc.matmul(e, w_q)), heads(nc.matmul(e, w_k)), heads(nc.matmul(e, w_v))
+    gone = None if key_gone is None else key_gone[:, None, None, :]
+    weights = nc.softmax(nc.matmul(q, nc.transpose(k, (0, 1, 3, 2))), gone,
+                         1.0 / np.sqrt(d // n_heads))
+    weights = nc.dropout(weights, rate, rng)
+    return nc.reshape(nc.transpose(nc.matmul(weights, v), (0, 2, 1, 3)), (b, n, d))
+
+
+def attention_fused(e, w_q, w_k, w_v, key_gone, n_heads, rate=0.0, rng=None):
+    qkv = nc.matmul(e, nc.concat([w_q, w_k, w_v], axis=1))
+    return nc.attention(qkv, key_gone, n_heads, rate, rng)
+
+
+class TestAttention:
+    """``attention`` against the chain of ops it replaces."""
+
+    @staticmethod
+    def run(fn, arrays, key_gone, n_heads, rate, g):
+        """Context and the gradients of (e, w_q, w_k, w_v) under adjoint ``g``."""
+        ts = [Tensor(a, requires_grad=True) for a in arrays]
+        with Graph() as tape:
+            ctx = fn(*ts, key_gone, n_heads, rate, np.random.default_rng(4))
+            loss = nc.tsum(nc.mul(ctx, g))
+        backward(loss, tape)
+        return [ctx.data] + [t.grad for t in ts]
+
+    @staticmethod
+    def inputs(rng, b, n, d, dtype, scale=1.0):
+        e = rng.normal(size=(b, n, d)) * scale
+        ws = [rng.normal(size=(d, d)) / np.sqrt(d) for _ in range(3)]
+        return [a.astype(dtype) for a in (e, *ws)]
+
+    def agree(self, arrays, key_gone, n_heads, rate, dtype):
+        """The op's context and gradients equal the chain's, 1e-12 of the
+        largest magnitude in float64 and a few float32 roundings in float32."""
+        g = np.random.default_rng(7).normal(size=arrays[0].shape).astype(dtype)
+        got = self.run(attention_fused, arrays, key_gone, n_heads, rate, g)
+        ref = self.run(attention_chain, arrays, key_gone, n_heads, rate, g)
+        tol = 1e-12 if dtype == np.float64 else 4e-6
+        for name, a, r in zip(("ctx", "e", "w_q", "w_k", "w_v"), got, ref):
+            assert a.dtype == dtype, name
+            assert np.abs(a - r).max() <= tol * np.abs(r).max(), (name, np.abs(a - r).max())
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_gradients_with_masked_keys_and_one_attended_key(self, rate):
+        rng = np.random.default_rng(23)
+        qkv = Tensor(rng.normal(size=(2, 5, 3 * 6)), requires_grad=True)
+        gone = np.array([[False, True, False, False, True],
+                         [True, True, False, True, True]])   # trace 1: one attended key
+        w = Tensor(rng.normal(size=(2, 5, 6)))
+        report = grad_check(
+            lambda: scalar_loss(nc.mul(nc.attention(qkv, gone, 2, rate,
+                                                    np.random.default_rng(5)), w)),
+            [qkv], eps=1e-6, tol=1e-6)
+        assert report.passed, report.max_rel_err
+
+    def test_gradients_without_a_mask(self):
+        rng = np.random.default_rng(29)
+        qkv = Tensor(rng.normal(size=(1, 4, 3 * 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(1, 4, 4)))
+        report = grad_check(lambda: scalar_loss(nc.mul(nc.attention(qkv, None, 1), w)),
+                            [qkv], eps=1e-6, tol=1e-6)
+        assert report.passed, report.max_rel_err
+
+    # (traces, patches, d_model, heads): the acceptance config, and the
+    # SearchSpace corner of 32 heads at d_model 64 with patch_len 4
+    @pytest.mark.parametrize("shape", [(3, 60, 128, 4), (2, 240, 64, 32)],
+                             ids=["acceptance", "corner"])
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_the_chain(self, shape, rate, dtype):
+        b, n, d, heads = shape
+        rng = np.random.default_rng(31)
+        gone = rng.random((b, n)) < 0.3
+        gone[:, 0] = False
+        self.agree(self.inputs(rng, b, n, d, dtype), gone, heads, rate, dtype)
+
+    @staticmethod
+    def steered(top, dtype):
+        """(e, w_q, w_k, w_v) of one head of width 2 whose trace-0 scores
+        lie between ``top`` and ``top * (1 - 20 / top) ** 2``, its query 0
+        scoring from ``top`` to ``top - 20``; trace 1 scores near 0."""
+        e = np.zeros((2, 5, 2))
+        e[0, :, 0] = np.linspace(1.0, 1.0 - 20.0 / top, 5)
+        e[1] = np.random.default_rng(3).normal(size=(5, 2)) * 0.05
+        w_q, w_k, w_v = np.eye(2) * top * np.sqrt(2.0), np.eye(2), np.eye(2)
+        return [a.astype(dtype) for a in (e, w_q, w_k, w_v)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", ["all-below-minus-45", "above-exp-range"])
+    def test_out_of_range_rows_take_the_row_max(self, monkeypatch, dtype, case):
+        calls = []
+        exp_rows = nc.ops._exp_rows
+
+        def spy(s, bias, shift):
+            calls.append(shift)
+            return exp_rows(s, bias, shift)
+
+        monkeypatch.setattr(nc.ops, "_exp_rows", spy)
+        top = {"all-below-minus-45": -46.0,
+               "above-exp-range": 89.5 if dtype == np.float32 else 710.5}[case]
+        arrays = self.steered(top, dtype)
+        e = arrays[0][0].astype(np.float64)
+        scores = (e @ arrays[1]) @ (e @ arrays[2]).T / np.sqrt(2.0)
+        assert scores.max() == pytest.approx(top, rel=1e-6)
+        assert scores[0].min() == pytest.approx(top - 20.0, rel=1e-6)
+        gone = np.zeros((2, 5), dtype=bool)
+        fused = attention_fused(*[Tensor(a) for a in arrays], gone, 1).data
+        assert calls == [False, True]
+        assert np.all(np.isfinite(fused))
+        calls.clear()
+        self.agree(arrays, gone, 1, 0.0, dtype)
+
+    def test_in_range_scores_skip_the_row_max(self, monkeypatch):
+        calls = []
+        exp_rows = nc.ops._exp_rows
+        monkeypatch.setattr(nc.ops, "_exp_rows",
+                            lambda s, bias, shift: calls.append(shift) or exp_rows(s, bias, shift))
+        rng = np.random.default_rng(2)
+        nc.attention(Tensor(rng.normal(size=(2, 6, 12), scale=5.0)), None, 2)
+        assert calls == [False]
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_score_in_a_masked_column_gives_nan(self, bad):
+        rng = np.random.default_rng(17)
+        qkv = rng.normal(size=(2, 4, 3 * 4))
+        qkv[0, :, 0] = np.abs(qkv[0, :, 0]) + 0.5   # head 0 queries: positive first entry
+        qkv[0, 2, 4] = bad                           # key 2 of trace 0, head 0
+        gone = np.array([[False, False, True, False], [False, True, False, False]])
+        with np.errstate(invalid="ignore"):
+            out = nc.attention(Tensor(qkv), gone, 2).data
+            chain = nc.softmax(Tensor(qkv[0:1, :, 0:2] @ qkv[0:1, :, 4:6].transpose(0, 2, 1)),
+                               gone[0:1, None, :], 1.0 / np.sqrt(2.0)).data
+        assert np.all(np.isnan(chain))
+        assert np.all(np.isnan(out[0, :, 0:2]))                # head 0 of trace 0
+        assert np.all(np.isfinite(out[0, :, 2:])) and np.all(np.isfinite(out[1]))
 
 
 class TestLayerNorm:
@@ -575,6 +722,34 @@ class TestSkippedAdjoints:
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         gx, gc = self.last_node_grads(nc.mul, x, 0.5)
         assert gc is None and np.array_equal(gx, np.full((2, 3), 0.5))
+
+
+class TestConcat:
+    def test_consecutive_blocks_of_one_array_join_without_a_copy(self):
+        whole = np.random.default_rng(0).normal(size=(4, 6))
+        parts = [Tensor(b, requires_grad=True) for b in np.split(whole, 3, axis=1)]
+        g = np.random.default_rng(1).normal(size=(4, 6))
+        with Graph() as tape:
+            out = nc.concat(parts, axis=1)
+            loss = nc.tsum(nc.mul(out, g))
+        assert out.data is whole
+        backward(loss, tape)
+        for p, gp in zip(parts, np.split(g, 3, axis=1)):
+            assert np.array_equal(p.grad, gp)
+
+    @pytest.mark.parametrize("pick", ["reordered", "partial", "other-axis", "separate"])
+    def test_anything_else_is_copied(self, pick):
+        whole = np.random.default_rng(0).normal(size=(4, 6))
+        blocks = np.split(whole, 3, axis=1)
+        parts, axis = {
+            "reordered": ([blocks[1], blocks[0], blocks[2]], 1),
+            "partial": (blocks[:2], 1),
+            "other-axis": (blocks, 0),
+            "separate": ([b.copy() for b in blocks], 1),
+        }[pick]
+        out = nc.concat([Tensor(b) for b in parts], axis=axis).data
+        assert not np.shares_memory(out, whole)
+        assert np.array_equal(out, np.concatenate(parts, axis=axis))
 
 
 class TestLeanTape:
@@ -953,7 +1128,7 @@ class TestGradCheck:
             grad_check(lambda: nc.tsum(x), [x], eps=0.0)
 
 
-@pytest.mark.parametrize("op_name", ["add", "mul", "softmax", "sigmoid",
+@pytest.mark.parametrize("op_name", ["add", "mul", "softmax",
                                      "reshape", "transpose", "concat",
                                      "bce_with_logits"])
 def test_every_op_matches_finite_differences(op_name):
@@ -970,7 +1145,6 @@ def test_every_op_matches_finite_differences(op_name):
         "add": lambda: nc.add(a, b),
         "mul": lambda: nc.mul(a, b),
         "softmax": lambda: nc.softmax(a),
-        "sigmoid": lambda: nc.sigmoid(a),
         "reshape": lambda: nc.reshape(a, (4, 3)),
         "transpose": lambda: nc.transpose(a, (1, 0)),
         "concat": lambda: nc.concat([a, b], axis=1),
@@ -993,7 +1167,7 @@ def test_forward_values_finite_on_finite_inputs():
         nc.softmax(Tensor(x)),
         nc.layer_norm(Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8))),
         nc.gelu(Tensor(x)),
-        nc.sigmoid(Tensor(x)),
+        Tensor(_sigmoid(x)),
         nc.elu(Tensor(x)),
     ]
     for out in checks:
