@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import CheckpointError
 from .config import ModelConfig
-from .params import ModelParams, build_params, named_tensors
+from .params import ModelParams, build_params, join_qkv, named_tensors
 
 MAGIC = b"CTGF"
 FORMAT_VERSION = 1
@@ -60,7 +60,7 @@ def load_checkpoint(path) -> tuple:
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
 
     # every value is overwritten below, so no tensor needs a draw or a fill
-    params = build_params(cfg, lambda shape, fill: np.empty(shape))
+    params = join_qkv(build_params(cfg, lambda shape, fill: np.empty(shape)))
     named = named_tensors(params)
     if [name for name, _ in manifest] != list(named.keys()):
         raise CheckpointError(f"{path}: tensor manifest does not match the stored config")
@@ -73,8 +73,8 @@ def load_checkpoint(path) -> tuple:
         nbytes = int(np.prod(shape)) * 8
         if offset + nbytes > len(blob):
             raise CheckpointError(f"{path}: truncated tensor data at {name}")
-        t.data = np.frombuffer(blob, dtype="<f8", count=int(np.prod(shape)),
-                               offset=offset).reshape(shape).copy()
+        t.data[...] = np.frombuffer(blob, dtype="<f8", count=int(np.prod(shape)),
+                                    offset=offset).reshape(shape)
         t.grad = None
         offset += nbytes
     if offset != len(blob):

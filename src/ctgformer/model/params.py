@@ -67,7 +67,23 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
         bound = 1.0 / math.sqrt(shape[0])
         return np.random.default_rng(next(seeds)).uniform(-bound, bound, size=shape)
 
-    return build_params(cfg, make)
+    return join_qkv(build_params(cfg, make))
+
+
+def join_qkv(params: ModelParams) -> ModelParams:
+    """``params``, each layer's ``w_q``, ``w_k`` and ``w_v`` now the column
+    blocks of one (d, 3d) array, values unchanged. The forward pass's fused
+    Q/K/V weight (``net.qkv_weights``) is then that array, not a copy
+    (``numcore.concat``), for as long as the tensors keep their arrays:
+    ``init_params``, ``load_checkpoint`` and ``working_copy`` lay them out
+    so, and the optimizer and ``load_param_data`` write into them in
+    place."""
+    for layer in (layer for bb in params.backbones for layer in bb.layers):
+        qkv = (layer.w_q, layer.w_k, layer.w_v)
+        fused = np.concatenate([t.data for t in qkv], axis=1)
+        for t, block in zip(qkv, np.split(fused, 3, axis=1)):
+            t.data = block
+    return params
 
 
 def build_params(cfg: ModelConfig, make) -> ModelParams:
@@ -125,18 +141,9 @@ def cast_params(params: ModelParams, dtype) -> ModelParams:
 def working_copy(params: ModelParams, dtype) -> ModelParams:
     """A copy of ``params`` in ``dtype`` whose tensors are leaves of their
     own: a tape that reads them gives them gradients in ``dtype``, and none
-    reach ``params``. The optimizer refreshes it after each step.
-
-    Each layer's ``w_q``, ``w_k`` and ``w_v`` are the column blocks of one
-    (d, 3d) array, so the forward pass's fused Q/K/V weight
-    (``net.qkv_weights``) is that array and no copy of it."""
-    copy = _map_params(params, lambda t: Tensor(t.data.astype(dtype), requires_grad=True))
-    for layer in (layer for bb in copy.backbones for layer in bb.layers):
-        qkv = (layer.w_q, layer.w_k, layer.w_v)
-        fused = np.concatenate([t.data for t in qkv], axis=1)
-        for t, block in zip(qkv, np.split(fused, 3, axis=1)):
-            t.data = block
-    return copy
+    reach ``params``. The optimizer refreshes it after each step. Its
+    query, key and value weights are laid out by ``join_qkv``."""
+    return join_qkv(_map_params(params, lambda t: Tensor(t.data.astype(dtype), requires_grad=True)))
 
 
 def named_tensors(params: ModelParams) -> dict:
@@ -159,6 +166,8 @@ def clone_param_data(params: ModelParams) -> dict:
 
 
 def load_param_data(params: ModelParams, snapshot: dict) -> None:
+    """Copy ``snapshot`` (from ``clone_param_data``) into the tensors'
+    arrays, in place."""
     named = named_tensors(params)
     if set(named) != set(snapshot):
         missing = set(named) ^ set(snapshot)
@@ -167,5 +176,5 @@ def load_param_data(params: ModelParams, snapshot: dict) -> None:
         arr = snapshot[name]
         if arr.shape != t.data.shape:
             raise ModelError(f"shape mismatch for {name}: {arr.shape} vs {t.data.shape}")
-        t.data = arr.copy()
+        t.data[...] = arr
         t.grad = None

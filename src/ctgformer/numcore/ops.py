@@ -197,8 +197,8 @@ def _joined(arrays: Sequence[np.ndarray], axis: int):
 
 def concat(tensors: Sequence, axis: int = -1) -> Tensor:
     """Join along ``axis``. Parts that are the consecutive blocks of one
-    array (``model.working_copy`` lays out each layer's query, key and value
-    weights so) join without a copy: the output is that array."""
+    array (``model.params.join_qkv`` lays out each layer's query, key and
+    value weights so) join without a copy: the output is that array."""
     ts = [as_tensor(t) for t in tensors]
     out = _joined([t.data for t in ts], axis)
     if out is None:

@@ -794,23 +794,34 @@ class TestTapeBytes:
             assert len(leaves) == len(cast) - n_casts
             assert {t.key for t in leaves.leaves()} == {t.key for t in named_tensors(work).values()}
 
-    def test_working_copy_holds_each_fused_qkv_weight_once(self):
-        # the working copy's w_q, w_k and w_v are the blocks of one array,
-        # which the forward pass reads as its fused weight, and the
-        # optimizer's in-place refresh reaches it
-        params = init_params(acceptance_config(), 2)
-        work = working_copy(params, TRAIN_DTYPE)
-        for bb, mb in zip(work.backbones, params.backbones):
-            for layer, master, fused in zip(bb.layers, mb.layers, qkv_weights(bb)):
-                assert all(t.data.base is fused.data for t in (layer.w_q, layer.w_k, layer.w_v))
-                assert np.array_equal(fused.data, np.concatenate(
-                    [t.data.astype(TRAIN_DTYPE) for t in (master.w_q, master.w_k, master.w_v)], 1))
-        named, copies = named_tensors(params), named_tensors(work)
-        for t in named.values():
-            t.grad = np.ones_like(t.data)
-        Adam(named, lr=1e-2, working=copies).step()
-        fused = qkv_weights(work.backbones[0])[1].data
-        assert np.array_equal(fused[:, :128], named["backbone0.layer1.w_q"].data.astype(TRAIN_DTYPE))
+    @pytest.mark.parametrize("made_by", ["init", "checkpoint", "snapshot", "working-copy"])
+    def test_fused_qkv_weight_is_the_parameters_own_array(self, made_by, tmp_path):
+        # w_q, w_k and w_v are the column blocks of one array, which the
+        # forward pass reads as its fused weight without a copy; in-place
+        # writes (a restored snapshot, the optimizer's refresh) reach it
+        cfg = acceptance_config()
+        params = init_params(cfg, 2)
+        if made_by == "checkpoint":
+            save_checkpoint(params, cfg, tmp_path / "m.ckpt")
+            params, _ = load_checkpoint(tmp_path / "m.ckpt")
+        elif made_by == "snapshot":
+            snap = clone_param_data(init_params(cfg, 3))
+            load_param_data(params, snap)
+        elif made_by == "working-copy":
+            master = named_tensors(params)
+            params = working_copy(params, TRAIN_DTYPE)
+            for t in master.values():
+                t.grad = np.ones_like(t.data)
+            Adam(master, lr=1e-2, working=named_tensors(params)).step()
+        for bb in params.backbones:
+            for layer, fused in zip(bb.layers, qkv_weights(bb)):
+                blocks = (layer.w_q, layer.w_k, layer.w_v)
+                assert all(t.data.base is fused.data for t in blocks)
+                assert np.array_equal(fused.data, np.concatenate([t.data for t in blocks], 1))
+        if made_by == "working-copy":
+            fused = qkv_weights(params.backbones[0])[1].data
+            assert np.array_equal(fused[:, :128],
+                                  master["backbone0.layer1.w_q"].data.astype(TRAIN_DTYPE))
 
     @pytest.mark.parametrize("cfg,chunk", [
         (acceptance_config(), 236),
