@@ -305,17 +305,22 @@ class TestAttention:
         w_q, w_k, w_v = np.eye(2) * top * np.sqrt(2.0), np.eye(2), np.eye(2)
         return [a.astype(dtype) for a in (e, w_q, w_k, w_v)]
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("case", ["all-below-minus-45", "above-exp-range"])
-    def test_out_of_range_rows_take_the_row_max(self, monkeypatch, dtype, case):
-        calls = []
-        exp_rows = nc.ops._exp_rows
+    @pytest.fixture
+    def row_max_calls(self, monkeypatch):
+        """The ``shift`` argument of every ``_exp_rows`` call: True is the
+        row-max path."""
+        calls, exp_rows = [], nc.ops._exp_rows
 
         def spy(s, bias, shift):
             calls.append(shift)
             return exp_rows(s, bias, shift)
 
         monkeypatch.setattr(nc.ops, "_exp_rows", spy)
+        return calls
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", ["all-below-minus-45", "above-exp-range"])
+    def test_out_of_range_rows_take_the_row_max(self, row_max_calls, dtype, case):
         top = {"all-below-minus-45": -46.0,
                "above-exp-range": 89.5 if dtype == np.float32 else 710.5}[case]
         arrays = self.steered(top, dtype)
@@ -325,19 +330,14 @@ class TestAttention:
         assert scores[0].min() == pytest.approx(top - 20.0, rel=1e-6)
         gone = np.zeros((2, 5), dtype=bool)
         fused = attention_fused(*[Tensor(a) for a in arrays], gone, 1).data
-        assert calls == [False, True]
+        assert row_max_calls == [False, True]
         assert np.all(np.isfinite(fused))
-        calls.clear()
         self.agree(arrays, gone, 1, 0.0, dtype)
 
-    def test_in_range_scores_skip_the_row_max(self, monkeypatch):
-        calls = []
-        exp_rows = nc.ops._exp_rows
-        monkeypatch.setattr(nc.ops, "_exp_rows",
-                            lambda s, bias, shift: calls.append(shift) or exp_rows(s, bias, shift))
+    def test_in_range_scores_skip_the_row_max(self, row_max_calls):
         rng = np.random.default_rng(2)
         nc.attention(Tensor(rng.normal(size=(2, 6, 12), scale=5.0)), None, 2)
-        assert calls == [False]
+        assert row_max_calls == [False]
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_score_in_a_masked_column_gives_nan(self, bad):
