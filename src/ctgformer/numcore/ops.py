@@ -8,7 +8,8 @@ adjoints are summed back over broadcast axes.
 An adjoint rule's closure captures only what the rule reads: shapes where
 that is all it needs, and an operand's data only when an adjoint that reads
 it will be computed. It never captures a ``Tensor``, so the tape keeps no
-array alive that backward does not read.
+array alive that backward does not read. Where an operand carries a
+``remake`` (see ``Tensor``), ``matmul`` keeps that instead of the data.
 """
 
 from __future__ import annotations
@@ -36,6 +37,16 @@ def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tens
     if graph is not None and requires:
         graph.record(Node(inputs, out, backward_fn), inputs)
     return out
+
+
+def _reader(t: Tensor) -> Callable[[], np.ndarray]:
+    """What an adjoint keeps to read ``t``'s data in backward: ``t.remake``
+    when it has one, so the data need not stay on the tape; else the
+    data."""
+    if t.remake is not None:
+        return t.remake
+    data = t.data
+    return lambda: data
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -111,7 +122,8 @@ def matmul(a, b) -> Tensor:
     Otherwise (attention scores, weighted values, pooling) the product runs
     stacked over the leading axes. Either way an operand that does not
     require gradients gets no adjoint computed, and the tape keeps each
-    operand's data only when the other operand's adjoint reads it.
+    operand's data only when the other operand's adjoint reads it; for
+    ``a``, it keeps ``a.remake`` instead when ``a`` has one.
     """
     a, b = _operands(a, b)
     if a.ndim < 2 or b.ndim < 2:
@@ -119,8 +131,8 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
     a_shape, b_shape = a.shape, b.shape
-    a_data = a.data if b.requires_grad else None   # read only by grad_b
-    b_data = b.data if a.requires_grad else None   # read only by grad_a
+    read_a = _reader(a) if b.requires_grad else None   # read only by grad_b
+    b_data = b.data if a.requires_grad else None       # read only by grad_a
     if b.ndim == 2:
         rows, (d_in, d_out) = math.prod(a_shape[:-1]), b_shape
         out = (a.data.reshape(rows, d_in) @ b.data).reshape(a_shape[:-1] + (d_out,))
@@ -128,7 +140,7 @@ def matmul(a, b) -> Tensor:
         def bw(g):
             g2 = g.reshape(rows, d_out)
             return (None if b_data is None else (g2 @ b_data.T).reshape(a_shape),
-                    None if a_data is None else a_data.reshape(rows, d_in).T @ g2)
+                    None if read_a is None else read_a().reshape(rows, d_in).T @ g2)
 
         return _record((a, b), out, bw)
     try:
@@ -138,7 +150,7 @@ def matmul(a, b) -> Tensor:
 
     def bw(g):
         ga = None if b_data is None else np.matmul(g, np.swapaxes(b_data, -1, -2))
-        gb = None if a_data is None else np.matmul(np.swapaxes(a_data, -1, -2), g)
+        gb = None if read_a is None else np.matmul(np.swapaxes(read_a(), -1, -2), g)
         return (None if ga is None else _unbroadcast(ga, a_shape),
                 None if gb is None else _unbroadcast(gb, b_shape))
 
@@ -377,7 +389,8 @@ def attention(qkv, key_gone, n_heads: int, rate: float = 0.0,
     column still yields NaN.
 
     The adjoint reads ``qkv``, the softmax weights and, with dropout, the
-    keep mask and the dropped-out weights: what the chain's adjoints read.
+    keep mask, from which it remakes the dropped-out weights with the
+    forward's two passes, so they do not stay on the tape.
     """
     qkv = as_tensor(qkv)
     if qkv.ndim != 3 or qkv.shape[-1] % (3 * n_heads):
@@ -402,19 +415,19 @@ def attention(qkv, key_gone, n_heads: int, rate: float = 0.0,
         total = _exp_rows(w, bias, shift=True)
     w /= total
     keep = _keep_mask(rng, w.shape, rate)
-    dropped, drop_scale = w, 1.0
-    if keep is not None:
-        drop_scale = 1.0 / (1.0 - rate)
-        dropped = w * keep
-        dropped *= drop_scale
+    drop_scale = 1.0 / (1.0 - rate)
+
+    def dropped():
+        return w if keep is None else _kept(w, keep, drop_scale)
+
     out = np.empty((b, n, width // 3), dtype)
-    np.matmul(dropped, v, out=_heads(out, n_heads))
+    np.matmul(dropped(), v, out=_heads(out, n_heads))
 
     def bw(g):
         gh = _heads(g, n_heads)
         grad = np.empty((b, n, width), dtype)
         gq, gk, gv = split(grad)
-        np.matmul(dropped.swapaxes(-1, -2), gh, out=gv)
+        np.matmul(dropped().swapaxes(-1, -2), gh, out=gv)
         gw = np.matmul(gh, v.swapaxes(-1, -2))
         if keep is not None:
             gw *= keep
@@ -437,7 +450,11 @@ def layer_norm(x, gain, bias, eps: float = 1e-5, branch=None, rate: float = 0.0,
     positive rate). The adjoint gives ``gx`` to ``x`` and
     ``gx * keep / (1 - rate)`` to ``branch``; the gain and bias gradients
     are sums over every row, one GEMV against ones each (``gain`` and
-    ``bias`` hold one value per feature)."""
+    ``bias`` hold one value per feature).
+
+    On a tape the output carries a ``remake``: the same two passes
+    (``_affine``) over the normalised ``xhat`` that the adjoint keeps, so
+    an adjoint that reads the output (``matmul``'s) need not keep it."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.shape[-1]
     if d < 1:
@@ -455,17 +472,14 @@ def layer_norm(x, gain, bias, eps: float = 1e-5, branch=None, rate: float = 0.0,
             xhat = x.data + branch.data
         else:
             scale = 1.0 / (1.0 - rate)
-            xhat = branch.data * keep
-            xhat *= scale
+            xhat = _kept(branch.data, keep, scale)
             xhat += x.data
         xhat -= _row_sum(xhat) / d
     # xhat is centred now and scaled in place below
     inv = 1.0 / np.sqrt(_row_dot(xhat, xhat) / d + eps)
     xhat *= inv
-    out = xhat * gain.data
-    out += bias.data
-    gain_data, bias_shape = gain.data, bias.shape   # x itself is not read
-    has_branch = branch is not None
+    gain_data, bias_data = gain.data, bias.data   # x itself is not read
+    bias_shape, has_branch = bias.shape, branch is not None
 
     def bw(g):
         gx = g * gain_data
@@ -479,11 +493,20 @@ def layer_norm(x, gain, bias, eps: float = 1e-5, branch=None, rate: float = 0.0,
             return grads
         if keep is None:
             return grads + (gx,)
-        gb = gx * keep
-        gb *= scale
-        return grads + (gb,)
+        return grads + (_kept(gx, keep, scale),)
 
-    return _record(inputs, out, bw)
+    out = _record(inputs, _affine(xhat, gain_data, bias_data), bw)
+    if out.requires_grad:   # recorded; outside a tape the remake would keep xhat alive
+        out.remake = lambda: _affine(xhat, gain_data, bias_data)
+    return out
+
+
+def _affine(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``xhat * gain + bias`` in two passes: ``layer_norm``'s output and,
+    by the same operations, its remake."""
+    out = xhat * gain
+    out += bias
+    return out
 
 
 def relu(a) -> Tensor:
@@ -596,12 +619,16 @@ def dropout(x, rate: float, rng: Optional[np.random.Generator] = None) -> Tensor
     if keep is None:
         return x
     scale = 1.0 / (1.0 - rate)
-    out = x.data * keep
-    out *= scale
 
     def bw(g):
-        gx = g * keep
-        gx *= scale
-        return (gx,)
+        return (_kept(g, keep, scale),)
 
-    return _record((x,), out, bw)
+    return _record((x,), _kept(x.data, keep, scale), bw)
+
+
+def _kept(x: np.ndarray, keep: np.ndarray, scale: float) -> np.ndarray:
+    """``x * keep * scale`` in two passes, as every dropout and its adjoint
+    compute it."""
+    out = x * keep
+    out *= scale
+    return out

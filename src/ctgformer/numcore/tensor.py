@@ -20,6 +20,13 @@ did not produce. So an intermediate the caller drops is freed during the
 forward pass unless a rule needs its data, and ``backward`` gives ``grad``
 to the leaves only.
 
+A tensor whose data can be rebuilt, bit for bit, from arrays another
+adjoint already holds carries that rebuild as ``remake``. An adjoint that
+reads such a tensor keeps the ``remake`` instead of the data and calls it
+when it runs, so the data itself leaves the tape. ``layer_norm`` gives its
+output one (``xhat * gain + bias`` from the ``xhat`` its own adjoint
+keeps), and ``matmul`` keeps it for its weight gradient.
+
 A tape belongs to the thread that opened it. ``fork_join`` runs two callables
 on two threads (the caller and one worker thread per process); a fork/join
 op gives each branch its own sub-``Graph`` and records one ``Node`` that
@@ -66,10 +73,13 @@ class Tensor:
     its graph, and holds dLoss/dself with the same shape and dtype as
     ``data``. Values are stored row-major (numpy default). ``key`` is unique
     within the process and names the tensor on a tape; unlike ``id()`` it is
-    never reused after the tensor dies.
+    never reused after the tensor dies. ``remake`` is None or a
+    zero-argument function that returns ``data`` again, bit for bit, from
+    arrays the tape holds anyway; an adjoint may keep it instead of
+    ``data``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "key", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "key", "remake", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -79,6 +89,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.key = next(_keys)
+        self.remake: Optional[Callable[[], np.ndarray]] = None
 
     @property
     def shape(self) -> tuple:

@@ -1,8 +1,11 @@
 """Micro-benchmarks of a training pass's layers, in float32 as it runs them:
-``matmul`` forward plus backward at the model's weight-product shapes, and
-the ``attention`` op forward plus backward (with ``paper-best``'s attention
-dropout and a quarter of the keys masked) at the acceptance config's
-48-trace batch and at ``paper-best``'s one forward chunk.
+``matmul`` forward plus backward at the model's weight-product shapes; the
+``attention`` op forward plus backward (with ``paper-best``'s attention
+dropout and a quarter of the keys masked); and one whole ``encoder_layer``
+forward plus backward with every dropout on, whose backward remakes the
+layer norm's output and the dropped-out attention weights. The last two
+run at the acceptance config's 48-trace batch and at ``paper-best``'s one
+forward chunk.
 
 Not part of the test suite (the file name does not match ``test_*.py``).
 Run it by naming the file:
@@ -15,8 +18,8 @@ import pytest
 
 from ctgformer import numcore as nc
 from ctgformer.hpo import preset_configs
-from ctgformer.model import ModelConfig
-from ctgformer.model.net import max_forward_chunk
+from ctgformer.model import ModelConfig, init_params, qkv_weights, working_copy
+from ctgformer.model.net import TRAIN_DTYPE, encoder_layer, max_forward_chunk
 from ctgformer.numcore import Graph, Tensor, backward
 
 WIDE = ModelConfig(**preset_configs("paper-best")[0])
@@ -34,6 +37,12 @@ SHAPES = {
 ATTENTION_SHAPES = {
     "small": (48, WIDE.n_patches, 128, WIDE.n_heads),
     "wide": (WIDE_CHUNK, WIDE.n_patches, WIDE.d_model, WIDE.n_heads),
+}
+
+# (config, traces) of one forward chunk: the acceptance config and paper-best
+LAYERS = {
+    "small": (ModelConfig(**{**preset_configs("paper-best")[0], "d_model": 128, "n_layers": 2}), 48),
+    "wide": (WIDE, WIDE_CHUNK),
 }
 
 
@@ -76,3 +85,28 @@ def test_attention_forward_backward(benchmark, name):
 
     grad = benchmark(step)
     assert grad.shape == qkv.shape and grad.dtype == np.float32
+
+
+@pytest.mark.parametrize("name", list(LAYERS))
+def test_encoder_layer_forward_backward(benchmark, name):
+    cfg, b = LAYERS[name]
+    backbone = working_copy(init_params(cfg, 0), TRAIN_DTYPE).backbones[0]
+    layer = backbone.layers[0]
+    rng = np.random.default_rng(0)
+    e = Tensor(rng.normal(size=(b, cfg.n_patches, cfg.d_model)).astype(np.float32),
+               requires_grad=True)
+    g_out = Tensor(rng.normal(size=e.shape).astype(np.float32))
+    patch_mask = rng.random((b, cfg.n_patches)) >= 0.25
+    patch_mask[:, 0] = True
+
+    def step():
+        e.zero_grad()
+        with Graph() as g:
+            out = encoder_layer(e, layer, qkv_weights(backbone)[0], patch_mask, cfg,
+                                np.random.default_rng(1))
+            loss = nc.tsum(nc.mul(out, g_out))
+        backward(loss, g)
+        return e.grad
+
+    grad = benchmark(step)
+    assert grad.shape == e.shape and grad.dtype == np.float32

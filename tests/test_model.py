@@ -824,7 +824,7 @@ class TestTapeBytes:
                                   master["backbone0.layer1.w_q"].data.astype(TRAIN_DTYPE))
 
     @pytest.mark.parametrize("cfg,chunk", [
-        (acceptance_config(), 236),
+        (acceptance_config(), 241),
         (ModelConfig(**preset_configs("paper-best")[0]), 25),
     ], ids=["acceptance", "paper-best"])
     def test_largest_chunk_keeps_the_budget(self, cfg, chunk):
@@ -836,8 +836,9 @@ class TestTapeBytes:
 class TestTapeMemory:
     def test_training_forward_keeps_only_what_backward_reads(self):
         # the acceptance config at 8 traces: the arrays the adjoint rules
-        # read come to about 14 MiB; holding every op's input and output
-        # tensors as well keeps about 29.5 MiB
+        # read come to about 10.5 MiB; holding the layer norms' outputs and
+        # the dropped-out attention weights as well keeps about 13.7 MiB,
+        # and every op's input and output tensors about 29.5 MiB
         cfg = acceptance_config()
         params = init_params(cfg, 2)
         batch = batch_dict(np.random.default_rng(3), b=8, seq_len=cfg.seq_len)
@@ -851,7 +852,7 @@ class TestTapeMemory:
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert held <= 16 << 20, held / 2 ** 20
+        assert held <= 12 << 20, held / 2 ** 20
         # what the adjoints hold is all but the tape's own bookkeeping
         assert held - (1 << 19) <= g.held_bytes() <= held
         with g:

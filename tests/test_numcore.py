@@ -1,4 +1,5 @@
 import ctypes
+import math
 import os
 import subprocess
 import sys
@@ -902,6 +903,84 @@ class TestHeldBytes:
         assert g.held_bytes() > 0
         backward(loss, g)
         assert g.held_bytes() == 0
+
+
+def closure_value(fn, name):
+    """The value that function ``fn``'s closure holds under ``name``."""
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+class TestRemake:
+    """A layer norm's output and attention's dropped-out weights leave the
+    tape: backward remakes them, bit for bit, from arrays it holds anyway."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matmul_reads_a_layer_norm_output_through_its_remake(self, dtype):
+        rng = np.random.default_rng(41)
+        x, branch = (Tensor(rng.normal(size=(2, 7, 12)).astype(dtype), requires_grad=True)
+                     for _ in range(2))
+        gain = Tensor(rng.normal(1.0, 0.3, size=12).astype(dtype), requires_grad=True)
+        bias = Tensor(rng.normal(size=12).astype(dtype), requires_grad=True)
+        w = Tensor(rng.normal(size=(12, 5)).astype(dtype), requires_grad=True)
+        g = rng.normal(size=(2, 7, 5)).astype(dtype)
+
+        def norm():
+            return nc.layer_norm(x, gain, bias, 1e-5, branch, 0.3, np.random.default_rng(2))
+
+        assert norm().remake is None   # outside a tape nothing would read it
+        with Graph() as norm_only:
+            norm()
+        with Graph() as tape:
+            out = norm()
+            nc.matmul(out, w)
+        assert out.remake().tobytes() == out.data.tobytes()
+        # the product holds its weight and, through the remake, the bias;
+        # the output is not on the tape
+        assert tape.held_bytes() == norm_only.held_bytes() + w.data.nbytes + bias.data.nbytes
+        g_out, g_w = tape._nodes[-1].backward_fn(g)
+        out2d, g2 = out.data.reshape(14, 12), g.reshape(14, 5)
+        assert g_w.dtype == dtype and g_w.tobytes() == (out2d.T @ g2).tobytes()
+        assert g_out.dtype == dtype and g_out.tobytes() == (g2 @ w.data.T).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_remakes_its_dropped_out_weights(self, dtype):
+        b, n, heads, dk, rate = 2, 6, 2, 3, 0.25
+        rng = np.random.default_rng(43)
+        qkv = Tensor(rng.normal(size=(b, n, 3 * heads * dk)).astype(dtype), requires_grad=True)
+        gone = rng.random((b, n)) < 0.3
+        gone[:, 0] = False
+        g = rng.normal(size=(b, n, heads * dk)).astype(dtype)
+        with Graph() as tape:
+            nc.attention(qkv, gone, heads, rate, np.random.default_rng(6))
+        bw = tape._nodes[-1].backward_fn
+        w, keep = closure_value(bw, "w"), closure_value(bw, "keep")
+        assert w.shape == (b, heads, n, n) and w.dtype == dtype
+        assert np.allclose(w.sum(axis=-1), 1.0) and not (w * gone[:, None, None, :]).any()
+        expected_keep = nc.ops._keep_mask(np.random.default_rng(6), w.shape, rate)
+        assert keep.tobytes() == expected_keep.tobytes() and keep.dtype == np.uint8
+        assert tape.held_bytes() == qkv.data.nbytes + w.nbytes + keep.nbytes
+        (grad,) = bw(g)
+
+        # the adjoint's formula on the dropped-out weights built in full
+        def split(x):
+            return np.split(x.reshape(b, n, 3 * heads, dk).transpose(0, 2, 1, 3), 3, axis=1)
+
+        q, k, v = split(qkv.data)
+        gh = g.reshape(b, n, heads, dk).transpose(0, 2, 1, 3)
+        dropped = w * keep
+        dropped *= 1.0 / (1.0 - rate)
+        gv = np.matmul(dropped.swapaxes(-1, -2), gh)
+        gw = np.matmul(gh, v.swapaxes(-1, -2))
+        gw *= keep
+        gw *= 1.0 / (1.0 - rate)
+        gw -= np.vecdot(gw, w)[..., None]
+        gw *= w
+        gw *= 1.0 / math.sqrt(dk)
+        gq, gk = np.matmul(gw, k), np.matmul(gw.swapaxes(-1, -2), q)
+        got_q, got_k, got_v = split(grad)
+        assert grad.dtype == dtype
+        assert got_v.tobytes() == gv.tobytes()
+        assert got_q.tobytes() == gq.tobytes() and got_k.tobytes() == gk.tobytes()
 
 
 def two_layer_branch(x, w, c):

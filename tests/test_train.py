@@ -191,6 +191,32 @@ class TestChunkedStep:
         return [a.tobytes() for k in opt.named for a in
                 (opt.named[k].data, opt.m[k], opt.v[k], opt.working[k].data)]
 
+    @staticmethod
+    def pinned_fit(cfg, chunk, sets, monkeypatch, tmp_path):
+        """sha256 of the checkpoint and of ``TrainLog.key()`` of a 3-epoch
+        fit of ``cfg`` in batches of 8 split into forward chunks of
+        ``chunk``; checks the bytes a batch carries after each chunk."""
+        carried = []   # the bytes a batch carries after each of its chunks
+        add = BatchGrads.add
+
+        def spy(self, grads):
+            add(self, grads)
+            carried.append(sum(g.nbytes for g in self.grads.values()))
+
+        monkeypatch.setattr(train_module, "max_forward_chunk", lambda cfg: chunk)
+        monkeypatch.setattr(BatchGrads, "add", spy)
+        train_traces, val_traces = sets
+        tc = TrainConfig(learning_rate=3e-3, batch_size=8, max_epochs=3, patience=5, seed=2)
+        params, log = fit(cfg, tc, train_traces, val_traces)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, cfg, path)
+        # float32 until a tensor's second gradient, then one float64 sum
+        n_params = sum(t.size for t in named_tensors(params).values())
+        n_chunks = -(-8 // chunk)
+        assert carried == 3 * 3 * ([4 * n_params] + [8 * n_params] * (n_chunks - 1))
+        return (hashlib.sha256(path.read_bytes()).hexdigest(),
+                hashlib.sha256(repr(log.key()).encode()).hexdigest())
+
     # batches of 8 in forward chunks of 3, 3, 2 or of 2, 2, 2, 2 (x86-64,
     # numpy's bundled OpenBLAS); taken when the fused attention op moved the
     # training bits, after the per-epoch losses of both fits had matched
@@ -204,26 +230,18 @@ class TestChunkedStep:
     ])
     def test_multi_chunk_fit_bytes_are_pinned(self, small_sets, monkeypatch, tmp_path,
                                               chunk, ckpt_sha, log_sha):
-        carried = []   # the bytes a batch carries after each of its chunks
-        add = BatchGrads.add
+        assert self.pinned_fit(self.CFG, chunk, small_sets, monkeypatch, tmp_path) == (
+            ckpt_sha, log_sha)
 
-        def spy(self, grads):
-            add(self, grads)
-            carried.append(sum(g.nbytes for g in self.grads.values()))
-
-        monkeypatch.setattr(train_module, "max_forward_chunk", lambda cfg: chunk)
-        monkeypatch.setattr(BatchGrads, "add", spy)
-        train_traces, val_traces = small_sets
-        tc = TrainConfig(learning_rate=3e-3, batch_size=8, max_epochs=3, patience=5, seed=2)
-        params, log = fit(self.CFG, tc, train_traces, val_traces)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(params, self.CFG, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == ckpt_sha
-        assert hashlib.sha256(repr(log.key()).encode()).hexdigest() == log_sha
-        # float32 until a tensor's second gradient, then one float64 sum
-        n_params = sum(t.size for t in named_tensors(params).values())
-        n_chunks = -(-8 // chunk)
-        assert carried == 3 * 3 * ([4 * n_params] + [8 * n_params] * (n_chunks - 1))
+    def test_two_layer_fit_bytes_are_pinned(self, small_sets, monkeypatch, tmp_path):
+        # the second layer's input and each FFN input are remade from a
+        # layer norm's xhat in backward, with attention dropout on; pinned
+        # from the same fit with those outputs held on the tape (x86-64,
+        # numpy's bundled OpenBLAS)
+        cfg = replace(self.CFG, n_layers=2)
+        assert self.pinned_fit(cfg, 3, small_sets, monkeypatch, tmp_path) == (
+            "34c0b29424927e63ff18c4e172b70fe8ef6c5463d6dc5cd2e87db2eb8c054110",
+            "5eaab7189cd5ef4bb2317264b82a139e0175b9dca3884630cb9d0d7d2f1b4006")
 
     def test_chunk_gradients_sum_in_float64_in_chunk_order(self):
         opt, chunks = self.adam_with_grads(4)
