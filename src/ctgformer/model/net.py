@@ -27,14 +27,23 @@ gives the (B, N, 3d) projection, and ``numcore.attention`` takes it to
 the (B, N, d) context: the heads are strided views of the projection, and
 the scores are exponentiated without subtracting the row max unless a row
 sum leaves [2**-64, inf), when the op takes softmax's row-max path. Its
-adjoint holds the projection, the softmax weights and, with attention
-dropout, the keep mask; it remakes the dropped-out weights from those two.
+adjoint holds only the projection and the softmax weights: with attention
+dropout it draws the keep mask again from the generator state saved at the
+draw, and remakes the dropped-out weights from the mask and the weights.
+The context leaves the tape as well: the output projection's weight
+gradient remakes it from those same arrays.
+
+No dropout mask stays on the tape. Each mask is drawn again in backward
+from a saved generator state (as FlashAttention does, Dao et al.,
+arXiv:2205.14135) on a bit generator of its own, so the generator a pass
+draws from is left where the forward left it.
 
 A layer norm's output leaves the tape too: the products that read it (the
 FFN's first matmul, and the next layer's Q/K/V projection) keep its
 ``remake``, which rebuilds it bit for bit from the ``xhat`` the norm's own
 adjoint keeps. So of the layers' inputs only the first one's stays on the
-tape, and every result is bit for bit that of holding the outputs.
+tape, and every result is bit for bit that of holding the outputs and
+the masks.
 
 Every operation takes a leading batch axis; one trace is a batch of one.
 """
@@ -65,7 +74,7 @@ from .params import Backbone, LayerParams, ModelParams, cast_params
 
 INSTANCE_NORM_EPS = 1e-8
 LAYER_NORM_EPS = 1e-5
-FORWARD_BUDGET_BYTES = 296 << 20   # sizes a training chunk; see max_forward_chunk
+FORWARD_BUDGET_BYTES = 240 << 20   # sizes a training chunk; see max_forward_chunk
 TRAIN_DTYPE = np.float32           # compute dtype of a training pass
 
 
@@ -251,18 +260,20 @@ def tape_bytes(cfg: ModelConfig) -> tuple:
     leaves exactly ``per_trace * B + fixed`` bytes on its tape, as
     ``Graph.held_bytes`` counts them.
 
-    Per trace, for each layer and channel: six token-sized (N, d) arrays
-    (the (N, 3d) Q/K/V projection that the ``attention`` op reads, the
-    context and the two layer norms' ``xhat``; the layer input and the FFN
-    input are layer norm outputs that their matmuls remake from an
-    ``xhat``), the FFN hidden array (relu keeps its output; gelu and elu
-    keep their input and one more), the ``attention`` op's softmax weights,
-    the layer norms' (N, 1) inverse deviations, all in ``TRAIN_DTYPE``, and
-    the one-byte dropout masks, attention's among them. Then per channel
-    the first layer's input, the patches, the pooling weights and the
-    pooled summary, and in the head the fused summaries and their dropout
-    mask. Fixed: the ``TRAIN_DTYPE`` weights that the matmul and layer norm
-    adjoints and the remakes read, one set per backbone (each layer's fused
+    Per trace, for each layer and channel: five token-sized (N, d) arrays
+    (the (N, 3d) Q/K/V projection that the ``attention`` op reads and the
+    two layer norms' ``xhat``; the context is remade from the projection
+    and the softmax weights, and the layer input and the FFN input are
+    layer norm outputs that their matmuls remake from an ``xhat``), the FFN
+    hidden array (relu keeps its output; gelu and elu keep their input and
+    one more), the ``attention`` op's softmax weights and the layer norms'
+    (N, 1) inverse deviations, all in ``TRAIN_DTYPE``. Then per channel the
+    first layer's input, the patches, the pooling weights and the pooled
+    summary, and in the head the dropped-out fused summaries. No dropout
+    mask is held (backward draws each again), so the sizes do not depend
+    on any dropout rate. Fixed: the ``TRAIN_DTYPE`` weights that the
+    matmul and layer norm adjoints and the remakes read, one set per
+    backbone (each layer's fused
     (d, 3d) Q/K/V weight from ``qkv_weights``, ``w_o``, the FFN weights,
     the layer norm gains and every layer norm bias but the last layer's
     second, whose output only the pooling reads), and the head weight. The
@@ -271,13 +282,10 @@ def tape_bytes(cfg: ModelConfig) -> tuple:
     """
     n, d, dff, heads = cfg.n_patches, cfg.d_model, cfg.d_ff, cfg.n_heads
     item = np.dtype(TRAIN_DTYPE).itemsize
-    attn_drop, drop = cfg.attn_dropout > 0, cfg.dropout > 0
-    layer = (item * (6 * n * d + _FFN_HIDDEN_ARRAYS[cfg.activation] * n * dff
-                     + heads * n * n + 2 * n)
-             + attn_drop * heads * n * n + drop * 2 * n * d)
-    channel = cfg.n_layers * layer + item * (n * d + n * cfg.patch_len + n + d)
+    layer = 5 * n * d + _FFN_HIDDEN_ARRAYS[cfg.activation] * n * dff + heads * n * n + 2 * n
+    channel = cfg.n_layers * layer + n * d + n * cfg.patch_len + n + d
     fused = cfg.channels * d
-    per_trace = cfg.channels * channel + fused * (item + (cfg.fc_dropout > 0))
+    per_trace = item * (cfg.channels * channel + fused)
     n_backbones = 1 if cfg.share_backbone else cfg.channels
     weights = cfg.n_layers * (4 * d * d + 2 * d * dff + 4 * d) - d
     return per_trace, item * (n_backbones * weights + fused)
@@ -286,12 +294,13 @@ def tape_bytes(cfg: ModelConfig) -> tuple:
 def max_forward_chunk(cfg: ModelConfig) -> int:
     """Largest trace count one training forward pass may carry: the most
     traces whose tape (``tape_bytes``) fits ``FORWARD_BUDGET_BYTES``, at
-    least 1. ``paper-best`` gets 25 traces (10.6 MiB a trace plus 27.0 MiB
-    of weight copies, 291 MiB in all), the acceptance config 241. The
-    budget, 296 MiB, is the one that gave ``paper-best`` 25 traces when a
-    trace held 13.8 MiB, scaled by 10.6 / 13.8 and rounded up to 8 MiB: a
-    larger chunk raised peak memory and bought no speed. Depends only on
-    the config, so chunked runs stay deterministic.
+    least 1. ``paper-best`` gets 25 traces (8.3 MiB a trace plus 27.0 MiB
+    of weight copies, 234.5 MiB in all), the acceptance config 240. The
+    budget, 240 MiB, keeps ``paper-best`` at 25 traces, as the budgets
+    before it did when a trace held 13.8 and then 10.6 MiB: 26 traces
+    would need 242.8 MiB, and a larger chunk raised peak memory and bought
+    no speed. Depends only on the config, so chunked runs stay
+    deterministic.
     """
     per_trace, fixed = tape_bytes(cfg)
     return max(1, (FORWARD_BUDGET_BYTES - fixed) // per_trace)

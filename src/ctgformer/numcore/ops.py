@@ -388,9 +388,12 @@ def attention(qkv, key_gone, n_heads: int, rate: float = 0.0,
     takes ``softmax``'s row-max path, so a +inf or NaN score in a masked
     column still yields NaN.
 
-    The adjoint reads ``qkv``, the softmax weights and, with dropout, the
-    keep mask, from which it remakes the dropped-out weights with the
-    forward's two passes, so they do not stay on the tape.
+    The adjoint reads ``qkv`` and the softmax weights. With dropout it
+    draws the keep mask again (``_keep_mask``) and remakes the dropped-out
+    weights with the forward's two passes, so neither stays on the tape.
+    On a tape the output carries a ``remake``: the forward's own
+    dropped-out weights times the values, written into the strided heads,
+    so the output projection's weight gradient need not keep the context.
     """
     qkv = as_tensor(qkv)
     if qkv.ndim != 3 or qkv.shape[-1] % (3 * n_heads):
@@ -414,20 +417,26 @@ def attention(qkv, key_gone, n_heads: int, rate: float = 0.0,
         w *= scale
         total = _exp_rows(w, bias, shift=True)
     w /= total
-    keep = _keep_mask(rng, w.shape, rate)
+    keep, redraw = _keep_mask(rng, w.shape, rate)
     drop_scale = 1.0 / (1.0 - rate)
 
-    def dropped():
+    def dropped(keep):
         return w if keep is None else _kept(w, keep, drop_scale)
 
-    out = np.empty((b, n, width // 3), dtype)
-    np.matmul(dropped(), v, out=_heads(out, n_heads))
+    def context(keep):
+        out = np.empty((b, n, width // 3), dtype)
+        np.matmul(dropped(keep), v, out=_heads(out, n_heads))
+        return out
+
+    def again():   # the forward's keep mask, drawn again, or None
+        return None if redraw is None else redraw()
 
     def bw(g):
+        keep = again()
         gh = _heads(g, n_heads)
         grad = np.empty((b, n, width), dtype)
         gq, gk, gv = split(grad)
-        np.matmul(dropped().swapaxes(-1, -2), gh, out=gv)
+        np.matmul(dropped(keep).swapaxes(-1, -2), gh, out=gv)
         gw = np.matmul(gh, v.swapaxes(-1, -2))
         if keep is not None:
             gw *= keep
@@ -439,7 +448,10 @@ def attention(qkv, key_gone, n_heads: int, rate: float = 0.0,
         np.matmul(gw.swapaxes(-1, -2), q, out=gk)
         return (grad,)
 
-    return _record((qkv,), out, bw)
+    out = _record((qkv,), context(keep), bw)
+    if out.requires_grad:   # recorded; outside a tape the remake would keep w alive
+        out.remake = lambda: context(again())
+    return out
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5, branch=None, rate: float = 0.0,
@@ -448,7 +460,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5, branch=None, rate: float = 0.0,
     of ``x``, or of the residual sum ``x + dropout(branch, rate, rng)`` when
     a ``branch`` is given (dropout is on only with a generator and a
     positive rate). The adjoint gives ``gx`` to ``x`` and
-    ``gx * keep / (1 - rate)`` to ``branch``; the gain and bias gradients
+    ``gx * keep / (1 - rate)`` to ``branch``, drawing the keep mask again
+    (``_keep_mask``) instead of holding it; the gain and bias gradients
     are sums over every row, one GEMV against ones each (``gain`` and
     ``bias`` hold one value per feature).
 
@@ -459,7 +472,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5, branch=None, rate: float = 0.0,
     d = x.shape[-1]
     if d < 1:
         raise ShapeError("layer_norm needs a non-empty feature axis")
-    inputs, keep, scale = (x, gain, bias), None, 1.0
+    inputs, redraw, scale = (x, gain, bias), None, 1.0
     if branch is None:
         xhat = x.data - _row_sum(x.data) / d
     else:
@@ -467,7 +480,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5, branch=None, rate: float = 0.0,
         if branch.shape != x.shape:
             raise ShapeError(f"layer_norm branch {branch.shape} does not match x {x.shape}")
         inputs += (branch,)
-        keep = _keep_mask(rng, branch.shape, rate)
+        keep, redraw = _keep_mask(rng, branch.shape, rate)
         if keep is None:
             xhat = x.data + branch.data
         else:
@@ -491,9 +504,9 @@ def layer_norm(x, gain, bias, eps: float = 1e-5, branch=None, rate: float = 0.0,
         grads = (gx, _col_sum(g * xhat).reshape(gain_data.shape), _col_sum(g).reshape(bias_shape))
         if not has_branch:
             return grads
-        if keep is None:
+        if redraw is None:
             return grads + (gx,)
-        return grads + (_kept(gx, keep, scale),)
+        return grads + (_kept(gx, redraw(), scale),)
 
     out = _record(inputs, _affine(xhat, gain_data, bias_data), bw)
     if out.requires_grad:   # recorded; outside a tape the remake would keep xhat alive
@@ -591,37 +604,56 @@ def bce_with_logits(z, labels) -> Tensor:
     return _record((z,), out, bw)
 
 
-def _keep_mask(rng: Optional[np.random.Generator], shape: tuple, rate: float):
-    """The 0/1 keep-mask of every dropout, one byte per element, or None
-    when dropout is off (no generator, or rate 0).
+def _keep_mask(rng: Optional[np.random.Generator], shape: tuple, rate: float) -> tuple:
+    """(mask, redraw): the 0/1 keep-mask of every dropout, one byte per
+    element, and a zero-argument function that draws it again, bit for
+    bit; (None, None) when dropout is off (no generator, or rate 0).
 
     One uniform uint16 per element, cut from the generator's raw 64-bit
     output, is kept when it is at least ``round(rate * 65536)``: the drop
     rate is exact to 2**-17 and the mask does not depend on the
     activations' dtype. The mask is the boolean comparison viewed as
     ``uint8``: a product with it has the bits of one with the boolean.
+
+    The generator's state is saved before the draw. ``redraw`` sets a new
+    bit generator of the same type to that state and draws from it, so an
+    adjoint keeps a few integers instead of the mask, and ``rng`` is never
+    touched again.
     """
     if not 0.0 <= rate < 1.0:
         raise NumcoreError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None or rate == 0.0:
-        return None
+        return None, None
+    kind, state = type(rng.bit_generator), rng.bit_generator.state
+    threshold = round(rate * 65536)
+
+    def redraw():
+        bit_generator = kind(0)
+        bit_generator.state = state
+        return _draw_mask(bit_generator, shape, threshold)
+
+    return _draw_mask(rng.bit_generator, shape, threshold), redraw
+
+
+def _draw_mask(bit_generator, shape: tuple, threshold: int) -> np.ndarray:
     n = math.prod(shape)
-    bits = rng.bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n]
-    return (bits >= round(rate * 65536)).view(np.uint8).reshape(shape)
+    bits = bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n]
+    return (bits >= threshold).view(np.uint8).reshape(shape)
 
 
 def dropout(x, rate: float, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors by
     1/(1-rate), drawing the mask from ``rng`` only. Identity without a
-    generator (inference) or at rate 0."""
+    generator (inference) or at rate 0. The adjoint draws the mask again
+    (``_keep_mask``), so the tape holds no mask."""
     x = as_tensor(x)
-    keep = _keep_mask(rng, x.shape, rate)
+    keep, redraw = _keep_mask(rng, x.shape, rate)
     if keep is None:
         return x
     scale = 1.0 / (1.0 - rate)
 
     def bw(g):
-        return (_kept(g, keep, scale),)
+        return (_kept(g, redraw(), scale),)
 
     return _record((x,), _kept(x.data, keep, scale), bw)
 

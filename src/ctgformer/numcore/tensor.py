@@ -25,7 +25,11 @@ adjoint already holds carries that rebuild as ``remake``. An adjoint that
 reads such a tensor keeps the ``remake`` instead of the data and calls it
 when it runs, so the data itself leaves the tape. ``layer_norm`` gives its
 output one (``xhat * gain + bias`` from the ``xhat`` its own adjoint
-keeps), and ``matmul`` keeps it for its weight gradient.
+keeps), ``attention`` gives its context one (the dropped-out softmax
+weights times the values, from the arrays its own adjoint keeps), and
+``matmul`` keeps it for its weight gradient. Dropout masks are not kept
+either: every adjoint that reads one draws it again from the generator
+state saved at the draw (``ops._keep_mask``).
 
 A tape belongs to the thread that opened it. ``fork_join`` runs two callables
 on two threads (the caller and one worker thread per process); a fork/join

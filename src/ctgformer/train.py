@@ -271,6 +271,11 @@ def fit(cfg: ModelConfig, train_cfg: TrainConfig, train_traces: Sequence,
     AUC) and returns (best_params, TrainLog). ``stop_hook(epoch, val_auc)``
     may end training early, e.g. for trial pruning; such runs are marked
     ``pruned`` in the log.
+
+    The best epoch's parameters are copied only when another epoch runs,
+    before its first forward pass, and copied back only when a later epoch
+    ran: when the best epoch is the last one, they are the parameters as
+    they stand.
     """
     if not train_traces or not val_traces:
         raise TrainError("need non-empty train and validation sets")
@@ -302,8 +307,10 @@ def fit(cfg: ModelConfig, train_cfg: TrainConfig, train_traces: Sequence,
         return params, log
 
     best_auc = -math.inf
-    best_snapshot = None
+    best_snapshot, best_is_live = None, False
     for epoch in range(1, train_cfg.max_epochs + 1):
+        if best_is_live:   # this epoch overwrites the best epoch's parameters
+            best_snapshot, best_is_live = clone_param_data(params), False
         tic = time.perf_counter()
         mean_loss = train_epoch(working, cfg, train_cfg, stacked, rng, optimizer, epoch)
         val_auc = _val_auc(working, cfg, val_traces)
@@ -311,10 +318,10 @@ def fit(cfg: ModelConfig, train_cfg: TrainConfig, train_traces: Sequence,
                                       time.perf_counter() - tic))
         if verbose:
             print(f"epoch {epoch}: loss {mean_loss:.4f} val_auc {val_auc:.4f}")
-        if val_auc > best_auc + IMPROVE_DELTA or best_snapshot is None:
+        if val_auc > best_auc + IMPROVE_DELTA or log.best_epoch == 0:
             best_auc = val_auc
             log.best_epoch = epoch
-            best_snapshot = clone_param_data(params)
+            best_is_live = True
         if stop_hook is not None and stop_hook(epoch, val_auc):
             log.stop_reason = "pruned"
             break
@@ -323,6 +330,7 @@ def fit(cfg: ModelConfig, train_cfg: TrainConfig, train_traces: Sequence,
             break
 
     log.best_val_auc = best_auc
-    load_param_data(params, best_snapshot)
+    if not best_is_live:
+        load_param_data(params, best_snapshot)
     return params, log
 

@@ -3,15 +3,19 @@
 ``attention`` op forward plus backward (with ``paper-best``'s attention
 dropout and a quarter of the keys masked); and one whole ``encoder_layer``
 forward plus backward with every dropout on, whose backward remakes the
-layer norm's output and the dropped-out attention weights. The last two
-run at the acceptance config's 48-trace batch and at ``paper-best``'s one
-forward chunk.
+layer norm's output, the attention context and the dropped-out attention
+weights and draws every dropout mask again, and its twin with dropout
+off, which draws no mask: the difference is what the masks cost. The
+last three run at the acceptance config's 48-trace batch and at
+``paper-best``'s one forward chunk.
 
 Not part of the test suite (the file name does not match ``test_*.py``).
 Run it by naming the file:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest tests/bench_matmul.py
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,9 +91,9 @@ def test_attention_forward_backward(benchmark, name):
     assert grad.shape == qkv.shape and grad.dtype == np.float32
 
 
-@pytest.mark.parametrize("name", list(LAYERS))
-def test_encoder_layer_forward_backward(benchmark, name):
-    cfg, b = LAYERS[name]
+def encoder_layer_step(benchmark, cfg, b):
+    """Time one ``encoder_layer`` forward plus backward of ``cfg`` on ``b``
+    traces."""
     backbone = working_copy(init_params(cfg, 0), TRAIN_DTYPE).backbones[0]
     layer = backbone.layers[0]
     rng = np.random.default_rng(0)
@@ -110,3 +114,14 @@ def test_encoder_layer_forward_backward(benchmark, name):
 
     grad = benchmark(step)
     assert grad.shape == e.shape and grad.dtype == np.float32
+
+
+@pytest.mark.parametrize("name", list(LAYERS))
+def test_encoder_layer_forward_backward(benchmark, name):
+    encoder_layer_step(benchmark, *LAYERS[name])
+
+
+@pytest.mark.parametrize("name", list(LAYERS))
+def test_encoder_layer_forward_backward_without_dropout(benchmark, name):
+    cfg, b = LAYERS[name]
+    encoder_layer_step(benchmark, replace(cfg, dropout=0.0, attn_dropout=0.0), b)

@@ -9,6 +9,7 @@ import pytest
 
 from ctgformer.errors import CheckpointError, ModelError
 from ctgformer.numcore import Graph, Tensor, backward, concat, grad_check, tsum
+from ctgformer.numcore.tensor import _find_arrays
 from ctgformer.model import (
     ModelConfig,
     attention,
@@ -824,7 +825,7 @@ class TestTapeBytes:
                                   master["backbone0.layer1.w_q"].data.astype(TRAIN_DTYPE))
 
     @pytest.mark.parametrize("cfg,chunk", [
-        (acceptance_config(), 241),
+        (acceptance_config(), 240),
         (ModelConfig(**preset_configs("paper-best")[0]), 25),
     ], ids=["acceptance", "paper-best"])
     def test_largest_chunk_keeps_the_budget(self, cfg, chunk):
@@ -833,11 +834,28 @@ class TestTapeBytes:
         assert per_trace * chunk + fixed <= FORWARD_BUDGET_BYTES < per_trace * (chunk + 1) + fixed
 
 
+    def test_sizes_do_not_depend_on_dropout(self):
+        # backward draws every dropout mask again, so no mask is held
+        on = acceptance_config()
+        off = acceptance_config(dropout=0.0, attn_dropout=0.0, fc_dropout=0.0)
+        assert (on.dropout, on.attn_dropout, on.fc_dropout) == (0.1, 0.2, 0.4)
+        assert tape_bytes(on) == tape_bytes(off)
+        assert max_forward_chunk(on) == max_forward_chunk(off) == 240
+        params = init_params(on, 2)
+        tapes = [training_tape(cfg, params, 2) for cfg in (on, off)]
+        assert tapes[0].held_bytes() == tapes[1].held_bytes()
+        found = {}
+        for node in tape_nodes(tapes[0]._nodes):
+            _find_arrays(node.backward_fn, found, set())
+        assert {a.dtype for a in found.values()} == {np.dtype(TRAIN_DTYPE)}
+
+
 class TestTapeMemory:
     def test_training_forward_keeps_only_what_backward_reads(self):
         # the acceptance config at 8 traces: the arrays the adjoint rules
-        # read come to about 10.5 MiB; holding the layer norms' outputs and
-        # the dropped-out attention weights as well keeps about 13.7 MiB,
+        # read come to about 8.7 MiB; holding the attention contexts and the
+        # dropout masks as well keeps about 10.5 MiB, the layer norms'
+        # outputs and the dropped-out attention weights too about 13.7 MiB,
         # and every op's input and output tensors about 29.5 MiB
         cfg = acceptance_config()
         params = init_params(cfg, 2)

@@ -911,8 +911,10 @@ def closure_value(fn, name):
 
 
 class TestRemake:
-    """A layer norm's output and attention's dropped-out weights leave the
-    tape: backward remakes them, bit for bit, from arrays it holds anyway."""
+    """A layer norm's output, attention's context and dropped-out weights
+    and every dropout mask leave the tape: backward remakes them, bit for
+    bit, from arrays it holds anyway, and draws each mask again from the
+    generator state saved at the draw."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matmul_reads_a_layer_norm_output_through_its_remake(self, dtype):
@@ -953,12 +955,12 @@ class TestRemake:
         with Graph() as tape:
             nc.attention(qkv, gone, heads, rate, np.random.default_rng(6))
         bw = tape._nodes[-1].backward_fn
-        w, keep = closure_value(bw, "w"), closure_value(bw, "keep")
+        w, keep = closure_value(bw, "w"), closure_value(bw, "again")()
         assert w.shape == (b, heads, n, n) and w.dtype == dtype
         assert np.allclose(w.sum(axis=-1), 1.0) and not (w * gone[:, None, None, :]).any()
-        expected_keep = nc.ops._keep_mask(np.random.default_rng(6), w.shape, rate)
+        expected_keep, _ = nc.ops._keep_mask(np.random.default_rng(6), w.shape, rate)
         assert keep.tobytes() == expected_keep.tobytes() and keep.dtype == np.uint8
-        assert tape.held_bytes() == qkv.data.nbytes + w.nbytes + keep.nbytes
+        assert tape.held_bytes() == qkv.data.nbytes + w.nbytes   # the mask is drawn again
         (grad,) = bw(g)
 
         # the adjoint's formula on the dropped-out weights built in full
@@ -981,6 +983,81 @@ class TestRemake:
         assert grad.dtype == dtype
         assert got_v.tobytes() == gv.tobytes()
         assert got_q.tobytes() == gq.tobytes() and got_k.tobytes() == gk.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matmul_reads_the_attention_context_through_its_remake(self, dtype):
+        b, n, heads, dk, rate = 2, 6, 2, 3, 0.25
+        rng = np.random.default_rng(47)
+        qkv = Tensor(rng.normal(size=(b, n, 3 * heads * dk)).astype(dtype), requires_grad=True)
+        w_o = Tensor(rng.normal(size=(heads * dk, 5)).astype(dtype), requires_grad=True)
+        gone = rng.random((b, n)) < 0.3
+        gone[:, 0] = False
+        g = rng.normal(size=(b, n, 5)).astype(dtype)
+
+        def context():
+            return nc.attention(qkv, gone, heads, rate, np.random.default_rng(6))
+
+        assert context().remake is None   # outside a tape nothing would read it
+        with Graph() as attention_only:
+            context()
+        with Graph() as tape:
+            ctx = context()
+            nc.matmul(ctx, w_o)
+        assert ctx.remake().tobytes() == ctx.data.tobytes()
+        # the product holds its weight; the context is not on the tape
+        assert tape.held_bytes() == attention_only.held_bytes() + w_o.data.nbytes
+        g_ctx, g_w = tape._nodes[-1].backward_fn(g)
+        ctx2d, g2 = ctx.data.reshape(b * n, heads * dk), g.reshape(b * n, 5)
+        assert g_w.dtype == dtype and g_w.tobytes() == (ctx2d.T @ g2).tobytes()
+        assert g_ctx.dtype == dtype and g_ctx.tobytes() == (g2 @ w_o.data.T).tobytes()
+
+    @staticmethod
+    def dropout_chain(dtype, rng, gen):
+        """A tape with every kind of dropout on, all drawing from ``gen``:
+        ``dropout``, a ``layer_norm`` branch and ``attention``; returns
+        (tape, loss, the three inputs that get dropped out)."""
+        x, branch = (Tensor(rng.normal(size=(2, 6, 12)).astype(dtype), requires_grad=True)
+                     for _ in range(2))
+        gain = Tensor(rng.normal(1.0, 0.3, size=12).astype(dtype), requires_grad=True)
+        bias = Tensor(rng.normal(size=12).astype(dtype), requires_grad=True)
+        w_qkv = Tensor(rng.normal(size=(12, 18)).astype(dtype), requires_grad=True)
+        with Graph() as tape:
+            h = nc.layer_norm(nc.dropout(x, 0.3, gen), gain, bias, 1e-5, branch, 0.2, gen)
+            qkv = nc.matmul(h, w_qkv)
+            loss = nc.tsum(nc.mul(nc.attention(qkv, None, 2, 0.25, gen), 0.5))
+        return tape, loss, (x, branch, qkv)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adjoints_redraw_the_forward_masks(self, dtype):
+        gen = np.random.default_rng(5)
+        tape, _, (x, branch, qkv) = self.dropout_chain(dtype, np.random.default_rng(53), gen)
+        adjoints = {node.backward_fn.__qualname__.split(".")[0]: node.backward_fn
+                    for node in tape._nodes}
+        redrawn = [closure_value(adjoints["dropout"], "redraw")(),
+                   closure_value(adjoints["layer_norm"], "redraw")(),
+                   closure_value(adjoints["attention"], "again")()]
+        # the forward's masks: the same draws, in order, from the same seed
+        replay = np.random.default_rng(5)
+        for mask, shape, rate in zip(redrawn, (x.shape, branch.shape, (2, 2, 6, 6)),
+                                     (0.3, 0.2, 0.25)):
+            forward_mask, _ = nc.ops._keep_mask(replay, shape, rate)
+            assert mask.dtype == np.uint8 and mask.tobytes() == forward_mask.tobytes()
+        assert replay.bit_generator.state == gen.bit_generator.state
+
+    def test_backward_leaves_the_generator_where_the_forward_did(self):
+        gen = np.random.default_rng(5)
+        tape, loss, _ = self.dropout_chain(np.float32, np.random.default_rng(53), gen)
+        after_forward = gen.bit_generator.state
+        backward(loss, tape)
+        assert gen.bit_generator.state == after_forward
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_mask_stays_on_the_tape(self, dtype):
+        tape, _, _ = self.dropout_chain(dtype, np.random.default_rng(53), np.random.default_rng(5))
+        found = {}
+        for node in tape._nodes:
+            nc.tensor._find_arrays(node.backward_fn, found, set())
+        assert found and {a.dtype for a in found.values()} == {np.dtype(dtype)}
 
 
 def two_layer_branch(x, w, c):

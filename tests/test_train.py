@@ -20,6 +20,7 @@ from ctgformer.model import (
     working_copy,
 )
 from ctgformer.model.net import TRAIN_DTYPE
+from ctgformer.model.params import clone_param_data, load_param_data
 import ctgformer.train as train_module
 from ctgformer.train import (
     Adam,
@@ -345,6 +346,59 @@ class TestFit:
                              patience=3, seed=seed)
             _, log = fit(SMALL_CFG, tc, train_traces, val_traces)
             assert log.epochs[-1].epoch - log.best_epoch <= 3
+
+    @staticmethod
+    def snapshot_events(monkeypatch, aucs=None):
+        """The order in which ``fit`` runs epochs ("epoch") and copies the
+        parameters out ("clone") and back ("load"); with ``aucs`` the
+        validation AUCs are those, in turn."""
+        events = []
+
+        def log(event, fn):
+            def spy(*args, **kwargs):
+                events.append(event)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(train_module, fn.__name__, spy)
+
+        log("epoch", train_epoch)
+        log("clone", clone_param_data)
+        log("load", load_param_data)
+        if aucs is not None:
+            aucs = iter(aucs)
+            monkeypatch.setattr(train_module, "_val_auc", lambda *args: next(aucs))
+        return events
+
+    @pytest.mark.parametrize("aucs,events", [
+        ((0.5,), ["epoch"]),
+        ((0.5, 0.6, 0.7), ["epoch", "clone", "epoch", "clone", "epoch"]),
+        ((0.5, 0.7, 0.6), ["epoch", "clone", "epoch", "clone", "epoch", "load"]),
+        ((0.7, 0.5, 0.6), ["epoch", "clone", "epoch", "epoch", "load"]),
+    ], ids=["one-epoch", "best-last", "best-second", "best-first"])
+    def test_best_params_are_copied_only_before_an_epoch_overwrites_them(
+            self, small_sets, monkeypatch, aucs, events):
+        train_traces, val_traces = small_sets
+        tc = TrainConfig(learning_rate=3e-3, batch_size=8, max_epochs=len(aucs),
+                         patience=10, seed=3)
+        best = aucs.index(max(aucs)) + 1
+        got = self.snapshot_events(monkeypatch, aucs)
+        params, log = fit(SMALL_CFG, tc, train_traces, val_traces)
+        assert got == events and log.best_epoch == best
+        # the same bytes as a fit whose every epoch improves and that stops
+        # at the best epoch
+        tc.max_epochs = best
+        self.snapshot_events(monkeypatch, [0.1 * i for i in range(best)])
+        ref, _ = fit(SMALL_CFG, tc, train_traces, val_traces)
+        for name, t in named_tensors(ref).items():
+            assert named_tensors(params)[name].data.tobytes() == t.data.tobytes(), name
+
+    def test_early_stop_copies_the_best_epoch_once(self, small_sets, monkeypatch):
+        train_traces, val_traces = small_sets
+        # lr=0 freezes the parameters, hence the validation AUC
+        tc = TrainConfig(learning_rate=0.0, batch_size=8, max_epochs=10, patience=3, seed=0)
+        events = self.snapshot_events(monkeypatch)
+        _, log = fit(SMALL_CFG, tc, train_traces, val_traces)
+        assert log.stop_reason == "early_stop" and log.best_epoch == 1
+        assert events == ["epoch", "clone", "epoch", "epoch", "epoch", "load"]
 
     def test_deterministic_log_key(self, small_sets):
         train_traces, val_traces = small_sets
