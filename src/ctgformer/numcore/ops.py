@@ -394,6 +394,8 @@ def attention(qkv, key_gone, n_heads: int, rate: float = 0.0,
     On a tape the output carries a ``remake``: the forward's own
     dropped-out weights times the values, written into the strided heads,
     so the output projection's weight gradient need not keep the context.
+    The remake hands the mask and dropped-out weights it made on to the
+    adjoint, which runs next, so backward draws each mask once.
     """
     qkv = as_tensor(qkv)
     if qkv.ndim != 3 or qkv.shape[-1] % (3 * n_heads):
@@ -423,20 +425,33 @@ def attention(qkv, key_gone, n_heads: int, rate: float = 0.0,
     def dropped(keep):
         return w if keep is None else _kept(w, keep, drop_scale)
 
-    def context(keep):
+    def context(weights):
         out = np.empty((b, n, width // 3), dtype)
-        np.matmul(dropped(keep), v, out=_heads(out, n_heads))
+        np.matmul(weights, v, out=_heads(out, n_heads))
         return out
 
-    def again():   # the forward's keep mask, drawn again, or None
-        return None if redraw is None else redraw()
+    def dropped_again():
+        """(keep mask or None, dropped-out weights) of the forward, made
+        again."""
+        keep = None if redraw is None else redraw()
+        return keep, dropped(keep)
+
+    # Backward runs the output projection's adjoint, which calls the
+    # context's remake, right before this op's: the remake hands the pair
+    # it made on, so the mask is not drawn twice.
+    handed = []
+
+    def remake():
+        handed[:] = [dropped_again()]
+        return context(handed[0][1])
 
     def bw(g):
-        keep = again()
+        keep, weights = handed.pop() if handed else dropped_again()
         gh = _heads(g, n_heads)
         grad = np.empty((b, n, width), dtype)
         gq, gk, gv = split(grad)
-        np.matmul(dropped(keep).swapaxes(-1, -2), gh, out=gv)
+        np.matmul(weights.swapaxes(-1, -2), gh, out=gv)
+        del weights
         gw = np.matmul(gh, v.swapaxes(-1, -2))
         if keep is not None:
             gw *= keep
@@ -448,9 +463,9 @@ def attention(qkv, key_gone, n_heads: int, rate: float = 0.0,
         np.matmul(gw.swapaxes(-1, -2), q, out=gk)
         return (grad,)
 
-    out = _record((qkv,), context(keep), bw)
+    out = _record((qkv,), context(dropped(keep)), bw)
     if out.requires_grad:   # recorded; outside a tape the remake would keep w alive
-        out.remake = lambda: context(again())
+        out.remake = remake
     return out
 
 

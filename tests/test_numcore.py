@@ -955,7 +955,7 @@ class TestRemake:
         with Graph() as tape:
             nc.attention(qkv, gone, heads, rate, np.random.default_rng(6))
         bw = tape._nodes[-1].backward_fn
-        w, keep = closure_value(bw, "w"), closure_value(bw, "again")()
+        w, (keep, _) = closure_value(bw, "w"), closure_value(bw, "dropped_again")()
         assert w.shape == (b, heads, n, n) and w.dtype == dtype
         assert np.allclose(w.sum(axis=-1), 1.0) and not (w * gone[:, None, None, :]).any()
         expected_keep, _ = nc.ops._keep_mask(np.random.default_rng(6), w.shape, rate)
@@ -994,6 +994,8 @@ class TestRemake:
         gone[:, 0] = False
         g = rng.normal(size=(b, n, 5)).astype(dtype)
 
+        draw = nc.ops._draw_mask
+
         def context():
             return nc.attention(qkv, gone, heads, rate, np.random.default_rng(6))
 
@@ -1003,13 +1005,21 @@ class TestRemake:
         with Graph() as tape:
             ctx = context()
             nc.matmul(ctx, w_o)
-        assert ctx.remake().tobytes() == ctx.data.tobytes()
         # the product holds its weight; the context is not on the tape
         assert tape.held_bytes() == attention_only.held_bytes() + w_o.data.nbytes
+        assert ctx.remake().tobytes() == ctx.data.tobytes()
         g_ctx, g_w = tape._nodes[-1].backward_fn(g)
         ctx2d, g2 = ctx.data.reshape(b * n, heads * dk), g.reshape(b * n, 5)
         assert g_w.dtype == dtype and g_w.tobytes() == (ctx2d.T @ g2).tobytes()
         assert g_ctx.dtype == dtype and g_ctx.tobytes() == (g2 @ w_o.data.T).tobytes()
+        # the remake hands the mask it drew to the attention adjoint, whose
+        # gradient is that of an adjoint that draws the mask itself
+        draws = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nc.ops, "_draw_mask", lambda *a: draws.append(a) or draw(*a))
+            (handed,) = tape._nodes[0].backward_fn(g_ctx)
+        (drawn,) = attention_only._nodes[0].backward_fn(g_ctx)
+        assert draws == [] and handed.tobytes() == drawn.tobytes()
 
     @staticmethod
     def dropout_chain(dtype, rng, gen):
@@ -1035,7 +1045,7 @@ class TestRemake:
                     for node in tape._nodes}
         redrawn = [closure_value(adjoints["dropout"], "redraw")(),
                    closure_value(adjoints["layer_norm"], "redraw")(),
-                   closure_value(adjoints["attention"], "again")()]
+                   closure_value(adjoints["attention"], "dropped_again")()[0]]
         # the forward's masks: the same draws, in order, from the same seed
         replay = np.random.default_rng(5)
         for mask, shape, rate in zip(redrawn, (x.shape, branch.shape, (2, 2, 6, 6)),
