@@ -24,7 +24,6 @@ from .net import (
     make_patches,
     pool_channel,
     predict_scores,
-    qkv_weights,
     run_encoder,
 )
 from .checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
@@ -52,7 +51,6 @@ __all__ = [
     "named_tensors",
     "pool_channel",
     "predict_scores",
-    "qkv_weights",
     "run_encoder",
     "save_checkpoint",
     "working_copy",

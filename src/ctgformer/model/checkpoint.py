@@ -3,7 +3,9 @@
 Layout: magic ``CTGF``, little-endian uint32 format version, uint64 header
 length, a JSON header carrying the model config and the ordered tensor
 manifest (name, shape), then each tensor's float64 little-endian row-major
-bytes. Save followed by load is bit-exact.
+bytes. Save followed by load is bit-exact. Version 2 stores each layer's
+query, key and value weights as one (d, 3d) tensor, ``w_qkv``; a version 1
+file, with three (d, d) ones, is refused.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import numpy as np
 
 from ..errors import CheckpointError
 from .config import ModelConfig
-from .params import ModelParams, build_params, join_qkv, named_tensors
+from .params import ModelParams, build_params, named_tensors
 
 MAGIC = b"CTGF"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_checkpoint(params: ModelParams, cfg: ModelConfig, path) -> None:
@@ -60,7 +62,7 @@ def load_checkpoint(path) -> tuple:
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
 
     # every value is overwritten below, so no tensor needs a draw or a fill
-    params = join_qkv(build_params(cfg, lambda shape, fill: np.empty(shape)))
+    params = build_params(cfg, lambda shape, fill: np.empty(shape))
     named = named_tensors(params)
     if [name for name, _ in manifest] != list(named.keys()):
         raise CheckpointError(f"{path}: tensor manifest does not match the stored config")

@@ -20,10 +20,9 @@ computes in the dtype of the parameters it is given, and so does every
 function below ``forward_batch``; ``predict_scores`` takes the sigmoid in
 float64 either way.
 
-Attention runs as one numcore op per layer and channel. The layer's
-query, key and value weights are put side by side once per backbone per
-forward pass (``qkv_weights``, before the channels fork), one product
-gives the (B, N, 3d) projection, and ``numcore.attention`` takes it to
+Attention runs as one numcore op per layer and channel. One product by
+the layer's (d, 3d) ``w_qkv`` gives the (B, N, 3d) query, key and value
+projection, and ``numcore.attention`` takes it to
 the (B, N, d) context: the heads are strided views of the projection, and
 the scores are exponentiated without subtracting the row max unless a row
 sum leaves [2**-64, inf), when the op takes softmax's row-max path. Its
@@ -61,7 +60,6 @@ from ..numcore import (
     Tensor,
     activation,
     attention as attention_op,
-    concat,
     dropout,
     layer_norm,
     matmul,
@@ -122,18 +120,10 @@ def embed_patches(patches: np.ndarray, w_patch: Tensor, w_pos: Tensor) -> Tensor
     return matmul(patches, w_patch) + w_pos
 
 
-def qkv_weights(backbone: Backbone) -> list:
-    """Each layer's query, key and value weights side by side, (d, 3d):
-    one ``concat`` per layer, whose adjoint hands each its columns'
-    gradient. A forward pass builds them once per backbone (see
-    ``fuse_channels``)."""
-    return [concat([layer.w_q, layer.w_k, layer.w_v], axis=1) for layer in backbone.layers]
-
-
 def attention(e: Tensor, w_qkv: Tensor, w_o: Tensor, patch_mask: np.ndarray, n_heads: int,
               attn_dropout: float = 0.0, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Multi-head self-attention with masked key columns: one (B, N, 3d)
-    projection by ``w_qkv`` (``qkv_weights``), numcore's ``attention`` op,
+    projection by ``w_qkv``, numcore's ``attention`` op,
     then the output projection ``w_o``.
 
     Masked patches get weight exactly zero in every row, so unmasked rows
@@ -154,37 +144,32 @@ def ffn(h: Tensor, layer: LayerParams, kind: str) -> Tensor:
     return matmul(activation(matmul(h, layer.w_ffn1) + layer.b_ffn1, kind), layer.w_ffn2) + layer.b_ffn2
 
 
-def encoder_layer(e: Tensor, layer: LayerParams, w_qkv: Tensor, patch_mask: np.ndarray,
-                  cfg: ModelConfig, rng: Optional[np.random.Generator] = None) -> Tensor:
+def encoder_layer(e: Tensor, layer: LayerParams, patch_mask: np.ndarray, cfg: ModelConfig,
+                  rng: Optional[np.random.Generator] = None) -> Tensor:
     """Post-norm block: LN(e + Drop(Attn(e))) then LN(. + Drop(FFN(.)));
-    dropout is on only with a generator ``rng``. ``w_qkv`` is the layer's
-    fused query/key/value weight (``qkv_weights``)."""
-    a = attention(e, w_qkv, layer.w_o, patch_mask, cfg.n_heads, cfg.attn_dropout, rng)
+    dropout is on only with a generator ``rng``."""
+    a = attention(e, layer.w_qkv, layer.w_o, patch_mask, cfg.n_heads, cfg.attn_dropout, rng)
     e1 = layer_norm(e, layer.ln1_gain, layer.ln1_bias, LAYER_NORM_EPS, a, cfg.dropout, rng)
     f = ffn(e1, layer, cfg.activation)
     return layer_norm(e1, layer.ln2_gain, layer.ln2_bias, LAYER_NORM_EPS, f, cfg.dropout, rng)
 
 
 def run_encoder(e: Tensor, backbone: Backbone, patch_mask: np.ndarray, cfg: ModelConfig,
-                rng: Optional[np.random.Generator] = None, w_qkv: Optional[list] = None) -> Tensor:
-    """The backbone's encoder layers over ``e``. ``w_qkv`` is
-    ``qkv_weights(backbone)``, built here when not given."""
-    if w_qkv is None:
-        w_qkv = qkv_weights(backbone)
-    for layer, w in zip(backbone.layers, w_qkv):
-        e = encoder_layer(e, layer, w, patch_mask, cfg, rng)
+                rng: Optional[np.random.Generator] = None) -> Tensor:
+    """The backbone's encoder layers over ``e``."""
+    for layer in backbone.layers:
+        e = encoder_layer(e, layer, patch_mask, cfg, rng)
     return e
 
 
 def encode_channel(values: np.ndarray, mask: np.ndarray, cfg: ModelConfig,
-                   backbone: Backbone, rng: Optional[np.random.Generator] = None,
-                   w_qkv: Optional[list] = None):
-    """Encode (B, L) channels to their (B, N, d) patch representations;
-    ``w_qkv`` as for ``run_encoder``. Returns (encoded, patch_mask)."""
+                   backbone: Backbone, rng: Optional[np.random.Generator] = None):
+    """Encode (B, L) channels to their (B, N, d) patch representations.
+    Returns (encoded, patch_mask)."""
     normalized, _, _ = instance_normalize(values, mask)
     patches, patch_mask = make_patches(normalized, mask, cfg.patch_len, cfg.stride)
     e = embed_patches(patches, backbone.w_patch, backbone.w_pos)
-    return run_encoder(e, backbone, patch_mask, cfg, rng, w_qkv), patch_mask
+    return run_encoder(e, backbone, patch_mask, cfg, rng), patch_mask
 
 
 def pool_channel(e: Tensor, patch_mask: np.ndarray) -> Tensor:
@@ -238,14 +223,10 @@ def fuse_channels(batch: dict, cfg: ModelConfig, params: ModelParams,
                   rngs=(None, None)) -> Tensor:
     """(B, 2d) pooled summaries of a stacked batch, FHR then TOCO, encoded
     on two threads by ``parallel_concat``; channel ``c`` draws its dropout
-    masks from ``rngs[c]``. Each backbone's fused Q/K/V weights are built
-    before the fork, so a shared backbone's channels read one copy."""
-    w_qkv = {id(bb): qkv_weights(bb) for bb in params.backbones}
-
+    masks from ``rngs[c]``."""
     def channel(c: int, vals: str, mask: str) -> Tensor:
-        backbone = params.backbone_for(c)
-        e, patch_mask = encode_channel(batch[vals], batch[mask], cfg, backbone, rngs[c],
-                                       w_qkv[id(backbone)])
+        e, patch_mask = encode_channel(batch[vals], batch[mask], cfg, params.backbone_for(c),
+                                       rngs[c])
         return pool_channel(e, patch_mask)
 
     return parallel_concat([partial(channel, 0, "fhr", "fhr_mask"),
@@ -273,8 +254,7 @@ def tape_bytes(cfg: ModelConfig) -> tuple:
     mask is held (backward draws each again), so the sizes do not depend
     on any dropout rate. Fixed: the ``TRAIN_DTYPE`` weights that the
     matmul and layer norm adjoints and the remakes read, one set per
-    backbone (each layer's fused
-    (d, 3d) Q/K/V weight from ``qkv_weights``, ``w_o``, the FFN weights,
+    backbone (each layer's (d, 3d) ``w_qkv``, ``w_o``, the FFN weights,
     the layer norm gains and every layer norm bias but the last layer's
     second, whose output only the pooling reads), and the head weight. The
     loss (``bce_with_logits``) and ``train_epoch``'s chunk weighting add

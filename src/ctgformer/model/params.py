@@ -14,9 +14,7 @@ from .config import ModelConfig
 
 @dataclass
 class LayerParams:
-    w_q: Tensor
-    w_k: Tensor
-    w_v: Tensor
+    w_qkv: Tensor     # (d, 3d) query, key and value projections side by side
     w_o: Tensor
     w_ffn1: Tensor
     b_ffn1: Tensor
@@ -56,7 +54,7 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
 
     def count(shape, fill):
         fills.append(fill)
-        return 0.0
+        return np.empty(shape)
 
     build_params(cfg, count)
     seeds = iter(np.random.SeedSequence(seed).generate_state(fills.count(None)).tolist())
@@ -67,38 +65,28 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
         bound = 1.0 / math.sqrt(shape[0])
         return np.random.default_rng(next(seeds)).uniform(-bound, bound, size=shape)
 
-    return join_qkv(build_params(cfg, make))
-
-
-def join_qkv(params: ModelParams) -> ModelParams:
-    """``params``, each layer's ``w_q``, ``w_k`` and ``w_v`` now the column
-    blocks of one (d, 3d) array, values unchanged. The forward pass's fused
-    Q/K/V weight (``net.qkv_weights``) is then that array, not a copy
-    (``numcore.concat``), for as long as the tensors keep their arrays:
-    ``init_params``, ``load_checkpoint`` and ``working_copy`` lay them out
-    so, and the optimizer and ``load_param_data`` write into them in
-    place."""
-    for layer in (layer for bb in params.backbones for layer in bb.layers):
-        qkv = (layer.w_q, layer.w_k, layer.w_v)
-        fused = np.concatenate([t.data for t in qkv], axis=1)
-        for t, block in zip(qkv, np.split(fused, 3, axis=1)):
-            t.data = block
-    return params
+    return build_params(cfg, make)
 
 
 def build_params(cfg: ModelConfig, make) -> ModelParams:
     """Every tensor ``cfg`` implies, in a fixed order, each a leaf holding
     ``make(shape, fill)``: ``fill`` is None for a weight matrix and the
-    starting value (0.0 or 1.0) of a bias, gain or the positional table."""
+    starting value (0.0 or 1.0) of a bias, gain or the positional table.
+    A layer's (d, 3d) ``w_qkv`` is three (d, d) weight matrices side by
+    side, each made by its own call."""
     d, dff = cfg.d_model, cfg.d_ff
 
     def leaf(shape, fill=None):
         return Tensor(make(shape, fill), requires_grad=True)
 
+    def qkv_leaf():
+        return Tensor(np.concatenate([make((d, d), None) for _ in range(3)], axis=1),
+                      requires_grad=True)
+
     def make_backbone():
         layers = [
             LayerParams(
-                w_q=leaf((d, d)), w_k=leaf((d, d)), w_v=leaf((d, d)), w_o=leaf((d, d)),
+                w_qkv=qkv_leaf(), w_o=leaf((d, d)),
                 w_ffn1=leaf((d, dff)), b_ffn1=leaf((dff,), 0.0),
                 w_ffn2=leaf((dff, d)), b_ffn2=leaf((d,), 0.0),
                 ln1_gain=leaf((d,), 1.0), ln1_bias=leaf((d,), 0.0),
@@ -141,9 +129,8 @@ def cast_params(params: ModelParams, dtype) -> ModelParams:
 def working_copy(params: ModelParams, dtype) -> ModelParams:
     """A copy of ``params`` in ``dtype`` whose tensors are leaves of their
     own: a tape that reads them gives them gradients in ``dtype``, and none
-    reach ``params``. The optimizer refreshes it after each step. Its
-    query, key and value weights are laid out by ``join_qkv``."""
-    return join_qkv(_map_params(params, lambda t: Tensor(t.data.astype(dtype), requires_grad=True)))
+    reach ``params``. The optimizer refreshes it after each step."""
+    return _map_params(params, lambda t: Tensor(t.data.astype(dtype), requires_grad=True))
 
 
 def named_tensors(params: ModelParams) -> dict:

@@ -190,31 +190,10 @@ def _split_adjoint(parts: Sequence[Tensor], axis: int):
     return bw
 
 
-def _joined(arrays: Sequence[np.ndarray], axis: int):
-    """The array whose consecutive blocks along ``axis`` are ``arrays``, in
-    order and covering it, or None."""
-    base = arrays[0].base
-    if not isinstance(base, np.ndarray) or base.ndim != arrays[0].ndim:
-        return None
-    axis %= base.ndim
-    at = base.__array_interface__["data"][0]
-    for a in arrays:
-        if (a.base is not base or a.strides != base.strides
-                or a.__array_interface__["data"][0] != at
-                or a.shape[:axis] + a.shape[axis + 1:] != base.shape[:axis] + base.shape[axis + 1:]):
-            return None
-        at += a.shape[axis] * base.strides[axis]
-    return base if sum(a.shape[axis] for a in arrays) == base.shape[axis] else None
-
-
 def concat(tensors: Sequence, axis: int = -1) -> Tensor:
-    """Join along ``axis``. Parts that are the consecutive blocks of one
-    array (``model.params.join_qkv`` lays out each layer's query, key and
-    value weights so) join without a copy: the output is that array."""
+    """Join along ``axis``."""
     ts = [as_tensor(t) for t in tensors]
-    out = _joined([t.data for t in ts], axis)
-    if out is None:
-        out = np.concatenate([t.data for t in ts], axis=axis)
+    out = np.concatenate([t.data for t in ts], axis=axis)
     return _record(tuple(ts), out, _split_adjoint(ts, axis))
 
 

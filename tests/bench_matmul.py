@@ -22,7 +22,7 @@ import pytest
 
 from ctgformer import numcore as nc
 from ctgformer.hpo import preset_configs
-from ctgformer.model import ModelConfig, init_params, qkv_weights, working_copy
+from ctgformer.model import ModelConfig, init_params, working_copy
 from ctgformer.model.net import TRAIN_DTYPE, encoder_layer, max_forward_chunk
 from ctgformer.numcore import Graph, Tensor, backward
 
@@ -94,8 +94,7 @@ def test_attention_forward_backward(benchmark, name):
 def encoder_layer_step(benchmark, cfg, b):
     """Time one ``encoder_layer`` forward plus backward of ``cfg`` on ``b``
     traces."""
-    backbone = working_copy(init_params(cfg, 0), TRAIN_DTYPE).backbones[0]
-    layer = backbone.layers[0]
+    layer = working_copy(init_params(cfg, 0), TRAIN_DTYPE).backbones[0].layers[0]
     rng = np.random.default_rng(0)
     e = Tensor(rng.normal(size=(b, cfg.n_patches, cfg.d_model)).astype(np.float32),
                requires_grad=True)
@@ -106,8 +105,7 @@ def encoder_layer_step(benchmark, cfg, b):
     def step():
         e.zero_grad()
         with Graph() as g:
-            out = encoder_layer(e, layer, qkv_weights(backbone)[0], patch_mask, cfg,
-                                np.random.default_rng(1))
+            out = encoder_layer(e, layer, patch_mask, cfg, np.random.default_rng(1))
             loss = nc.tsum(nc.mul(out, g_out))
         backward(loss, g)
         return e.grad

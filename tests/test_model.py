@@ -27,7 +27,6 @@ from ctgformer.model import (
     named_tensors,
     pool_channel,
     predict_scores,
-    qkv_weights,
     save_checkpoint,
     working_copy,
 )
@@ -110,13 +109,14 @@ def param_digest(params) -> str:
 
 class TestInitParams:
     @pytest.mark.parametrize("share,seed,digest", [
-        (True, 0, "298f0c3578612be10f51c087b0d4bf943108cb8ab75e64b007e296f810a0cde9"),
-        (True, 7, "6f85d083e6a2807344c4e38f677112069e3e2e7efd198c2a5a9933cf696345f7"),
-        (False, 0, "c6f973246d5b7586dafe5bb4df0f1414d139bf642018d7eaa2d91ea4b3b7a437"),
-        (False, 7, "6cbadd71e27efe01b6190a47a525c54b61e11eff8d73ac0ead389bbc217b40dd"),
+        (True, 0, "f2233846f62bd7b38feb1e28e3c46e349c83205da1580d4143fd972e129f333b"),
+        (True, 7, "480205eedd488394fd270c8563bb60c15bccc551ed6fa5d37327ffdc837b7551"),
+        (False, 0, "3f5bdd81bfbb1244b67dacfc2cc89ea7aa8edf85aa070ec94290a741c578b9fb"),
+        (False, 7, "c57b224a4347d4fbb46d6335360ddee9fa1f332b5445bc9759673d0c46f99fe3"),
     ])
     def test_bytes_are_pinned(self, share, seed, digest):
-        # every seeded run starts here, so these bytes must not move
+        # every seeded run starts here, so these bytes must not move; each
+        # w_qkv's three (d, d) blocks are drawn as three weight matrices
         assert param_digest(init_params(acceptance_config(share_backbone=share), seed)) == digest
 
     def test_deep_separate_backbones_have_a_seed_for_every_weight(self):
@@ -125,8 +125,8 @@ class TestInitParams:
         small = dict(d_model=8, n_heads=2, d_ff=8, share_backbone=False)
         deep = named_tensors(init_params(ModelConfig(n_layers=342, **small), 4))
         shallow = named_tensors(init_params(ModelConfig(n_layers=2, **small), 4))
-        assert len(deep) == 2 * (2 + 12 * 342) + 2
-        for name in ("backbone0.layer0.w_q", "backbone0.layer1.w_ffn2"):
+        assert len(deep) == 2 * (2 + 10 * 342) + 2
+        for name in ("backbone0.layer0.w_qkv", "backbone0.layer1.w_ffn2"):
             assert deep[name].data.tobytes() == shallow[name].data.tobytes()
 
     def test_fan_bound_zeros_and_ones(self):
@@ -270,45 +270,45 @@ class TestEmbed:
 
 class TestAttention:
     def layer(self, d, seed=0):
-        """A one-layer backbone's layer and its fused Q/K/V weight."""
+        """A one-layer backbone's layer."""
         cfg = ModelConfig(seq_len=32, patch_len=8, stride=8, n_layers=1,
                           n_heads=2, d_model=d, d_ff=16)
-        backbone = init_params(cfg, seed).backbones[0]
-        return backbone.layers[0], qkv_weights(backbone)[0]
+        return init_params(cfg, seed).backbones[0].layers[0]
 
     def test_single_patch_passthrough(self):
         rng = np.random.default_rng(1)
-        layer, w_qkv = self.layer(8)
+        layer = self.layer(8)
         e = Tensor(rng.normal(size=(1, 1, 8)))
-        out = attention(e, w_qkv, layer.w_o, np.array([[True]]), n_heads=2)
+        out = attention(e, layer.w_qkv, layer.w_o, np.array([[True]]), n_heads=2)
         # softmax over one key is 1, so output is V projected by W_O
-        v = e.data[0] @ layer.w_v.data
+        v = e.data[0] @ layer.w_qkv.data[:, 16:]
         assert np.allclose(out.data[0], v @ layer.w_o.data, atol=1e-12)
 
     def test_identical_keys_average_values(self):
         rng = np.random.default_rng(2)
-        layer, w_qkv = self.layer(8, seed=3)
+        layer = self.layer(8, seed=3)
         # identical embeddings give identical keys: attention averages values
         row = rng.normal(size=8)
         e = Tensor(np.tile(row, (1, 5, 1)))
-        out = attention(e, w_qkv, layer.w_o, np.ones((1, 5), dtype=bool), n_heads=2)
-        v_mean = (e.data[0] @ layer.w_v.data).mean(axis=0)
+        out = attention(e, layer.w_qkv, layer.w_o, np.ones((1, 5), dtype=bool), n_heads=2)
+        v_mean = (e.data[0] @ layer.w_qkv.data[:, 16:]).mean(axis=0)
         assert np.allclose(out.data[0], np.tile(v_mean @ layer.w_o.data, (5, 1)), atol=1e-12)
 
     def test_masked_equals_deleted(self):
         rng = np.random.default_rng(4)
-        layer, w_qkv = self.layer(8, seed=5)
+        layer = self.layer(8, seed=5)
         e_full = rng.normal(size=(6, 8))
         keep = np.array([True, True, False, True, False, True])
-        masked_out = attention(Tensor(e_full[None]), w_qkv, layer.w_o, keep[None], n_heads=2)
-        deleted_out = attention(Tensor(e_full[keep][None]), w_qkv, layer.w_o,
+        masked_out = attention(Tensor(e_full[None]), layer.w_qkv, layer.w_o, keep[None],
+                               n_heads=2)
+        deleted_out = attention(Tensor(e_full[keep][None]), layer.w_qkv, layer.w_o,
                                 np.ones((1, int(keep.sum())), dtype=bool), n_heads=2)
         assert np.allclose(masked_out.data[0, keep], deleted_out.data[0], atol=1e-10)
 
     def test_all_masked_rejected(self):
-        layer, w_qkv = self.layer(8)
+        layer = self.layer(8)
         with pytest.raises(ModelError, match="masked"):
-            attention(Tensor(np.zeros((1, 3, 8))), w_qkv, layer.w_o,
+            attention(Tensor(np.zeros((1, 3, 8))), layer.w_qkv, layer.w_o,
                       np.zeros((1, 3), dtype=bool), n_heads=2)
 
 
@@ -354,12 +354,11 @@ class TestEncoderLayer:
 
         params = init_params(TINY, 0)
         layer = params.backbones[0].layers[0]
-        for t in (layer.w_q, layer.w_k, layer.w_v, layer.w_o,
-                  layer.w_ffn1, layer.b_ffn1, layer.w_ffn2, layer.b_ffn2):
+        for t in (layer.w_qkv, layer.w_o, layer.w_ffn1, layer.b_ffn1, layer.w_ffn2,
+                  layer.b_ffn2):
             t.data = np.zeros_like(t.data)
         e = Tensor(np.random.default_rng(1).normal(size=(1, 4, 8)))
-        out = encoder_layer(e, layer, qkv_weights(params.backbones[0])[0],
-                            np.ones((1, 4), dtype=bool), TINY)
+        out = encoder_layer(e, layer, np.ones((1, 4), dtype=bool), TINY)
         ln = layer_norm(layer_norm(e, layer.ln1_gain, layer.ln1_bias, eps=1e-5),
                         layer.ln2_gain, layer.ln2_bias, eps=1e-5)
         assert np.allclose(out.data, ln.data, atol=1e-12)
@@ -367,10 +366,9 @@ class TestEncoderLayer:
     def test_deterministic_without_dropout(self):
         params = init_params(TINY, 2)
         layer = params.backbones[0].layers[0]
-        w_qkv = qkv_weights(params.backbones[0])[0]
         e = np.random.default_rng(3).normal(size=(1, 4, 8))
-        a = encoder_layer(Tensor(e), layer, w_qkv, np.ones((1, 4), dtype=bool), TINY)
-        b = encoder_layer(Tensor(e), layer, w_qkv, np.ones((1, 4), dtype=bool), TINY)
+        a = encoder_layer(Tensor(e), layer, np.ones((1, 4), dtype=bool), TINY)
+        b = encoder_layer(Tensor(e), layer, np.ones((1, 4), dtype=bool), TINY)
         assert np.array_equal(a.data, b.data)
 
     def test_gradient_matches_finite_differences(self):
@@ -378,11 +376,10 @@ class TestEncoderLayer:
         layer = params.backbones[0].layers[0]
         e = Tensor(np.random.default_rng(5).normal(size=(1, 3, 8)))
         mix = Tensor(np.random.default_rng(6).normal(size=(1, 3, 8)))
-        tensors = [layer.w_q, layer.w_o, layer.w_ffn1, layer.ln1_gain, layer.ln2_bias]
+        tensors = [layer.w_qkv, layer.w_o, layer.w_ffn1, layer.ln1_gain, layer.ln2_bias]
 
-        def f():   # the fused weight is built inside, so the checked tensors reach it
-            w_qkv = qkv_weights(params.backbones[0])[0]
-            out = encoder_layer(e, layer, w_qkv, np.array([[True, True, False]]), TINY)
+        def f():
+            out = encoder_layer(e, layer, np.array([[True, True, False]]), TINY)
             return tsum(out * mix)
 
         report = grad_check(f, tensors, eps=1e-5, tol=1e-4, max_coords_per_param=20)
@@ -686,17 +683,17 @@ def tape_nodes(nodes):
             yield from tape_nodes(tape._nodes)
 
 
-def test_training_forward_records_83_tape_nodes():
+def test_training_forward_records_77_tape_nodes():
     # per layer and channel the encoder records one Q/K/V product, one
     # attention op, the output product and two layer norms for its
-    # residual-dropout-norm steps; each layer's fused Q/K/V weight is one
-    # concat, recorded once for the shared backbone
+    # residual-dropout-norm steps; each of the 24 parameter tensors is
+    # cast to float32 once
     cfg = acceptance_config()
     batch = batch_dict(np.random.default_rng(3), b=2, seq_len=cfg.seq_len)
     with Graph() as g:
         forward_batch(batch, cfg, init_params(cfg, 1), training=True,
                       rng=np.random.default_rng(2))
-    assert len(g) == 83
+    assert len(g) == 77
 
 
 class TestMixedPrecision:
@@ -794,35 +791,6 @@ class TestTapeBytes:
             assert leaves.held_bytes() == cast.held_bytes() == per_trace * b + fixed, b
             assert len(leaves) == len(cast) - n_casts
             assert {t.key for t in leaves.leaves()} == {t.key for t in named_tensors(work).values()}
-
-    @pytest.mark.parametrize("made_by", ["init", "checkpoint", "snapshot", "working-copy"])
-    def test_fused_qkv_weight_is_the_parameters_own_array(self, made_by, tmp_path):
-        # w_q, w_k and w_v are the column blocks of one array, which the
-        # forward pass reads as its fused weight without a copy; in-place
-        # writes (a restored snapshot, the optimizer's refresh) reach it
-        cfg = acceptance_config()
-        params = init_params(cfg, 2)
-        if made_by == "checkpoint":
-            save_checkpoint(params, cfg, tmp_path / "m.ckpt")
-            params, _ = load_checkpoint(tmp_path / "m.ckpt")
-        elif made_by == "snapshot":
-            snap = clone_param_data(init_params(cfg, 3))
-            load_param_data(params, snap)
-        elif made_by == "working-copy":
-            master = named_tensors(params)
-            params = working_copy(params, TRAIN_DTYPE)
-            for t in master.values():
-                t.grad = np.ones_like(t.data)
-            Adam(master, lr=1e-2, working=named_tensors(params)).step()
-        for bb in params.backbones:
-            for layer, fused in zip(bb.layers, qkv_weights(bb)):
-                blocks = (layer.w_q, layer.w_k, layer.w_v)
-                assert all(t.data.base is fused.data for t in blocks)
-                assert np.array_equal(fused.data, np.concatenate([t.data for t in blocks], 1))
-        if made_by == "working-copy":
-            fused = qkv_weights(params.backbones[0])[1].data
-            assert np.array_equal(fused[:, :128],
-                                  master["backbone0.layer1.w_q"].data.astype(TRAIN_DTYPE))
 
     @pytest.mark.parametrize("cfg,chunk", [
         (acceptance_config(), 240),
@@ -935,7 +903,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("damage, message", [
-        ("version", "format version 2 unsupported"),
+        ("version", r"format version 1 unsupported \(expected 2\)"),
         ("short_header", "truncated header"),
         ("renamed_tensor", "manifest does not match the stored config"),
         ("reshaped_tensor", r"tensor head.b has shape \(2,\), config implies \(1,\)"),
@@ -954,7 +922,7 @@ class TestCheckpoint:
             header["tensors"][-1]["shape"] = [2]
 
         damaged = {
-            "version": lambda: blob[:4] + struct.pack("<I", 2) + blob[8:],
+            "version": lambda: blob[:4] + struct.pack("<I", 1) + blob[8:],
             "short_header": lambda: blob[:16 + n // 2],
             "renamed_tensor": lambda: self._edit_header(blob, rename),
             "reshaped_tensor": lambda: self._edit_header(blob, reshape),

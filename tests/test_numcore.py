@@ -726,18 +726,6 @@ class TestSkippedAdjoints:
 
 
 class TestConcat:
-    def test_consecutive_blocks_of_one_array_join_without_a_copy(self):
-        whole = np.random.default_rng(0).normal(size=(4, 6))
-        parts = [Tensor(b, requires_grad=True) for b in np.split(whole, 3, axis=1)]
-        g = np.random.default_rng(1).normal(size=(4, 6))
-        with Graph() as tape:
-            out = nc.concat(parts, axis=1)
-            loss = nc.tsum(nc.mul(out, g))
-        assert out.data is whole
-        backward(loss, tape)
-        for p, gp in zip(parts, np.split(g, 3, axis=1)):
-            assert np.array_equal(p.grad, gp)
-
     @pytest.mark.parametrize("pick", ["reordered", "partial", "other-axis", "separate"])
     def test_anything_else_is_copied(self, pick):
         whole = np.random.default_rng(0).normal(size=(4, 6))

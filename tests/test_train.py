@@ -222,11 +222,12 @@ class TestChunkedStep:
     # numpy's bundled OpenBLAS); taken when the fused attention op moved the
     # training bits, after the per-epoch losses of both fits had matched
     # those of the separate-op attention to 1e-8 relative, with equal
-    # validation AUCs
+    # validation AUCs. The checkpoint digests are of format v2 (one w_qkv
+    # per layer), taken from the same fits' three-matrix parameters
     @pytest.mark.parametrize("chunk,ckpt_sha,log_sha", [
-        (3, "2ec2bda12e2d1c82e2583d88dee4cf5ff45dd62d5665d48f2283f4282eca2d6f",
+        (3, "e5f50308f0c5d4a10aca07107270ee6827d9f8178c3ecd6a4e01413e28cc1b9d",
          "3cc8e94b16fdc23884976be35f96fef4561cc40f50b214866f5ec9fd197270b4"),
-        (2, "7ad2f745e81d46c68ead2d459f847f33bb816d19729d27ef222319008dc7e47b",
+        (2, "5b32abc2dad7dce0ce083cfecbef9424819959431dd329a287e4a3df3ea65d04",
          "7b168c7f89ecb27df90ee1c5f5e58041bc8c90785cc8e35fa5d7e83b0b498efa"),
     ])
     def test_multi_chunk_fit_bytes_are_pinned(self, small_sets, monkeypatch, tmp_path,
@@ -241,7 +242,7 @@ class TestChunkedStep:
         # numpy's bundled OpenBLAS)
         cfg = replace(self.CFG, n_layers=2)
         assert self.pinned_fit(cfg, 3, small_sets, monkeypatch, tmp_path) == (
-            "34c0b29424927e63ff18c4e172b70fe8ef6c5463d6dc5cd2e87db2eb8c054110",
+            "160ad73993504342e2252385838789102ec32747a426226b2357a0f6f5b955f6",
             "5eaab7189cd5ef4bb2317264b82a139e0175b9dca3884630cb9d0d7d2f1b4006")
 
     def test_chunk_gradients_sum_in_float64_in_chunk_order(self):
