@@ -281,7 +281,7 @@ class TestAttention:
         e = Tensor(rng.normal(size=(1, 1, 8)))
         out = attention(e, layer.w_qkv, layer.w_o, np.array([[True]]), n_heads=2)
         # softmax over one key is 1, so output is V projected by W_O
-        v = e.data[0] @ layer.w_qkv.data[:, 16:]
+        v = e.data[0] @ layer.w_qkv.data[:, 16:]   # w_qkv's value block
         assert np.allclose(out.data[0], v @ layer.w_o.data, atol=1e-12)
 
     def test_identical_keys_average_values(self):
