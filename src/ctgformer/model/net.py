@@ -22,10 +22,10 @@ float64 either way.
 
 Attention runs as one numcore op per layer and channel. One product by
 the layer's (d, 3d) ``w_qkv`` gives the (B, N, 3d) query, key and value
-projection, and ``numcore.attention`` takes it to
-the (B, N, d) context: the heads are strided views of the projection, and
-the scores are exponentiated without subtracting the row max unless a row
-sum leaves [2**-64, inf), when the op takes softmax's row-max path. Its
+projection, and ``numcore.attention`` takes it to the (B, N, d) context:
+the heads are strided views of the projection, and the scores are
+exponentiated without subtracting the row max unless a row sum leaves
+[2**-64, inf), when the op computes them again less each row's max. Its
 adjoint holds only the projection and the softmax weights: with attention
 dropout it draws the keep mask again from the generator state saved at the
 draw, and remakes the dropped-out weights from the mask and the weights.
@@ -274,13 +274,8 @@ def tape_bytes(cfg: ModelConfig) -> tuple:
 def max_forward_chunk(cfg: ModelConfig) -> int:
     """Largest trace count one training forward pass may carry: the most
     traces whose tape (``tape_bytes``) fits ``FORWARD_BUDGET_BYTES``, at
-    least 1. ``paper-best`` gets 25 traces (8.3 MiB a trace plus 27.0 MiB
-    of weight copies, 234.5 MiB in all), the acceptance config 240. The
-    budget, 240 MiB, keeps ``paper-best`` at 25 traces, as the budgets
-    before it did when a trace held 13.8 and then 10.6 MiB: 26 traces
-    would need 242.8 MiB, and a larger chunk raised peak memory and bought
-    no speed. Depends only on the config, so chunked runs stay
-    deterministic.
+    least 1: ``paper-best`` gets 25 traces, the acceptance config 240.
+    Depends only on the config, so chunked runs stay deterministic.
     """
     per_trace, fixed = tape_bytes(cfg)
     return max(1, (FORWARD_BUDGET_BYTES - fixed) // per_trace)
@@ -295,14 +290,11 @@ def predict_scores(traces, cfg: ModelConfig, params: ModelParams,
     ties would change an AUC.
 
     The channels are encoded ``min(batch_size, max_forward_chunk(cfg))``
-    traces at a time and the head runs once over all the summaries. The
-    head is a one-column product, and BLAS computes its rows in blocks: run
-    per chunk, a trace's logit would depend on its place in its chunk (with
-    OpenBLAS 0.3.31 a 25 + 7 split of 32 traces moved the last bits of
-    about one logit in twenty). So on one BLAS thread a score does not
-    depend on the step. On more, BLAS splits the rows of the layer norms'
-    row sums between threads at a row set by the chunk's size, and a trace
-    at a chunk's end can still move by an ulp.
+    traces at a time and the head runs once over all the summaries, so a
+    trace's logit does not depend on its place in a chunk, and on one BLAS
+    thread a score does not depend on the step. On more, BLAS splits the
+    rows of the layer norms' row sums between threads at a row set by the
+    chunk's size, and a trace at a chunk's end can still move by an ulp.
     """
     if not traces:
         return np.empty(0)

@@ -1,6 +1,6 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation."""
 
-from .tensor import Graph, Node, Tensor, as_tensor, backward
+from .tensor import Graph, Tensor, as_tensor, backward
 from .gradcheck import GradCheckReport, grad_check
 from .ops import (
     ACTIVATIONS,
@@ -9,7 +9,6 @@ from .ops import (
     astype,
     attention,
     bce_with_logits,
-    concat,
     dropout,
     elu,
     gelu,
@@ -19,16 +18,12 @@ from .ops import (
     parallel_concat,
     relu,
     reshape,
-    softmax,
-    transpose,
-    tsum,
 )
 
 __all__ = [
     "ACTIVATIONS",
     "Graph",
     "GradCheckReport",
-    "Node",
     "Tensor",
     "activation",
     "add",
@@ -37,7 +32,6 @@ __all__ = [
     "attention",
     "backward",
     "bce_with_logits",
-    "concat",
     "dropout",
     "elu",
     "gelu",
@@ -48,7 +42,4 @@ __all__ = [
     "parallel_concat",
     "relu",
     "reshape",
-    "softmax",
-    "transpose",
-    "tsum",
 ]

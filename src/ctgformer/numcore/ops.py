@@ -14,7 +14,6 @@ array alive that backward does not read. Where an operand carries a
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -22,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..errors import NumcoreError, ShapeError
-from .tensor import Graph, Node, Tensor, as_tensor, fork_join, _active_graph
+from .tensor import Graph, Tensor, as_tensor, fork_join, _active_graph
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -35,7 +34,7 @@ def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tens
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=requires and graph is not None)
     if graph is not None and requires:
-        graph.record(Node(inputs, out, backward_fn), inputs)
+        graph.record(inputs, out, backward_fn)
     return out
 
 
@@ -168,35 +167,6 @@ def reshape(a, shape) -> Tensor:
     return _record((a,), out, bw)
 
 
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    out = a.data.transpose(axes)
-
-    def bw(g):
-        return (g.transpose(inverse),)
-
-    return _record((a,), out, bw)
-
-
-def _split_adjoint(parts: Sequence[Tensor], axis: int):
-    """Adjoint of concatenating ``parts``: one slice of ``g`` per part."""
-    splits = list(itertools.accumulate(t.shape[axis] for t in parts))[:-1]
-
-    def bw(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return bw
-
-
-def concat(tensors: Sequence, axis: int = -1) -> Tensor:
-    """Join along ``axis``."""
-    ts = [as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in ts], axis=axis)
-    return _record(tuple(ts), out, _split_adjoint(ts, axis))
-
-
 def _on_tape(fn: Callable[[], Tensor]) -> tuple:
     with Graph() as tape:
         head = as_tensor(fn())
@@ -204,18 +174,19 @@ def _on_tape(fn: Callable[[], Tensor]) -> tuple:
 
 
 def parallel_concat(branches: Sequence[Callable[[], Tensor]], axis: int = -1) -> Tensor:
-    """``concat`` of the outputs of two zero-argument callables, run on two
-    threads by ``fork_join``: branch 0 on the calling thread, branch 1 on
-    numcore's worker thread.
+    """The outputs of two zero-argument callables joined along ``axis``,
+    the branches run on two threads by ``fork_join``: branch 0 on the
+    calling thread, branch 1 on numcore's worker thread.
 
     Inside a graph each branch records on its own sub-tape and the op records
-    one node holding both sub-tapes. Its backward splits the adjoint, walks
-    the two sub-tapes on two threads again and sums the adjoints of the
-    tensors the branches read (shared weights) in branch order, so a tensor
-    that each branch reads once gets the same bits as from ``concat`` of the
-    branches run in sequence. Its closure holds the branch outputs that seed
-    the walks until it runs. Outside a graph the branches only run
-    concurrently. Branches must not read each other's outputs.
+    one node holding both sub-tapes. Its backward splits the adjoint at the
+    first output's extent along ``axis``, walks the two sub-tapes on two
+    threads again and sums the adjoints of the tensors the branches read
+    (shared weights) in branch order, so a tensor that each branch reads
+    once gets the same bits as when the branches run in sequence on one
+    tape and a join op splits the adjoint. Its closure holds the branch
+    outputs that seed the walks until it runs. Outside a graph the branches
+    only run concurrently. Branches must not read each other's outputs.
     """
     if len(branches) != 2:
         raise NumcoreError(f"parallel_concat takes two branches, got {len(branches)}")
@@ -232,12 +203,12 @@ def parallel_concat(branches: Sequence[Callable[[], Tensor]], axis: int = -1) ->
                 reads.setdefault(t.key, t)
     if not reads:
         return out
-    keys, split = tuple(reads), _split_adjoint(heads, axis)
+    keys, split_at = tuple(reads), [heads[0].shape[axis]]
 
     def bw(g):
         nonlocal heads
         walks = [partial(tape.propagate, head, part)
-                 for tape, head, part in zip(tapes, heads, split(g))]
+                 for tape, head, part in zip(tapes, heads, np.split(g, split_at, axis=axis))]
         heads = ()
         found = fork_join(*walks)
         grads = []
@@ -252,21 +223,8 @@ def parallel_concat(branches: Sequence[Callable[[], Tensor]], axis: int = -1) ->
 
     out.requires_grad = True
     inputs = tuple(reads.values())
-    graph.record(Node(inputs, out, bw, tapes), inputs)
+    graph.record(inputs, out, bw, tapes)
     return out
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-    a_shape = a.shape
-
-    def bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a_shape).copy(),)
-
-    return _record((a,), out, bw)
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
@@ -305,34 +263,6 @@ def _exp_rows(s: np.ndarray, bias, shift: bool) -> np.ndarray:
     return _row_sum(s)
 
 
-def softmax(a, key_gone=None, scale: float = 1.0) -> Tensor:
-    """Softmax over the last axis of ``scale * a``; entries where the
-    boolean ``key_gone`` (broadcast to ``a``) is True get weight 0, as do
-    -inf entries of ``a``.
-
-    The mask is applied by adding a 0 / -inf bias of ``key_gone``'s shape,
-    which gives the bits of setting those entries to -inf for every finite
-    score. A non-finite score in a masked column (+inf or NaN) yields NaN
-    instead, which ``fit``'s non-finite-loss check then reports.
-
-    One output buffer: scale, add the bias, subtract the row max, exp in
-    place, divide by the row sum (a GEMV). The adjoint reads only the
-    output: ``scale * out * (g - sum(g * out))``.
-    """
-    a = as_tensor(a)
-    out = np.multiply(a.data, np.asarray(scale, dtype=a.data.dtype))
-    out /= _exp_rows(out, _mask_bias(key_gone, out.dtype), shift=True)
-
-    def bw(g):
-        gx = g - _row_dot(g, out)
-        gx *= out
-        if scale != 1.0:
-            gx *= np.asarray(scale, dtype=gx.dtype)
-        return (gx,)
-
-    return _record((a,), out, bw)
-
-
 _ROW_SUM_FLOOR = 2.0 ** -64   # attention's unshifted row sums below this take the row max
 
 
@@ -350,12 +280,17 @@ def attention(qkv, key_gone, n_heads: int, rate: float = 0.0,
     each cut into ``n_heads`` heads of dk = d / n_heads) to the (B, N, d)
     context, the heads side by side.
 
-    ``key_gone`` is None or a boolean (B, N): True where a key gets weight
-    0 in every query row. With a generator and a positive ``rate`` the
-    (B, n_heads, N, N) weights go through inverted dropout, with the mask
-    ``dropout`` would draw for them. The result is that of the chain
-    ``softmax(q @ k^T, key_gone, 1/sqrt(dk))``, ``dropout``, ``@ v`` to
-    float rounding.
+    Each head's weights are the softmax over the keys of
+    ``q @ k^T / sqrt(dk)``. ``key_gone`` is None or a boolean (B, N): True
+    where a key gets weight 0 in every query row. It is applied as a 0 /
+    -inf bias, which gives the bits of setting those scores to -inf for
+    every finite score; a +inf or NaN score in a masked column yields NaN
+    instead, which ``fit``'s non-finite-loss check then reports. A -inf
+    score gets weight exactly 0, so a row with one attended key gives it
+    weight exactly 1, and that row's scores get a zero gradient. With a generator and a
+    positive ``rate`` the (B, n_heads, N, N) weights go through inverted
+    dropout, with the mask ``dropout`` would draw for them, before they
+    weight the values.
 
     The heads are strided views of ``qkv``; the context and the adjoint's
     (B, N, 3d) gradient are written through strided views, so nothing is
@@ -364,8 +299,7 @@ def attention(qkv, key_gone, n_heads: int, rate: float = 0.0,
     sum is non-finite or below 2**-64 (a score beyond exp's range, such as
     one above 88.7 in float32; a row whose every score lies below about
     -44; a +inf or NaN score), the whole call computes the scores again and
-    takes ``softmax``'s row-max path, so a +inf or NaN score in a masked
-    column still yields NaN.
+    subtracts each row's max before the exponential.
 
     The adjoint reads ``qkv`` and the softmax weights. With dropout it
     draws the keep mask again (``_keep_mask``) and remakes the dropped-out

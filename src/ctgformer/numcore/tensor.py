@@ -193,11 +193,14 @@ class Graph:
         _local.graph = self._prev
         self._prev = None
 
-    def record(self, node: Node, inputs: Sequence[Tensor]) -> None:
-        """Append ``node``, whose inputs are the tensors ``inputs``; keep
-        those that require gradients and that no recorded node produced."""
+    def record(self, inputs: Sequence[Tensor], output: Tensor, backward_fn,
+               tapes: tuple = ()) -> None:
+        """Append the ``Node`` of an op from ``inputs`` to ``output``; keep
+        the inputs that require gradients and that no recorded node
+        produced."""
         if self._consumed:
             raise GraphError("graph already consumed by backward; run a new forward pass")
+        node = Node(inputs, output, backward_fn, tapes)
         for t in inputs:
             if t.requires_grad and t.key not in self._out_keys:
                 self._leaves.setdefault(t.key, t)

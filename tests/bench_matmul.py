@@ -26,6 +26,12 @@ from ctgformer.model import ModelConfig, init_params, working_copy
 from ctgformer.model.net import TRAIN_DTYPE, encoder_layer, max_forward_chunk
 from ctgformer.numcore import Graph, Tensor, backward
 
+
+def scalar_loss(t):
+    """The sum of ``t``'s entries as a (1, 1) tensor; its adjoint is exactly ones."""
+    return nc.matmul(nc.reshape(t, (1, t.size)), np.ones((t.size, 1)))
+
+
 WIDE = ModelConfig(**preset_configs("paper-best")[0])
 WIDE_CHUNK = max_forward_chunk(WIDE)
 
@@ -62,7 +68,7 @@ def test_matmul_forward_backward(benchmark, name):
         a.zero_grad()
         b.zero_grad()
         with Graph() as g:
-            loss = nc.tsum(nc.mul(nc.matmul(a, b), g_out))
+            loss = scalar_loss(nc.mul(nc.matmul(a, b), g_out))
         backward(loss, g)
         return b.grad
 
@@ -83,7 +89,7 @@ def test_attention_forward_backward(benchmark, name):
         qkv.zero_grad()
         with Graph() as g:
             ctx = nc.attention(qkv, key_gone, heads, WIDE.attn_dropout, np.random.default_rng(1))
-            loss = nc.tsum(nc.mul(ctx, g_out))
+            loss = scalar_loss(nc.mul(ctx, g_out))
         backward(loss, g)
         return qkv.grad
 
@@ -106,7 +112,7 @@ def encoder_layer_step(benchmark, cfg, b):
         e.zero_grad()
         with Graph() as g:
             out = encoder_layer(e, layer, patch_mask, cfg, np.random.default_rng(1))
-            loss = nc.tsum(nc.mul(out, g_out))
+            loss = scalar_loss(nc.mul(out, g_out))
         backward(loss, g)
         return e.grad
 

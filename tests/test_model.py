@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import struct
 import threading
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from ctgformer.errors import CheckpointError, ModelError
-from ctgformer.numcore import Graph, Tensor, backward, concat, grad_check, tsum
+from ctgformer.numcore import Graph, Tensor, as_tensor, backward, grad_check, matmul, reshape
+from ctgformer.numcore.ops import _record
 from ctgformer.numcore.tensor import _find_arrays
 from ctgformer.model import (
     ModelConfig,
@@ -35,6 +37,19 @@ from ctgformer.model.params import clone_param_data, load_param_data
 from ctgformer.hpo import preset_configs
 from ctgformer.train import Adam, bce_loss_batch
 from ctgformer.data import GenSpec, generate_cohort
+
+def scalar_loss(t):
+    """The sum of ``t``'s entries as a (1, 1) tensor; its adjoint is exactly ones."""
+    return matmul(reshape(t, (1, t.size)), np.ones((t.size, 1)))
+
+
+def concat(tensors, axis: int = -1) -> Tensor:
+    """Join along ``axis``; the adjoint is one slice of ``g`` per part."""
+    ts = [as_tensor(t) for t in tensors]
+    splits = list(itertools.accumulate(t.shape[axis] for t in ts))[:-1]
+    out = np.concatenate([t.data for t in ts], axis=axis)
+    return _record(tuple(ts), out, lambda g: tuple(np.split(g, splits, axis=axis)))
+
 
 TINY = ModelConfig(seq_len=32, patch_len=8, stride=8, n_layers=1, n_heads=2,
                    d_model=8, d_ff=16, dropout=0.0, fc_dropout=0.0, attn_dropout=0.0)
@@ -113,7 +128,7 @@ class TestInitParams:
         (True, 7, "480205eedd488394fd270c8563bb60c15bccc551ed6fa5d37327ffdc837b7551"),
         (False, 0, "3f5bdd81bfbb1244b67dacfc2cc89ea7aa8edf85aa070ec94290a741c578b9fb"),
         (False, 7, "c57b224a4347d4fbb46d6335360ddee9fa1f332b5445bc9759673d0c46f99fe3"),
-    ])
+    ], ids=["shared-seed0", "shared-seed7", "separate-seed0", "separate-seed7"])
     def test_bytes_are_pinned(self, share, seed, digest):
         # every seeded run starts here, so these bytes must not move; each
         # w_qkv's three (d, d) blocks are drawn as three weight matrices
@@ -380,7 +395,7 @@ class TestEncoderLayer:
 
         def f():
             out = encoder_layer(e, layer, np.array([[True, True, False]]), TINY)
-            return tsum(out * mix)
+            return scalar_loss(out * mix)
 
         report = grad_check(f, tensors, eps=1e-5, tol=1e-4, max_coords_per_param=20)
         assert report.passed, report.max_rel_err
@@ -558,7 +573,7 @@ class TestForward:
         with Graph() as g:
             probs = forward_batch(batch, TINY, params, training=True,
                                   rng=np.random.default_rng(0))
-            loss = tsum(probs)
+            loss = scalar_loss(probs)
         backward(loss, g)
         for name, t in named_tensors(params).items():
             assert t.grad is not None, name
@@ -586,7 +601,7 @@ class TestChannelBranches:
             params = init_params(cfg, 21)
             with Graph() as g:
                 logits = run(params)
-                loss = tsum(logits * logits)
+                loss = scalar_loss(logits * logits)
             backward(loss, g)
             return logits.data, {k: t.grad for k, t in named_tensors(params).items()}
 
@@ -625,8 +640,8 @@ class TestChannelBranches:
                     forward_batch(bad, TINY, params, training=True,
                                   rng=np.random.default_rng(0))
         with Graph() as g:
-            loss = tsum(forward_batch(good, TINY, params, training=True,
-                                      rng=np.random.default_rng(0)))
+            loss = scalar_loss(forward_batch(good, TINY, params, training=True,
+                                             rng=np.random.default_rng(0)))
         backward(loss, g)
         assert all(t.grad is not None for t in named_tensors(params).values())
 
@@ -639,8 +654,8 @@ class TestChannelBranches:
                 forward_batch(batch, TINY, params)
             else:
                 with Graph() as g:
-                    loss = tsum(forward_batch(batch, TINY, params, training=True,
-                                              rng=np.random.default_rng(k)))
+                    loss = scalar_loss(forward_batch(batch, TINY, params, training=True,
+                                                     rng=np.random.default_rng(k)))
                 backward(loss, g)
         assert threading.active_count() <= before + 1
 

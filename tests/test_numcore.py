@@ -1,4 +1,5 @@
 import ctypes
+import itertools
 import math
 import os
 import subprocess
@@ -16,11 +17,12 @@ import ctgformer
 from ctgformer.errors import GradCheckError, GraphError, NumcoreError, ShapeError
 from ctgformer import numcore as nc
 from ctgformer.numcore import Graph, Tensor, backward, grad_check
-from ctgformer.numcore.ops import _sigmoid
+from ctgformer.numcore.ops import _exp_rows, _mask_bias, _record, _row_dot, _sigmoid
 
 
 def scalar_loss(t):
-    return nc.tsum(t)
+    """The sum of ``t``'s entries as a (1, 1) tensor; its adjoint is exactly ones."""
+    return nc.matmul(nc.reshape(t, (1, t.size)), np.ones((t.size, 1)))
 
 
 def src_env() -> dict:
@@ -71,9 +73,9 @@ class TestMatmul:
             leaf = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
             make_a = lambda: leaf
         else:
-            # matmul sees a non-contiguous (2, 4, 5) view of a contiguous leaf
-            leaf = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
-            make_a = lambda: nc.transpose(leaf, (0, 2, 1))
+            # matmul sees a leaf over a non-contiguous (2, 4, 5) view
+            leaf = Tensor(rng.normal(size=(2, 5, 4)).transpose(0, 2, 1), requires_grad=True)
+            make_a = lambda: leaf
         b = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         a_data = make_a().data
         assert view == "4d" or not a_data.flags.c_contiguous
@@ -112,122 +114,65 @@ class TestMatmul:
         assert peak < 4 * a.data.nbytes, peak
 
 
-class TestSoftmax:
-    def test_symmetry(self):
-        out = nc.softmax(Tensor([0.0, 0.0]))
-        assert np.allclose(out.data, [0.5, 0.5])
+def softmax(a, key_gone=None, scale: float = 1.0) -> Tensor:
+    """Softmax over the last axis of ``scale * a``; entries where the
+    boolean ``key_gone`` (broadcast to ``a``) is True get weight 0, as do
+    -inf entries of ``a``. The adjoint reads only the output:
+    ``scale * out * (g - sum(g * out))``."""
+    a = nc.as_tensor(a)
+    out = np.multiply(a.data, np.asarray(scale, dtype=a.data.dtype))
+    out /= _exp_rows(out, _mask_bias(key_gone, out.dtype), shift=True)
 
-    def test_large_logit_stability(self):
-        out = nc.softmax(Tensor([1000.0, 0.0]))
-        assert np.all(np.isfinite(out.data))
-        assert out.data[0] > 1.0 - 1e-12
-        assert out.data[1] < 1e-12
+    def bw(g):
+        gx = g - _row_dot(g, out)
+        gx *= out
+        if scale != 1.0:
+            gx *= np.asarray(scale, dtype=gx.dtype)
+        return (gx,)
 
-    def test_hand_values(self):
-        out = nc.softmax(Tensor([1.0, 2.0, 3.0]))
-        assert np.allclose(out.data, [0.0900, 0.2447, 0.6652], atol=1e-4)
+    return _record((a,), out, bw)
 
-    def test_sums_to_one_and_shift_invariant(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            x = rng.normal(scale=3.0, size=(4, 7))
-            out = nc.softmax(Tensor(x))
-            assert np.all(np.abs(out.data.sum(axis=-1) - 1.0) <= 1e-12)
-            shifted = nc.softmax(Tensor(x + rng.normal()))
-            assert np.allclose(out.data, shifted.data, atol=1e-12)
 
-    def test_minus_inf_gets_zero_weight(self):
-        out = nc.softmax(Tensor([0.0, -np.inf, 1.0]))
-        assert out.data[1] == 0.0
-        assert np.isclose(out.data.sum(), 1.0)
+def transpose(a, axes) -> Tensor:
+    a = nc.as_tensor(a)
+    axes = tuple(axes)
+    inverse = tuple(np.argsort(axes))
+    out = a.data.transpose(axes)
 
-    def test_gone_keys_get_zero_weight_and_scale_applies(self):
-        x = np.array([[0.0, 5.0, 1.0], [2.0, -1.0, 0.5]])
-        gone = np.array([False, True, False])
-        out = nc.softmax(Tensor(x), gone, 0.5).data
-        assert np.all(out[:, 1] == 0.0)
-        kept = np.exp(0.5 * x[:, [0, 2]])
-        assert np.allclose(out[:, [0, 2]], kept / kept.sum(axis=1, keepdims=True), atol=1e-15)
+    def bw(g):
+        return (g.transpose(inverse),)
 
-    def test_mask_bias_gives_the_bits_of_filling_minus_inf(self):
-        rng = np.random.default_rng(13)
-        for dtype in (np.float32, np.float64):
-            a = rng.normal(scale=4.0, size=(6, 4, 9, 9)).astype(dtype)
-            a[rng.random(a.shape) < 0.1] = -np.inf
-            gone = rng.random((6, 1, 1, 9)) < 0.3
-            gone[0] = True            # a batch row with every key gone
-            with np.errstate(invalid="ignore"):   # -inf - -inf in the all-gone row
-                out = a * np.asarray(0.3, dtype=dtype)
-                np.copyto(out, -np.inf, where=gone)
-                out -= np.max(out, axis=-1, keepdims=True)
-                np.exp(out, out=out)
-                out /= (out.reshape(-1, 9) @ np.ones(9, dtype=dtype)).reshape(out.shape[:-1] + (1,))
-                got = nc.softmax(Tensor(a), gone, 0.3).data
-            assert got.dtype == dtype and got.tobytes() == out.tobytes()
+    return _record((a,), out, bw)
 
-    def test_key_gone_and_scale_gradients(self):
-        rng = np.random.default_rng(31)
-        x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
-        gone = np.array([[[True, False, True, False, True]],
-                         [[True, True, False, True, True]]])   # batch 1: one attended key
-        w = Tensor(rng.normal(size=(2, 3, 5)))
-        report = grad_check(lambda: scalar_loss(nc.mul(nc.softmax(x, gone, 0.7), w)),
-                            [x], eps=1e-6, tol=1e-6)
-        assert report.passed, report.max_rel_err
 
-    def test_single_attended_key_gets_weight_one_and_no_gradient(self):
-        x = Tensor(np.array([[3.0, -2.0, 0.5]]), requires_grad=True)
-        with Graph() as g:
-            out = nc.softmax(x, np.array([True, False, True]), 0.25)
-            loss = nc.tsum(nc.mul(out, Tensor([[1.0, 2.0, 3.0]])))
-        assert np.array_equal(out.data, [[0.0, 1.0, 0.0]])
-        backward(loss, g)
-        assert np.array_equal(x.grad, np.zeros((1, 3)))
-
-    def test_float32_matches_float64_reference_of_old_chain(self):
-        # attention-sized block at the model's score scale: the old chain was
-        # mul(scale), masked_fill(-inf), softmax, here in float64
-        rng = np.random.default_rng(12)
-        scale = 1.0 / np.sqrt(32)
-        s32 = rng.normal(size=(4, 4, 60, 60)).astype(np.float32)
-        gone = rng.random((4, 1, 1, 60)) < 0.3
-        g32 = rng.normal(size=s32.shape).astype(np.float32)
-        x = Tensor(s32, requires_grad=True)
-        with Graph() as g:
-            out = nc.softmax(x, gone, scale)
-            loss = nc.tsum(nc.mul(out, g32))
-        backward(loss, g)
-        a = np.where(gone, -np.inf, s32.astype(np.float64) * scale)
-        e = np.exp(a - a.max(axis=-1, keepdims=True))
-        ref = e / e.sum(axis=-1, keepdims=True)
-        g64 = g32.astype(np.float64)
-        gref = ref * (g64 - (g64 * ref).sum(axis=-1, keepdims=True)) * scale
-        assert out.data.dtype == np.float32 and x.grad.dtype == np.float32
-        assert np.abs(out.data - ref).max() <= 2e-8
-        assert np.linalg.norm(x.grad - gref) / np.linalg.norm(gref) <= 1e-7
-        # the float64 form of the fused op against the same reference
-        out64 = nc.softmax(Tensor(s32.astype(np.float64)), gone, scale).data
-        assert np.abs(out64 - ref).max() <= 2e-15
+def concat(tensors, axis: int = -1) -> Tensor:
+    """Join along ``axis``; the adjoint is one slice of ``g`` per part."""
+    ts = [nc.as_tensor(t) for t in tensors]
+    splits = list(itertools.accumulate(t.shape[axis] for t in ts))[:-1]
+    out = np.concatenate([t.data for t in ts], axis=axis)
+    return _record(tuple(ts), out, lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
 def attention_chain(e, w_q, w_k, w_v, key_gone, n_heads, rate=0.0, rng=None):
     """Multi-head attention as separate ops: three projections, heads by
-    reshape and transpose, ``softmax``, ``dropout`` and the weighted values."""
+    reshape and ``transpose``, ``softmax``, ``dropout`` and the weighted
+    values. ``softmax``, ``transpose`` and ``concat`` above are test-local
+    reference ops: this chain's, and ``parallel_concat``'s."""
     b, n, d = e.shape
 
     def heads(x):
-        return nc.transpose(nc.reshape(x, (b, n, n_heads, d // n_heads)), (0, 2, 1, 3))
+        return transpose(nc.reshape(x, (b, n, n_heads, d // n_heads)), (0, 2, 1, 3))
 
     q, k, v = heads(nc.matmul(e, w_q)), heads(nc.matmul(e, w_k)), heads(nc.matmul(e, w_v))
     gone = None if key_gone is None else key_gone[:, None, None, :]
-    weights = nc.softmax(nc.matmul(q, nc.transpose(k, (0, 1, 3, 2))), gone,
-                         1.0 / np.sqrt(d // n_heads))
+    weights = softmax(nc.matmul(q, transpose(k, (0, 1, 3, 2))), gone,
+                      1.0 / np.sqrt(d // n_heads))
     weights = nc.dropout(weights, rate, rng)
-    return nc.reshape(nc.transpose(nc.matmul(weights, v), (0, 2, 1, 3)), (b, n, d))
+    return nc.reshape(transpose(nc.matmul(weights, v), (0, 2, 1, 3)), (b, n, d))
 
 
 def attention_fused(e, w_q, w_k, w_v, key_gone, n_heads, rate=0.0, rng=None):
-    qkv = nc.matmul(e, nc.concat([w_q, w_k, w_v], axis=1))
+    qkv = nc.matmul(e, concat([w_q, w_k, w_v], axis=1))
     return nc.attention(qkv, key_gone, n_heads, rate, rng)
 
 
@@ -240,7 +185,7 @@ class TestAttention:
         ts = [Tensor(a, requires_grad=True) for a in arrays]
         with Graph() as tape:
             ctx = fn(*ts, key_gone, n_heads, rate, np.random.default_rng(4))
-            loss = nc.tsum(nc.mul(ctx, g))
+            loss = scalar_loss(nc.mul(ctx, g))
         backward(loss, tape)
         return [ctx.data] + [t.grad for t in ts]
 
@@ -273,6 +218,15 @@ class TestAttention:
                                                     np.random.default_rng(5)), w)),
             [qkv], eps=1e-6, tol=1e-6)
         assert report.passed, report.max_rel_err
+        # trace 1's one attended key gets weight exactly 1 and its scores no gradient
+        qkv.zero_grad()
+        with Graph() as g:
+            out = nc.attention(qkv, gone, 2, rate, np.random.default_rng(5))
+            loss = scalar_loss(nc.mul(out, w))
+        backward(loss, g)
+        assert np.array_equal(qkv.grad[1, :, :12], np.zeros((5, 12)))   # queries and keys
+        if rate == 0.0:
+            assert np.array_equal(out.data[1], np.broadcast_to(qkv.data[1, 2, 12:], (5, 6)))
 
     def test_gradients_without_a_mask(self):
         rng = np.random.default_rng(29)
@@ -339,6 +293,17 @@ class TestAttention:
         rng = np.random.default_rng(2)
         nc.attention(Tensor(rng.normal(size=(2, 6, 12), scale=5.0)), None, 2)
         assert row_max_calls == [False]
+        # a -inf score is in range too, and gets weight exactly 0: the bits of masking its key
+        qkv = rng.normal(size=(2, 6, 12))
+        qkv[0, :, 0] = np.abs(qkv[0, :, 0]) + 0.5   # head 0 queries: positive first entry
+        qkv[0, 3, 4] = -np.inf                       # key 3 of trace 0, head 0: -inf scores
+        gone = np.zeros((2, 6), dtype=bool)
+        gone[0, 3] = True
+        out = nc.attention(Tensor(qkv), None, 2).data
+        masked = nc.attention(Tensor(np.where(np.isinf(qkv), 0.0, qkv)), gone, 2).data
+        assert row_max_calls == [False, False, False]
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(out[0, :, 0:2], masked[0, :, 0:2])   # head 0 of trace 0
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_score_in_a_masked_column_gives_nan(self, bad):
@@ -349,8 +314,8 @@ class TestAttention:
         gone = np.array([[False, False, True, False], [False, True, False, False]])
         with np.errstate(invalid="ignore"):
             out = nc.attention(Tensor(qkv), gone, 2).data
-            chain = nc.softmax(Tensor(qkv[0:1, :, 0:2] @ qkv[0:1, :, 4:6].transpose(0, 2, 1)),
-                               gone[0:1, None, :], 1.0 / np.sqrt(2.0)).data
+            chain = softmax(Tensor(qkv[0:1, :, 0:2] @ qkv[0:1, :, 4:6].transpose(0, 2, 1)),
+                            gone[0:1, None, :], 1.0 / np.sqrt(2.0)).data
         assert np.all(np.isnan(chain))
         assert np.all(np.isnan(out[0, :, 0:2]))                # head 0 of trace 0
         assert np.all(np.isfinite(out[0, :, 2:])) and np.all(np.isfinite(out[1]))
@@ -425,8 +390,8 @@ class TestLayerNorm:
         branch = Tensor(np.ones((8, 8)), requires_grad=True)
         g, b = self.gb(8)
         with Graph() as tape:
-            loss = nc.tsum(nc.mul(nc.layer_norm(x, g, b, 1e-5, branch, 0.5,
-                                                np.random.default_rng(2)), x.data))
+            loss = scalar_loss(nc.mul(nc.layer_norm(x, g, b, 1e-5, branch, 0.5,
+                                                    np.random.default_rng(2)), x.data))
         backward(loss, tape)
         keep = nc.dropout(Tensor(np.ones((8, 8))), 0.5, np.random.default_rng(2)).data != 0.0
         assert 0 < keep.sum() < 64
@@ -448,7 +413,7 @@ class TestLayerNorm:
         ts = [Tensor(a, requires_grad=True) for a in (x32, gain32, bias32, br32)]
         with Graph() as tape:
             out = nc.layer_norm(*ts[:3], 1e-5, ts[3], 0.1, np.random.default_rng(4))
-            loss = nc.tsum(nc.mul(out, g32))
+            loss = scalar_loss(nc.mul(out, g32))
         backward(loss, tape)
         keep = nc.dropout(Tensor(np.ones(x32.shape)), 0.1, np.random.default_rng(4)).data != 0.0
         s = x32.astype(np.float64) + br32.astype(np.float64) * keep / 0.9
@@ -570,7 +535,7 @@ class TestDropout:
         x = Tensor(np.linspace(1.0, 2.0, 64, dtype=np.float32), requires_grad=True)
         with Graph() as g:
             out = nc.dropout(x, 0.25, np.random.default_rng(3))
-            loss = nc.tsum(out)
+            loss = scalar_loss(out)
         assert out.data.dtype == np.float32
         backward(loss, g)
         keep = out.data != 0.0
@@ -592,7 +557,7 @@ class TestPrecision:
         x = Tensor(np.arange(1.0, 7.0).reshape(2, 3), requires_grad=True)
         with Graph() as g:
             y = nc.astype(x, np.float32)
-            loss = nc.tsum(nc.mul(y, y))
+            loss = scalar_loss(nc.mul(y, y))
         assert y.data.dtype == np.float32 and loss.data.dtype == np.float32
         backward(loss, g)
         assert x.grad.dtype == np.float64
@@ -609,7 +574,7 @@ class TestPrecision:
         t = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         with Graph() as g:
             out = build(t)
-            loss = nc.tsum(out)
+            loss = scalar_loss(out)
         assert out.data.dtype == np.float32
         backward(loss, g)
         assert t.grad.dtype == np.float32
@@ -633,14 +598,14 @@ class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(4.0), requires_grad=True)
         with Graph() as g:
-            loss = nc.tsum(x)
+            loss = scalar_loss(x)
         backward(loss, g)
         assert np.array_equal(x.grad, np.ones(4))
 
     def test_elementwise_square(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Graph() as g:
-            loss = nc.tsum(nc.mul(x, x))
+            loss = scalar_loss(nc.mul(x, x))
         backward(loss, g)
         assert np.allclose(x.grad, [2.0, 4.0])
 
@@ -648,7 +613,7 @@ class TestBackward:
         x = Tensor([3.0], requires_grad=True)
         with Graph() as g:
             y = nc.add(x, x)  # dy/dx = 2
-            loss = nc.tsum(nc.mul(y, y))  # d/dx (2x)^2 = 8x = 24
+            loss = scalar_loss(nc.mul(y, y))  # d/dx (2x)^2 = 8x = 24
         backward(loss, g)
         assert np.allclose(x.grad, [24.0])
 
@@ -662,7 +627,7 @@ class TestBackward:
     def test_second_backward_rejected(self):
         x = Tensor([1.0], requires_grad=True)
         with Graph() as g:
-            loss = nc.tsum(x)
+            loss = scalar_loss(x)
         backward(loss, g)
         with pytest.raises(GraphError):
             backward(loss, g)
@@ -670,16 +635,16 @@ class TestBackward:
     def test_record_after_backward_rejected(self):
         x = Tensor([1.0], requires_grad=True)
         with Graph() as g:
-            loss = nc.tsum(x)
+            loss = scalar_loss(x)
             backward(loss, g)
             with pytest.raises(GraphError):
-                nc.tsum(x)
+                scalar_loss(x)
 
     def test_grad_accumulates_across_graphs(self):
         x = Tensor([1.0, 1.0], requires_grad=True)
         for _ in range(2):
             with Graph() as g:
-                loss = nc.tsum(x)
+                loss = scalar_loss(x)
             backward(loss, g)
         assert np.array_equal(x.grad, [2.0, 2.0])
 
@@ -693,8 +658,8 @@ class TestBackward:
         with Graph() as g:
             h = nc.parallel_concat([lambda: nc.relu(nc.mul(x, x)),   # 2 nodes
                                     lambda: nc.mul(x, -1.0)], axis=-1)   # 1 node
-            loss = nc.tsum(h)
-        assert len(g) == 2 + 1 + 1 + 1   # branches, the branch node, the sum
+            loss = scalar_loss(h)
+        assert len(g) == 2 + 1 + 1 + 2   # branches, the branch node, the sum's two
         backward(loss, g)
         assert len(g) == 0
 
@@ -725,22 +690,6 @@ class TestSkippedAdjoints:
         assert gc is None and np.array_equal(gx, np.full((2, 3), 0.5))
 
 
-class TestConcat:
-    @pytest.mark.parametrize("pick", ["reordered", "partial", "other-axis", "separate"])
-    def test_anything_else_is_copied(self, pick):
-        whole = np.random.default_rng(0).normal(size=(4, 6))
-        blocks = np.split(whole, 3, axis=1)
-        parts, axis = {
-            "reordered": ([blocks[1], blocks[0], blocks[2]], 1),
-            "partial": (blocks[:2], 1),
-            "other-axis": (blocks, 0),
-            "separate": ([b.copy() for b in blocks], 1),
-        }[pick]
-        out = nc.concat([Tensor(b) for b in parts], axis=axis).data
-        assert not np.shares_memory(out, whole)
-        assert np.array_equal(out, np.concatenate(parts, axis=axis))
-
-
 class TestLeanTape:
     """The tape holds only what adjoint rules read: tensors are named by key,
     not held, so an intermediate the caller drops dies during the forward."""
@@ -764,12 +713,12 @@ class TestLeanTape:
                 chain.append(nc.relu(chain[-1]))
                 chain.append(nc.matmul(chain[-1], w))
                 chain.append(nc.reshape(chain[-1], (8,)))
-                loss = nc.tsum(chain[-1])
+                loss = scalar_loss(chain[-1])
                 refs = [weakref.ref(t) for t in chain]
                 if drop:
                     del chain
             assert all((r() is None) == drop for r in refs)
-            assert len(g) == 7
+            assert len(g) == 6 + 2   # the chain, then the loss's reshape and product
             backward(loss, g)
             return [p.grad for p in (x, w, gain, bias)]
 
@@ -788,7 +737,7 @@ class TestLeanTape:
             y = nc.mul(x, x)
             z = nc.add(y, 1.0)
             p = nc.parallel_concat([branch, lambda: nc.mul(x, -1.0)], axis=-1)
-            loss = nc.add(nc.tsum(nc.mul(z, 3.0)), nc.tsum(p))
+            loss = nc.add(scalar_loss(nc.mul(z, 3.0)), scalar_loss(p))
         backward(loss, g)
         for t in (y, z, held[0], p, loss):   # held[0] is on a branch sub-tape
             assert t.grad is None
@@ -797,7 +746,7 @@ class TestLeanTape:
     def test_retain_intermediate_grads_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Graph() as g:
-            loss = nc.tsum(nc.mul(x, x))
+            loss = scalar_loss(nc.mul(x, x))
         with pytest.raises(GraphError, match="leaves only"):
             backward(loss, g, retain_intermediate_grads=True)
         assert x.grad is None
@@ -838,7 +787,7 @@ class TestLeanTape:
             for _ in range(40):
                 h = nc.layer_norm(nc.add(nc.matmul(nc.relu(h), w), nc.mul(h, 0.5)), gain, bias)
                 h = nc.reshape(nc.reshape(h, (16,)), (2, 8))
-            return nc.tsum(nc.mul(h, x))
+            return scalar_loss(nc.mul(h, x))
 
         report = grad_check(f, [x, w, gain, bias])
         assert report.passed, report.worst
@@ -886,8 +835,8 @@ class TestHeldBytes:
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
         with Graph() as g:
-            loss = nc.tsum(nc.parallel_concat([lambda: nc.relu(nc.matmul(x, w)),
-                                               lambda: nc.matmul(x, w)]))
+            loss = scalar_loss(nc.parallel_concat([lambda: nc.relu(nc.matmul(x, w)),
+                                                   lambda: nc.matmul(x, w)]))
         assert g.held_bytes() > 0
         backward(loss, g)
         assert g.held_bytes() == 0
@@ -1022,7 +971,7 @@ class TestRemake:
         with Graph() as tape:
             h = nc.layer_norm(nc.dropout(x, 0.3, gen), gain, bias, 1e-5, branch, 0.2, gen)
             qkv = nc.matmul(h, w_qkv)
-            loss = nc.tsum(nc.mul(nc.attention(qkv, None, 2, 0.25, gen), 0.5))
+            loss = scalar_loss(nc.mul(nc.attention(qkv, None, 2, 0.25, gen), 0.5))
         return tape, loss, (x, branch, qkv)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1077,7 +1026,7 @@ class TestParallelConcat:
         x0, x1, w, c, head = ts = self.leaves(seed)
         with Graph() as g:
             h = join([two_layer_branch(x0, w, c), two_layer_branch(x1, w, c)])
-            loss = nc.tsum(nc.matmul(h, head))
+            loss = scalar_loss(nc.matmul(h, head))
         backward(loss, g)
         return h.data, loss.data, [t.grad for t in ts]
 
@@ -1085,7 +1034,7 @@ class TestParallelConcat:
         for seed in range(5):
             h_par, loss_par, par = self.grads(nc.parallel_concat, seed)
             h_seq, loss_seq, seq = self.grads(
-                lambda branches: nc.concat([b() for b in branches], axis=-1), seed)
+                lambda branches: concat([b() for b in branches], axis=-1), seed)
             assert np.array_equal(h_par, h_seq) and np.array_equal(loss_par, loss_seq)
             x0, x1, w, _, head = range(5)
             for i in (x0, x1, w, head):        # at most two contributions: same bits
@@ -1098,7 +1047,7 @@ class TestParallelConcat:
 
         def f():
             h = nc.parallel_concat([two_layer_branch(x0, w, c), two_layer_branch(x1, w, c)])
-            return nc.tsum(nc.matmul(h, head))
+            return scalar_loss(nc.matmul(h, head))
 
         report = grad_check(f, list(ts), eps=1e-6, tol=1e-6)
         assert report.passed, report.max_rel_err
@@ -1114,7 +1063,7 @@ class TestParallelConcat:
             return run
 
         with Graph() as g:
-            loss = nc.tsum(nc.parallel_concat([branch(0), branch(1)], axis=-1))
+            loss = scalar_loss(nc.parallel_concat([branch(0), branch(1)], axis=-1))
         backward(loss, g)
         assert inner[0].grad is None and inner[1].grad is None
         assert np.array_equal(x.grad, [[5.0, 0.0, 5.0]])
@@ -1122,7 +1071,7 @@ class TestParallelConcat:
     def test_branch_returning_a_leaf(self):
         x = Tensor(np.ones((1, 2)), requires_grad=True)
         with Graph() as g:
-            loss = nc.tsum(nc.parallel_concat([lambda: x, lambda: nc.mul(x, 3.0)]))
+            loss = scalar_loss(nc.parallel_concat([lambda: x, lambda: nc.mul(x, 3.0)]))
         backward(loss, g)
         assert np.array_equal(x.grad, [[4.0, 4.0]])
 
@@ -1171,7 +1120,7 @@ class TestParallelConcat:
         def run():
             with Graph() as g:
                 h = nc.parallel_concat([inner, inner])   # nested in both branches
-                loss = nc.tsum(h)
+                loss = scalar_loss(h)
             result["len"] = len(g)
             backward(loss, g)
             result["grad"] = x.grad
@@ -1180,7 +1129,7 @@ class TestParallelConcat:
         t.start()
         t.join(timeout=30)
         assert not t.is_alive(), "nested parallel_concat deadlocked"
-        assert result["len"] == 2 * (2 + 1) + 1 + 1
+        assert result["len"] == 2 * (2 + 1) + 1 + 2   # the loss is two nodes
         assert np.array_equal(result["grad"], [[10.0, 10.0, 10.0]])
 
     def test_worker_thread_starts_on_first_use(self):
@@ -1227,7 +1176,7 @@ class TestGradCheck:
         rng = np.random.default_rng(1)
         # inputs bounded away from zero keep every gradient coordinate O(1)
         x = Tensor(rng.uniform(0.5, 1.5, size=16), requires_grad=True)
-        report = grad_check(lambda: nc.tsum(nc.mul(x, x)), [x], eps=1e-5, tol=1e-7)
+        report = grad_check(lambda: scalar_loss(nc.mul(x, x)), [x], eps=1e-5, tol=1e-7)
         assert report.passed, report.max_rel_err
 
     def test_softmax_matmul_chain(self):
@@ -1236,8 +1185,8 @@ class TestGradCheck:
         v = Tensor(rng.normal(size=(1, 5)))
 
         def f():
-            h = nc.softmax(nc.matmul(v, w))
-            return nc.tsum(nc.mul(h, h))
+            h = softmax(nc.matmul(v, w))
+            return scalar_loss(nc.mul(h, h))
 
         report = grad_check(f, [w], eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
@@ -1249,7 +1198,7 @@ class TestGradCheck:
 
         def f():
             counter["n"] += 1
-            return nc.tsum(nc.dropout(x, 0.5, np.random.default_rng(counter["n"])))
+            return scalar_loss(nc.dropout(x, 0.5, np.random.default_rng(counter["n"])))
 
         with pytest.raises(GradCheckError, match="nondeterministic"):
             grad_check(f, [x])
@@ -1269,22 +1218,20 @@ class TestGradCheck:
         data = np.linspace(0.5, 1.5, 4)
         if where == "param":
             x = Tensor(data.astype(np.float32), requires_grad=True)
-            f = lambda: nc.tsum(nc.mul(x, x))  # noqa: E731
+            f = lambda: scalar_loss(nc.mul(x, x))  # noqa: E731
         else:
             x = Tensor(data, requires_grad=True)
-            f = lambda: nc.tsum(nc.mul(nc.astype(x, np.float32), x.data.astype(np.float32)))  # noqa: E731
+            f = lambda: scalar_loss(nc.mul(nc.astype(x, np.float32), x.data.astype(np.float32)))  # noqa: E731
         with pytest.raises(GradCheckError, match="float64"):
             grad_check(f, [x])
 
     def test_bad_eps_rejected(self):
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(GradCheckError):
-            grad_check(lambda: nc.tsum(x), [x], eps=0.0)
+            grad_check(lambda: scalar_loss(x), [x], eps=0.0)
 
 
-@pytest.mark.parametrize("op_name", ["add", "mul", "softmax",
-                                     "reshape", "transpose", "concat",
-                                     "bce_with_logits"])
+@pytest.mark.parametrize("op_name", ["add", "mul", "reshape", "bce_with_logits"])
 def test_every_op_matches_finite_differences(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))   # same inputs every run
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -1298,17 +1245,14 @@ def test_every_op_matches_finite_differences(op_name):
     builders = {
         "add": lambda: nc.add(a, b),
         "mul": lambda: nc.mul(a, b),
-        "softmax": lambda: nc.softmax(a),
         "reshape": lambda: nc.reshape(a, (4, 3)),
-        "transpose": lambda: nc.transpose(a, (1, 0)),
-        "concat": lambda: nc.concat([a, b], axis=1),
         "bce_with_logits": lambda: nc.bce_with_logits(nc.mul(a, logit_scale), labels),
     }
 
     def f():
         out = builders[op_name]()
         flat = nc.reshape(out, (1, out.size))
-        return nc.tsum(nc.mul(flat, Tensor(np.resize(w.data, (1, out.size)))))
+        return scalar_loss(nc.mul(flat, Tensor(np.resize(w.data, (1, out.size)))))
 
     report = grad_check(f, [a, b], eps=1e-6, tol=1e-4)
     assert report.passed, (op_name, report.max_rel_err)
@@ -1318,7 +1262,7 @@ def test_forward_values_finite_on_finite_inputs():
     rng = np.random.default_rng(21)
     x = rng.normal(scale=50.0, size=(4, 8))
     checks = [
-        nc.softmax(Tensor(x)),
+        nc.attention(Tensor(x[None, :, :6]), None, 1),   # scores reach about 4,300
         nc.layer_norm(Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8))),
         nc.gelu(Tensor(x)),
         Tensor(_sigmoid(x)),

@@ -229,7 +229,7 @@ class TestChunkedStep:
          "3cc8e94b16fdc23884976be35f96fef4561cc40f50b214866f5ec9fd197270b4"),
         (2, "5b32abc2dad7dce0ce083cfecbef9424819959431dd329a287e4a3df3ea65d04",
          "7b168c7f89ecb27df90ee1c5f5e58041bc8c90785cc8e35fa5d7e83b0b498efa"),
-    ])
+    ], ids=["chunk3", "chunk2"])
     def test_multi_chunk_fit_bytes_are_pinned(self, small_sets, monkeypatch, tmp_path,
                                               chunk, ckpt_sha, log_sha):
         assert self.pinned_fit(self.CFG, chunk, small_sets, monkeypatch, tmp_path) == (
