@@ -287,10 +287,10 @@ def attention(qkv, key_gone, n_heads: int, rate: float = 0.0,
     every finite score; a +inf or NaN score in a masked column yields NaN
     instead, which ``fit``'s non-finite-loss check then reports. A -inf
     score gets weight exactly 0, so a row with one attended key gives it
-    weight exactly 1, and that row's scores get a zero gradient. With a generator and a
-    positive ``rate`` the (B, n_heads, N, N) weights go through inverted
-    dropout, with the mask ``dropout`` would draw for them, before they
-    weight the values.
+    weight exactly 1, and that row's scores get a zero gradient. With a
+    generator and a positive ``rate`` the (B, n_heads, N, N) weights go
+    through inverted dropout, with the mask ``dropout`` would draw for
+    them, before they weight the values.
 
     The heads are strided views of ``qkv``; the context and the adjoint's
     (B, N, 3d) gradient are written through strided views, so nothing is

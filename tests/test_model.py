@@ -38,6 +38,7 @@ from ctgformer.hpo import preset_configs
 from ctgformer.train import Adam, bce_loss_batch
 from ctgformer.data import GenSpec, generate_cohort
 
+
 def scalar_loss(t):
     """The sum of ``t``'s entries as a (1, 1) tensor; its adjoint is exactly ones."""
     return matmul(reshape(t, (1, t.size)), np.ones((t.size, 1)))
