@@ -11,9 +11,11 @@ log and is excluded from determinism comparisons.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,9 +38,11 @@ from .model import (
 from .model.config import check_field_types
 from .model.net import TRAIN_DTYPE, max_forward_chunk
 from .numcore import Graph, Tensor, backward, bce_with_logits
+from .numcore.tensor import fork_join
 
 PROB_CLAMP = 1e-12
 IMPROVE_DELTA = 1e-6   # val AUC must beat the best by this to reset patience
+ADAM_BLOCK = 1 << 15   # elements per block of an Adam step (see ``Adam``)
 
 
 @dataclass
@@ -126,7 +130,10 @@ class BatchGrads:
     own dtype (float32 from ``fit``'s working copy); from its second on, it
     is carried as one float64 sum, ``f64(g1) + f64(g2)``, then ``+= g3`` and
     so on in chunk order. So a batch carries at most one float64 array per
-    tensor, however many chunks it has."""
+    tensor, however many chunks it has. ``add`` splits a chunk's tensors
+    in two halves by element count and adds them on two threads
+    (``fork_join``); a tensor's additions all happen on one thread, in
+    chunk order, so the sums do not depend on the split."""
 
     def __init__(self):
         self.grads = {}
@@ -135,7 +142,11 @@ class BatchGrads:
     def add(self, grads: dict) -> None:
         """Adds one chunk's gradients (see ``take_grads``), taking each out
         of ``grads`` as it goes."""
-        for name in list(grads):
+        sizes = {name: 0 if g is None else g.size for name, g in grads.items()}
+        fork_join(*(partial(self._add, grads, half) for half in halves(sizes)))
+
+    def _add(self, grads: dict, names) -> None:
+        for name in names:
             g = grads.pop(name)
             acc = self.grads.get(name)
             if g is None:
@@ -149,19 +160,47 @@ class BatchGrads:
                 self._summed.add(name)
 
 
+def halves(sizes: dict) -> tuple:
+    """The names of ``sizes`` (name -> element count) cut in two, in order,
+    where the two parts' element counts come closest to equal."""
+    names = list(sizes)
+    before = [0, *itertools.accumulate(sizes.values())]
+    cut = min(range(len(before)), key=lambda k: abs(2 * before[k] - before[-1]))
+    return names[:cut], names[cut:]
+
+
+def _blocks(arrays: list):
+    """Matching ``ADAM_BLOCK``-element pieces of same-shape arrays, as flat
+    views in C order; the arrays whole when one of them is not C-contiguous."""
+    if not all(a.flags.c_contiguous for a in arrays):
+        yield arrays
+        return
+    flat = [a.reshape(-1) for a in arrays]
+    for lo in range(0, flat[0].size, ADAM_BLOCK):
+        yield [a[lo:lo + ADAM_BLOCK] for a in flat]
+
+
 class Adam:
     """Adaptive-moment optimizer (beta1=0.9, beta2=0.999, eps=1e-8) over the
     float64 tensors ``named``. ``working``, if given, maps the same names to
     a ``TRAIN_DTYPE`` copy of them (``model.working_copy``), which each
-    step refreshes in place."""
+    step refreshes in place.
+
+    A step runs on two threads (``fork_join``), each over one of
+    ``halves``: ``named`` cut in two in order, by element count. It walks
+    each tensor in ``ADAM_BLOCK``-element blocks, so a block's gradient,
+    moments, parameters and copy stay in cache through its operations;
+    every operation is elementwise, so the bytes are those of one pass over
+    whole tensors."""
 
     def __init__(self, named: dict, lr: float, working: Optional[dict] = None):
         self.named = named
         self.lr = lr
         self.t = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in named.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in named.items()}
+        self.m = {name: np.zeros(t.shape) for name, t in named.items()}
+        self.v = {name: np.zeros(t.shape) for name, t in named.items()}
         self.working = working
+        self.halves = halves({name: t.size for name, t in named.items()})
 
     def step(self, grads: Optional[dict] = None, at: str = "") -> None:
         """One update from ``grads``, a name -> gradient dict in any float
@@ -174,32 +213,48 @@ class Adam:
         before any tensor or moment changes."""
         if grads is None:
             grads = take_grads(self.named)
-        for name in self.named:
-            g = grads.get(name)
-            if g is not None and not np.isfinite(g).all():
-                raise TrainError(f"non-finite gradient in {name} at {at or f'step {self.t + 1}'}")
+        found = fork_join(*(partial(_first_non_finite, grads, half) for half in self.halves))
+        bad = found[0] or found[1]
+        if bad:
+            raise TrainError(f"non-finite gradient in {bad} at {at or f'step {self.t + 1}'}")
         self.t += 1
+        fork_join(*(partial(self._update, grads, half) for half in self.halves))
+
+    def _update(self, grads: dict, names) -> None:
         b1, b2, eps = 0.9, 0.999, 1e-8
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for name, t in self.named.items():
+        for name in names:
             g = grads.get(name)
             if g is None:
                 continue
-            g = g.astype(np.float64, copy=False)
-            # in place, with the IEEE operations of
-            # m = b1*m + (1-b1)*g; data -= lr*(m/bias1) / (sqrt(v/bias2) + eps)
-            m, v = self.m[name], self.v[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * (g * g)
-            update = m / bias1
-            update *= self.lr
-            update /= np.sqrt(v / bias2) + eps
-            t.data -= update
+            arrays = [self.named[name].data, self.m[name], self.v[name], g]
             if self.working is not None:
-                np.copyto(self.working[name].data, t.data, casting="same_kind")
+                arrays.append(self.working[name].data)
+            for data, m, v, g, *copy in _blocks(arrays):
+                g = g.astype(np.float64, copy=False)
+                a, b = np.empty_like(m), np.empty_like(m)
+                # in place, with the IEEE operations of m = b1*m + (1-b1)*g;
+                # v = b2*v + (1-b2)*(g*g); data -= lr*(m/bias1) / (sqrt(v/bias2) + eps)
+                m *= b1
+                m += np.multiply(g, 1 - b1, out=a)
+                v *= b2
+                v += np.multiply(np.multiply(g, g, out=a), 1 - b2, out=a)
+                np.sqrt(np.divide(v, bias2, out=a), out=a)
+                a += eps
+                np.divide(m, bias1, out=b)
+                b *= self.lr
+                data -= np.divide(b, a, out=b)
+                if copy:
+                    np.copyto(copy[0], data, casting="same_kind")
+
+
+def _first_non_finite(grads: dict, names) -> Optional[str]:
+    for name in names:
+        g = grads.get(name)
+        if g is not None and not np.isfinite(g).all():
+            return name
+    return None
 
 
 def predictions_for(traces: Sequence, cfg: ModelConfig, params: ModelParams) -> list:

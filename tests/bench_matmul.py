@@ -7,7 +7,10 @@ layer norm's output, the attention context and the dropped-out attention
 weights and draws every dropout mask again, and its twin with dropout
 off, which draws no mask: the difference is what the masks cost. The
 last three run at the acceptance config's 48-trace batch and at
-``paper-best``'s one forward chunk.
+``paper-best``'s one forward chunk. Last, ``paper-best``'s optimizer step:
+``Adam.step`` on the float64 parameters and their float32 working copy,
+from the sum of two float32 chunk gradients that ``BatchGrads`` carries,
+alone and together with the ``BatchGrads`` additions.
 
 Not part of the test suite (the file name does not match ``test_*.py``).
 Run it by naming the file:
@@ -22,9 +25,10 @@ import pytest
 
 from ctgformer import numcore as nc
 from ctgformer.hpo import preset_configs
-from ctgformer.model import ModelConfig, init_params, working_copy
+from ctgformer.model import ModelConfig, init_params, named_tensors, working_copy
 from ctgformer.model.net import TRAIN_DTYPE, encoder_layer, max_forward_chunk
 from ctgformer.numcore import Graph, Tensor, backward
+from ctgformer.train import Adam, BatchGrads
 
 
 def scalar_loss(t):
@@ -129,3 +133,23 @@ def test_encoder_layer_forward_backward(benchmark, name):
 def test_encoder_layer_forward_backward_without_dropout(benchmark, name):
     cfg, b = LAYERS[name]
     encoder_layer_step(benchmark, replace(cfg, dropout=0.0, attn_dropout=0.0), b)
+
+
+@pytest.mark.parametrize("with_batch_grads", [False, True], ids=["adam", "batch-grads-and-adam"])
+def test_adam_step(benchmark, with_batch_grads):
+    params = init_params(WIDE, 0)
+    named = named_tensors(params)
+    opt = Adam(named, lr=1e-4, working=named_tensors(working_copy(params, TRAIN_DTYPE)))
+    rng = np.random.default_rng(0)
+    chunks = [{k: rng.normal(size=t.shape).astype(np.float32) for k, t in named.items()}
+              for _ in range(2)]
+
+    def batch_grads():
+        grads = BatchGrads()
+        for c in chunks:
+            grads.add(dict(c))
+        return grads.grads
+
+    grads = batch_grads()
+    benchmark(lambda: opt.step(batch_grads() if with_batch_grads else grads))
+    assert opt.t > 0 and all(np.isfinite(t.data).all() for t in named.values())

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from ctgformer.model.net import TRAIN_DTYPE
 from ctgformer.model.params import clone_param_data, load_param_data
 import ctgformer.train as train_module
 from ctgformer.train import (
+    ADAM_BLOCK,
     Adam,
     BatchGrads,
     TrainConfig,
@@ -34,6 +36,7 @@ from ctgformer.train import (
     write_train_log,
 )
 from ctgformer.numcore import Graph, Tensor, backward
+from ctgformer.numcore.tensor import fork_join
 
 SMALL_CFG = ModelConfig(seq_len=960, patch_len=32, stride=32, n_layers=1, n_heads=2,
                         d_model=16, d_ff=16, dropout=0.0, fc_dropout=0.0, attn_dropout=0.0)
@@ -270,10 +273,56 @@ class TestChunkedStep:
             assert all(c[k].tobytes() == b[k].tobytes() for k in b)
         assert grads["other"] is chunks[0][shared] and grads[shared].dtype == np.float64
 
+    def test_step_bytes_depend_on_neither_thread_nor_gradient_dtype(self):
+        # one tensor of 2.5 blocks and a ragged tail between two small ones;
+        # the same steps from the main thread (on both threads), inside a
+        # branch (where fork_join runs both halves inline), and from the
+        # float64 casts of the float32 gradients
+        shapes = {"w": (4, 6), "big": (5 * ADAM_BLOCK // 2 + 7,), "b": (5,)}
+
+        def adam():
+            rng = np.random.default_rng(3)
+            named = {k: Tensor(rng.normal(size=s)) for k, s in shapes.items()}
+            copy = {k: Tensor(t.data.astype(TRAIN_DTYPE)) for k, t in named.items()}
+            return Adam(named, lr=1e-3, working=copy)
+
+        rng = np.random.default_rng(4)
+        steps = [{k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+                 for _ in range(3)]
+        main, branch, cast = adam(), adam(), adam()
+        assert all(main.halves)
+        for g in steps:
+            main.step(dict(g))
+            fork_join(lambda: branch.step(dict(g)), lambda: None)
+            cast.step({k: a.astype(np.float64) for k, a in g.items()})
+        assert self.state(main) == self.state(branch) == self.state(cast)
+
+    def test_batch_grads_keep_every_sum_under_fast_thread_switching(self):
+        # add's two threads pop from one chunk dict and write one gradient
+        # dict; switching threads every microsecond loses no tensor and no
+        # addition
+        rng = np.random.default_rng(6)
+        chunks = [{f"t{i}": rng.normal(size=3).astype(np.float32) for i in range(2000)}
+                  for _ in range(3)]
+        given = [dict(c) for c in chunks]
+        grads, interval = BatchGrads(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for c in given:
+                grads.add(c)
+        finally:
+            sys.setswitchinterval(interval)
+        assert given == [{}, {}, {}] and set(grads.grads) == set(chunks[0])
+        for k, g in grads.grads.items():
+            want = np.add(chunks[0][k], chunks[1][k], dtype=np.float64)
+            want += chunks[2][k]
+            assert g.tobytes() == want.tobytes(), k
+
     def test_non_finite_gradient_changes_nothing(self):
         opt, chunks = self.adam_with_grads(2)
         opt.step(self.batch_grads(chunks))
         before = self.state(opt)
+        clean = [{k: g.copy() for k, g in c.items()} for c in chunks]
         names = list(opt.named)
         first, later = names[3], names[-1]
         chunks[1][later].flat[0] = np.nan
@@ -282,6 +331,17 @@ class TestChunkedStep:
                                              r"at step 2$"):
             opt.step(self.batch_grads(chunks))
         assert self.state(opt) == before and opt.t == 1
+        # only the half the worker thread steps has them; both halves do
+        head, tail = opt.halves
+        for poisoned in ((tail[2], tail[1]), (tail[0], head[-1])):
+            chunks = [{k: g.copy() for k, g in c.items()} for c in clean]
+            for name, value in zip(poisoned, (np.nan, -np.inf)):
+                chunks[1][name].flat[0] = value
+            first = min(poisoned, key=names.index)
+            with pytest.raises(TrainError, match=rf"^non-finite gradient in {re.escape(first)} "
+                                                 r"at step 2$"):
+                opt.step(self.batch_grads(chunks))
+            assert self.state(opt) == before and opt.t == 1
 
     def test_non_finite_gradient_names_epoch_batch_and_tensor(self, small_sets, monkeypatch):
         take, calls = train_module.take_grads, []
