@@ -10,8 +10,9 @@ activation before the head, so ``forward_batch`` runs them on two threads.
 
 The parameters are float64. A training pass computes in float32
 (``TRAIN_DTYPE``) on a working copy of them, after Micikevicius et al.,
-"Mixed Precision Training" (arXiv:1710.03740), and the optimizer updates
-the float64 parameters in float64. ``fit``'s optimizer keeps that copy
+"Mixed Precision Training" (arXiv:1710.03740), and the optimizer, whose
+moments are float32, subtracts each update from the float64 parameters
+in float64. ``fit``'s optimizer keeps that copy
 (``model.working_copy``) and refreshes it after each step; a pass reads it
 as the leaves of its tape, and the gradients stay float32 until the step.
 Given float64 parameters, ``forward_batch`` casts a copy at its top

@@ -105,18 +105,24 @@ class TestAdamAndEpoch:
             assert t.data.tobytes() == before[n].tobytes(), n
 
     def test_step_matches_reference_formula_bit_for_bit(self):
-        rng = np.random.default_rng(5)
-        t = Tensor(rng.normal(size=(64, 32)), requires_grad=True)
-        data, m, v = t.data.copy(), np.zeros((64, 32)), np.zeros((64, 32))
-        opt = Adam({"w": t}, lr=3e-4)
-        for step in range(1, 4):
-            g = rng.normal(size=(64, 32))
-            t.grad = g.copy()
-            opt.step()
-            m = 0.9 * m + (1 - 0.9) * g
-            v = 0.999 * v + (1 - 0.999) * (g * g)
-            data = data - 3e-4 * (m / (1 - 0.9 ** step)) / (np.sqrt(v / (1 - 0.999 ** step)) + 1e-8)
-            assert t.data.tobytes() == data.tobytes() and t.grad is None
+        # float32 moments and update from the float32 gradient, subtracted
+        # from the float64 parameters: over 2.5 blocks and a ragged tail,
+        # and over a whole tensor whose data is not C-contiguous
+        for shape, order in (((5 * ADAM_BLOCK // 64 + 1, 32), "C"), ((64, 32), "F")):
+            rng = np.random.default_rng(5)
+            t = Tensor(np.asarray(rng.normal(size=shape), order=order), requires_grad=True)
+            data, m, v = t.data.copy(), np.zeros(shape, np.float32), np.zeros(shape, np.float32)
+            opt = Adam({"w": t}, lr=3e-4)
+            for step in range(1, 4):
+                g = rng.normal(size=shape)
+                t.grad = g.copy()
+                opt.step()
+                g = g.astype(np.float32)
+                m = 0.9 * m + (1 - 0.9) * g
+                v = 0.999 * v + (1 - 0.999) * (g * g)
+                data = data - 3e-4 * (m / (1 - 0.9 ** step)) / (np.sqrt(v / (1 - 0.999 ** step)) + 1e-8)
+                assert opt.m["w"].tobytes() == m.tobytes() and opt.v["w"].tobytes() == v.tobytes()
+                assert t.data.tobytes() == data.tobytes() and t.grad is None
 
     def test_same_seed_identical_params(self, small_sets):
         train_traces, val_traces = small_sets
@@ -222,16 +228,14 @@ class TestChunkedStep:
                 hashlib.sha256(repr(log.key()).encode()).hexdigest())
 
     # batches of 8 in forward chunks of 3, 3, 2 or of 2, 2, 2, 2 (x86-64,
-    # numpy's bundled OpenBLAS); taken when the fused attention op moved the
-    # training bits, after the per-epoch losses of both fits had matched
-    # those of the separate-op attention to 1e-8 relative, with equal
-    # validation AUCs. The checkpoint digests are of format v2 (one w_qkv
-    # per layer), taken from the same fits' three-matrix parameters
+    # numpy's bundled OpenBLAS); taken when Adam's moments became float32,
+    # after the per-epoch losses of both fits had matched those of float64
+    # moments to 1e-8 relative, with equal validation AUCs
     @pytest.mark.parametrize("chunk,ckpt_sha,log_sha", [
-        (3, "e5f50308f0c5d4a10aca07107270ee6827d9f8178c3ecd6a4e01413e28cc1b9d",
-         "3cc8e94b16fdc23884976be35f96fef4561cc40f50b214866f5ec9fd197270b4"),
-        (2, "5b32abc2dad7dce0ce083cfecbef9424819959431dd329a287e4a3df3ea65d04",
-         "7b168c7f89ecb27df90ee1c5f5e58041bc8c90785cc8e35fa5d7e83b0b498efa"),
+        (3, "08545d25b940b7649f286fee8478b498d2753be51f5a68ca9ff31c6c5cc3e50f",
+         "9deaf32d4eb8b4fc6afbe2c5d400886dbfaab9136d1d7c99a6e53a4e85dba83e"),
+        (2, "546e266c334368dbabc146b0e4cd48c14c46a205c5b8cdb6468209d37676e324",
+         "6427d2b272fb04c068e8839d56acdc98447a1075413f615a896b7e5dc111903f"),
     ], ids=["chunk3", "chunk2"])
     def test_multi_chunk_fit_bytes_are_pinned(self, small_sets, monkeypatch, tmp_path,
                                               chunk, ckpt_sha, log_sha):
@@ -240,13 +244,12 @@ class TestChunkedStep:
 
     def test_two_layer_fit_bytes_are_pinned(self, small_sets, monkeypatch, tmp_path):
         # the second layer's input and each FFN input are remade from a
-        # layer norm's xhat in backward, with attention dropout on; pinned
-        # from the same fit with those outputs held on the tape (x86-64,
-        # numpy's bundled OpenBLAS)
+        # layer norm's xhat in backward, with attention dropout on (x86-64,
+        # numpy's bundled OpenBLAS; taken as the two pins above)
         cfg = replace(self.CFG, n_layers=2)
         assert self.pinned_fit(cfg, 3, small_sets, monkeypatch, tmp_path) == (
-            "160ad73993504342e2252385838789102ec32747a426226b2357a0f6f5b955f6",
-            "5eaab7189cd5ef4bb2317264b82a139e0175b9dca3884630cb9d0d7d2f1b4006")
+            "14bdf916bf17d5afe3b8b97c0f5219fa79e6e3cbfbd2f708b596b47e237cf2c7",
+            "0fd8c454f3b8ee084af3323628f54a2125aba0d4c45d9787d36f3f7456761905")
 
     def test_chunk_gradients_sum_in_float64_in_chunk_order(self):
         opt, chunks = self.adam_with_grads(4)
